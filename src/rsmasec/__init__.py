@@ -32,7 +32,6 @@ from .harness import (
     run_trial,
 )
 from .quadforms import (
-    QuadFormPair,
     QuadFormSet,
     build_quadforms_limited,
     build_quadforms_perfect,
@@ -52,10 +51,8 @@ from .solver import (
     KktOperator,
     NumericError,
     SolveTrace,
-    WeightSet,
     assemble_kkt,
     block_solve,
-    compute_weights,
     gpi_solve,
     gpi_solve_vector,
     kkt_residual,
@@ -75,7 +72,6 @@ __all__ = [
     "KlDecomposition",
     "NumericError",
     "PrecoderStack",
-    "QuadFormPair",
     "QuadFormSet",
     "RateReport",
     "ScenarioLayout",
@@ -83,13 +79,11 @@ __all__ = [
     "SolveTrace",
     "SystemConfig",
     "TrialResult",
-    "WeightSet",
     "assemble_kkt",
     "block_solve",
     "build_quadforms_limited",
     "build_quadforms_perfect",
     "common_se",
-    "compute_weights",
     "draw_scenario",
     "error_covariance",
     "fdd_estimate",

@@ -232,14 +232,12 @@ class ChannelRealization:
 
     Under limited CSIT the transmitter sees ``user_estimates``, ``error_covs``
     and the covariances; ``user_channels``/``eve_channels`` are ground truth
-    used only for scoring.  ``quant_errors`` keeps the q_k perturbation term
-    of each estimate for statistical tests.
+    used only for scoring.
     """
 
     user_channels: np.ndarray        # (K, N)
     eve_channels: np.ndarray         # (E, N)
     user_estimates: np.ndarray       # (K, N)
-    quant_errors: np.ndarray         # (K, N)
     error_covs: np.ndarray           # (K, N, N)
     user_covs: tuple[HermitianCovariance, ...]
     eve_covs: tuple[HermitianCovariance, ...]
@@ -280,7 +278,6 @@ def draw_scenario(
     err_scale = 2.0 - 2.0 * math.sqrt(1.0 - layout.kappa**2)
     h = np.zeros((k, n), dtype=complex)
     h_est = np.zeros((k, n), dtype=complex)
-    q = np.zeros((k, n), dtype=complex)
     phi = np.zeros((k, n, n), dtype=complex)
     user_covs = []
     for i in range(k):
@@ -288,7 +285,6 @@ def draw_scenario(
         kl = kl_decompose(cov, layout.trunc_rel)
         h[i] = sample_channel(kl, rng)
         h_est[i], _ = fdd_estimate(h[i], kl, layout.kappa, rng)
-        q[i] = h_est[i] - math.sqrt(1.0 - layout.kappa**2) * h[i]
         phi[i] = err_scale * cov.entries
         user_covs.append(cov)
 
@@ -303,7 +299,6 @@ def draw_scenario(
         user_channels=h,
         eve_channels=g,
         user_estimates=h_est,
-        quant_errors=q,
         error_covs=phi,
         user_covs=tuple(user_covs),
         eve_covs=tuple(eve_covs),

@@ -175,6 +175,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"duplicate entry in methods: {', '.join(methods)}")
 
     axis = raw.get("sweep_axis", "none")
     if axis not in SWEEP_AXES:
@@ -184,6 +186,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("sweep_values given without a sweep_axis")
     if axis != "none" and not values:
         raise ConfigError(f"sweep_axis = {axis} needs sweep_values")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate entry in sweep_values: {', '.join(map(_fmt, values))}")
     _check_axis_values(axis, values, system)
 
     trials = raw.get("trials", 100)

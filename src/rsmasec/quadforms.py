@@ -2,10 +2,15 @@
 
 With a unit-norm stacked precoder f, each spectral efficiency becomes
 log2(f^H A f / f^H B f) for a pair (A, B) of block-diagonal Hermitian
-matrices (one N x N block per stream).  The blocks are never assembled into
-the full N*(K+1) x N*(K+1) matrix; everything operates on the (n_blocks, N, N)
-stacks, which is what makes the solver's linear algebra cost scale with the
-number of blocks rather than its cube.
+matrices (one N x N block per stream).  Every block of every A and B is a
+combination of a few base matrices: the identity (which carries the noise
+ridge), the K signal outer products, the E eavesdropper matrices and, under
+limited CSIT, the K error covariances and K user covariances.  A set stores
+each base matrix once plus one real coefficient table per rate family, with
+entry [..., m, b] the weight of base matrix m in block b of one form.  No
+block is ever assembled into the full N*(K+1) x N*(K+1) matrix, which is what
+makes the solver's linear algebra cost scale with the number of blocks rather
+than its cube.
 
 Two variants exist:
   - "perfect": true channels, one pair per rate; the secrecy leakage is the
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,43 +32,28 @@ from .rates import PrecoderStack, lse_max, lse_min
 
 
 @dataclass(frozen=True)
-class QuadFormPair:
-    """Numerator/denominator blocks of one Rayleigh quotient."""
-
-    numerator: np.ndarray     # (n_blocks, N, N)
-    denominator: np.ndarray   # (n_blocks, N, N)
-
-    def quad_num(self, f_blocks: np.ndarray) -> float:
-        return _quad(self.numerator, f_blocks)
-
-    def quad_den(self, f_blocks: np.ndarray) -> float:
-        return _quad(self.denominator, f_blocks)
-
-    def ratio(self, f_blocks: np.ndarray) -> float:
-        return self.quad_num(f_blocks) / self.quad_den(f_blocks)
-
-
-def _quad(blocks: np.ndarray, f_blocks: np.ndarray) -> float:
-    return float(np.einsum("bi,bij,bj->", f_blocks.conj(), blocks, f_blocks).real)
-
-
-@dataclass(frozen=True)
 class QuadFormSet:
     """All quadratic-form pairs for one scenario.
 
-    ``common_pairs`` is empty when the set is built without a common stream
-    (the SDMA baseline); then the stack holds K blocks instead of K+1.
-    ``eve_leak_pairs[s][e]`` and ``user_leak_pairs[s][j]`` cover secret user
-    s's wiretap set; the user lists follow ``wiretap_users(s)`` order.
+    ``bases`` is the (n_bases, N, N) stack of base matrices.  Each table has
+    shape (..., n_bases, n_blocks) and real entries in {0, +-1, ridge}:
+    ``common_*`` (K, ...), ``private_*`` (K, ...), ``eve_*`` (S, E, ...) and
+    ``user_*`` (S, K-1, ...), where secret user s's wiretapping users run over
+    every other user in index order.  ``common_*`` is None when the set is
+    built without a common stream (the SDMA baseline); then the stack holds K
+    blocks instead of K+1.
     """
 
-    common_pairs: tuple[QuadFormPair, ...]
-    private_pairs: tuple[QuadFormPair, ...]
-    eve_leak_pairs: tuple[tuple[QuadFormPair, ...], ...]
-    user_leak_pairs: tuple[tuple[QuadFormPair, ...], ...]
+    bases: np.ndarray
+    common_num: np.ndarray | None
+    common_den: np.ndarray | None
+    private_num: np.ndarray
+    private_den: np.ndarray
+    eve_num: np.ndarray
+    eve_den: np.ndarray
+    user_num: np.ndarray
+    user_den: np.ndarray
     variant: str
-    n_antennas: int
-    n_secret: int
 
     def __post_init__(self) -> None:
         if self.variant not in ("perfect", "limited"):
@@ -72,26 +61,23 @@ class QuadFormSet:
 
     @property
     def has_common(self) -> bool:
-        return bool(self.common_pairs)
+        return self.common_num is not None
 
     @property
-    def n_users(self) -> int:
-        return len(self.private_pairs)
+    def n_antennas(self) -> int:
+        return self.bases.shape[-1]
 
     @property
-    def n_eves(self) -> int:
-        return len(self.eve_leak_pairs[0]) if self.eve_leak_pairs else 0
+    def n_secret(self) -> int:
+        return self.eve_num.shape[0]
 
     @property
     def n_blocks(self) -> int:
-        return self.n_users + (1 if self.has_common else 0)
+        return self.private_num.shape[-1]
 
     @property
     def stack_dim(self) -> int:
         return self.n_blocks * self.n_antennas
-
-    def wiretap_users(self, secret: int) -> list[int]:
-        return [u for u in range(self.n_users) if u != secret]
 
     def f_blocks(self, precoder: PrecoderStack | np.ndarray) -> np.ndarray:
         vec = precoder.entries if isinstance(precoder, PrecoderStack) else np.asarray(precoder)
@@ -101,44 +87,43 @@ class QuadFormSet:
             )
         return vec.reshape(self.n_blocks, self.n_antennas)
 
-    # Stacked per-family views used by the solver's einsum paths.
-    @cached_property
-    def _stacks(self) -> dict[str, np.ndarray]:
-        out = {}
-        if self.common_pairs:
-            out["common_num"] = np.stack([p.numerator for p in self.common_pairs])
-            out["common_den"] = np.stack([p.denominator for p in self.common_pairs])
-        out["private_num"] = np.stack([p.numerator for p in self.private_pairs])
-        out["private_den"] = np.stack([p.denominator for p in self.private_pairs])
-        if self.eve_leak_pairs and self.eve_leak_pairs[0]:
-            out["eve_num"] = np.stack([[p.numerator for p in row] for row in self.eve_leak_pairs])
-            out["eve_den"] = np.stack([[p.denominator for p in row] for row in self.eve_leak_pairs])
-        if self.user_leak_pairs and self.user_leak_pairs[0]:
-            out["user_num"] = np.stack([[p.numerator for p in row] for row in self.user_leak_pairs])
-            out["user_den"] = np.stack([[p.denominator for p in row] for row in self.user_leak_pairs])
-        return out
-
     def evaluate(self, f_blocks: np.ndarray) -> "QuadValues":
         """All quadratic forms at one point, grouped by rate family."""
-        stacks = self._stacks
+        # gram[m, b] = f_b^H M_m f_b, flattened to match the tables' last axes
+        gram = np.einsum("bi,mib->mb", f_blocks.conj(), self.bases @ f_blocks.T).real.ravel()
 
-        def ev(key):
-            if key not in stacks:
+        def ev(table):
+            if table is None:
                 return None
-            return np.einsum("...bij,bi,bj->...", stacks[key], f_blocks.conj(), f_blocks).real
+            return table.reshape(*table.shape[:-2], gram.size) @ gram
 
         return QuadValues(
-            common_num=ev("common_num"),
-            common_den=ev("common_den"),
-            private_num=ev("private_num"),
-            private_den=ev("private_den"),
-            eve_num=ev("eve_num"),
-            eve_den=ev("eve_den"),
-            user_num=ev("user_num"),
-            user_den=ev("user_den"),
+            common_num=ev(self.common_num),
+            common_den=ev(self.common_den),
+            private_num=ev(self.private_num),
+            private_den=ev(self.private_den),
+            eve_num=ev(self.eve_num),
+            eve_den=ev(self.eve_den),
+            user_num=ev(self.user_num),
+            user_den=ev(self.user_den),
             variant=self.variant,
             n_secret=self.n_secret,
         )
+
+    def weighted_blocks(self, weights: dict[str, np.ndarray]) -> np.ndarray:
+        """Weighted sum of the block matrices of the named forms.
+
+        ``weights`` maps a table name ("private_num", "eve_den", ...) to one
+        real weight per form, shaped like that table's leading axes.  The
+        weights are contracted with the tables first, so each base matrix is
+        touched once.  Returns the (n_blocks, N, N) block stack.
+        """
+        m, n, nb = self.bases.shape[0], self.n_antennas, self.n_blocks
+        coef = sum(
+            w.ravel() @ getattr(self, name).reshape(w.size, m * nb)
+            for name, w in weights.items()
+        )
+        return (coef.reshape(m, nb).T @ self.bases.reshape(m, n * n)).reshape(nb, n, n)
 
 
 @dataclass(frozen=True)
@@ -149,10 +134,10 @@ class QuadValues:
     common_den: np.ndarray | None
     private_num: np.ndarray
     private_den: np.ndarray
-    eve_num: np.ndarray | None      # (S, E)
-    eve_den: np.ndarray | None
-    user_num: np.ndarray | None     # (S, K-1)
-    user_den: np.ndarray | None
+    eve_num: np.ndarray      # (S, E)
+    eve_den: np.ndarray
+    user_num: np.ndarray     # (S, K-1)
+    user_den: np.ndarray
     variant: str
     n_secret: int
 
@@ -166,14 +151,10 @@ class QuadValues:
 
     def leak_ratios(self, secret: int) -> np.ndarray:
         """Wiretap-set ratios for one secret user, eavesdroppers first."""
-        parts = []
-        if self.eve_num is not None:
-            parts.append(self.eve_num[secret] / self.eve_den[secret])
-        if self.user_num is not None:
-            parts.append(self.user_num[secret] / self.user_den[secret])
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        return np.concatenate([
+            self.eve_num[secret] / self.eve_den[secret],
+            self.user_num[secret] / self.user_den[secret],
+        ])
 
     def smoothed_leakage(self, secret: int, alpha: float) -> float:
         """Leakage term for one secret user, in bits.
@@ -189,40 +170,31 @@ class QuadValues:
             return lse_max(np.log2(ratios), alpha)
         return math.log2(1.0 + float(ratios.sum()))
 
+    def objective(self, alpha: float) -> float:
+        """Log-sum-exp smoothed sum secrecy SE at these values.
+
+        The smoothed min over common rates replaces the hard min, each secret
+        user's leakage enters through ``smoothed_leakage``, and the
+        positive-part clamp on secrecy rates is relaxed.
+        """
+        private = self.private_rates()
+        total = 0.0
+        if self.common_num is not None:
+            total += lse_min(self.common_rates(), alpha)
+        for s in range(self.n_secret):
+            total += private[s] - self.smoothed_leakage(s, alpha)
+        total += float(private[self.n_secret:].sum())
+        return float(total)
+
 
 def smoothed_objective(
     quadforms: QuadFormSet,
     precoder: PrecoderStack | np.ndarray,
     config: SystemConfig,
 ) -> float:
-    """Log-sum-exp smoothed sum secrecy SE evaluated through the quad forms.
-
-    The smoothed min over common rates replaces the hard min, each secret
-    user's leakage enters through ``smoothed_leakage``, and the positive-part
-    clamp on secrecy rates is relaxed.  Scale-invariant in the precoder.
-    """
-    fb = quadforms.f_blocks(precoder)
-    vals = quadforms.evaluate(fb)
-    alpha = config.smoothing
-    private = vals.private_rates()
-    total = 0.0
-    if quadforms.has_common:
-        total += lse_min(vals.common_rates(), alpha)
-    for s in range(quadforms.n_secret):
-        total += private[s] - vals.smoothed_leakage(s, alpha)
-    total += float(private[quadforms.n_secret:].sum())
-    return float(total)
-
-
-def _ridge_blocks(n_blocks: int, n: int, ridge: float) -> np.ndarray:
-    out = np.zeros((n_blocks, n, n), dtype=complex)
-    idx = np.arange(n)
-    out[:, idx, idx] = ridge
-    return out
-
-
-def _outer(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
+    """Smoothed sum secrecy SE (``QuadValues.objective``) evaluated through
+    the quad forms.  Scale-invariant in the precoder."""
+    return quadforms.evaluate(quadforms.f_blocks(precoder)).objective(config.smoothing)
 
 
 def build_quadforms_perfect(
@@ -245,6 +217,14 @@ def build_quadforms_limited(
     return _build(realization, config, common_stream, limited=True)
 
 
+def _outer(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ki,kj->kij", rows, rows.conj())
+
+
+def _covs(covs, n: int) -> np.ndarray:
+    return np.asarray([c.entries for c in covs], dtype=complex).reshape(-1, n, n)
+
+
 def _build(
     realization: ChannelRealization,
     config: SystemConfig,
@@ -265,83 +245,81 @@ def _build(
     ridge_u = config.noise_user_ratio
     ridge_e = config.noise_eve_ratio
 
+    # Base matrices: identity, signals, [error covs], eavesdroppers, [user covs].
+    # Under perfect CSIT a wiretapping user sees its own signal matrix.
     if limited:
-        signal = [_outer(realization.user_estimates[i]) for i in range(k)]
-        extra = [np.asarray(realization.error_covs[i], dtype=complex) for i in range(k)]
+        parts = [
+            np.eye(n, dtype=complex)[None],
+            _outer(realization.user_estimates),
+            np.asarray(realization.error_covs, dtype=complex),
+            _covs(realization.eve_covs, n),
+            _covs(realization.user_covs, n),
+        ]
+        sig, err, eve, wire = 1, 1 + k, 1 + 2 * k, 1 + 2 * k + e_cnt
     else:
-        signal = [_outer(realization.user_channels[i]) for i in range(k)]
-        extra = [None] * k
+        parts = [
+            np.eye(n, dtype=complex)[None],
+            _outer(realization.user_channels),
+            _outer(realization.eve_channels),
+        ]
+        sig, err, eve, wire = 1, None, 1 + k, 1
+    bases = np.concatenate(parts)
+    m = bases.shape[0]
+    users = np.arange(k)
 
-    common_pairs = []
+    def rate_tables(blocks: slice, signal_block):
+        # user i: ridge + signal_i (+ error_i) on ``blocks``; the denominator
+        # drops signal_i from the block carrying i's wanted stream
+        num = np.zeros((k, m, nb))
+        num[:, 0, :] = ridge_u
+        num[users, sig + users, blocks] = 1.0
+        if limited:
+            num[users, err + users, blocks] = 1.0
+        den = num.copy()
+        den[users, sig + users, signal_block] = 0.0
+        return num, den
+
+    common_num = common_den = None
     if common_stream:
-        for i in range(k):
-            a = _ridge_blocks(nb, n, ridge_u)
-            a += signal[i]
-            if extra[i] is not None:
-                a += extra[i]
-            b = a.copy()
-            b[0] -= signal[i]
-            common_pairs.append(QuadFormPair(a, b))
+        common_num, common_den = rate_tables(slice(None), 0)
+    private_num, private_den = rate_tables(slice(off, None), off + users)
 
-    private_pairs = []
-    for i in range(k):
-        a = _ridge_blocks(nb, n, ridge_u)
-        a[off:] += signal[i]
-        if extra[i] is not None:
-            a[off:] += extra[i]
-        b = a.copy()
-        b[off + i] -= signal[i]
-        private_pairs.append(QuadFormPair(a, b))
+    # Leakage of secret user s at eavesdropper e, perfect-CSIT form:
+    # num = ridge_e + M_e on every block, den = num without M_e on s's block.
+    secrets = np.arange(s_cnt)[:, None]
+    eves = np.arange(e_cnt)
+    eve_num = np.zeros((s_cnt, e_cnt, m, nb))
+    eve_num[:, :, 0, :] = ridge_e
+    eve_num[:, eves, eve + eves, :] = 1.0
+    eve_den = eve_num.copy()
+    eve_den[secrets, eves, eve + eves, off + secrets] = 0.0
 
-    eve_rows = []
-    user_rows = []
-    for s in range(s_cnt):
-        eve_row = []
-        for e in range(e_cnt):
-            if limited:
-                cov = realization.eve_covs[e].entries
-                a = np.zeros((nb, n, n), dtype=complex)
-                a[off + s] = cov
-                b = _ridge_blocks(nb, n, ridge_e)
-                b += cov
-                b[off + s] -= cov
-            else:
-                gg = _outer(realization.eve_channels[e])
-                a = _ridge_blocks(nb, n, ridge_e)
-                a += gg
-                b = a.copy()
-                b[off + s] -= gg
-            eve_row.append(QuadFormPair(a, b))
-        eve_rows.append(tuple(eve_row))
+    # Leakage at wiretapping user u (every user but s): num = ridge_u + M_u on
+    # the private blocks other than u's own, den = num without M_u on s's block.
+    slots = np.arange(k - 1)[None, :]
+    taps = slots + (slots >= secrets)
+    user_num = np.zeros((s_cnt, k - 1, m, nb))
+    user_num[:, :, 0, :] = ridge_u
+    user_num[secrets, slots, wire + taps, off:] = 1.0
+    user_num[secrets, slots, wire + taps, off + taps] = 0.0
+    user_den = user_num.copy()
+    user_den[secrets, slots, wire + taps, off + secrets] = 0.0
 
-        user_row = []
-        for u in range(k):
-            if u == s:
-                continue
-            if limited:
-                cov = realization.user_covs[u].entries
-                a = np.zeros((nb, n, n), dtype=complex)
-                a[off + s] = cov
-                b = _ridge_blocks(nb, n, ridge_u)
-                b[off:] += cov
-                b[off + u] -= cov
-                b[off + s] -= cov
-            else:
-                hh = _outer(realization.user_channels[u])
-                a = _ridge_blocks(nb, n, ridge_u)
-                a[off:] += hh
-                a[off + u] -= hh
-                b = a.copy()
-                b[off + s] -= hh
-            user_row.append(QuadFormPair(a, b))
-        user_rows.append(tuple(user_row))
+    if limited:
+        # Collusion terms are SINRs, not SINR + 1: the numerator keeps only
+        # the wiretapper's matrix on s's block.
+        eve_num -= eve_den
+        user_num -= user_den
 
     return QuadFormSet(
-        common_pairs=tuple(common_pairs),
-        private_pairs=tuple(private_pairs),
-        eve_leak_pairs=tuple(eve_rows),
-        user_leak_pairs=tuple(user_rows),
+        bases=bases,
+        common_num=common_num,
+        common_den=common_den,
+        private_num=private_num,
+        private_den=private_den,
+        eve_num=eve_num,
+        eve_den=eve_den,
+        user_num=user_num,
+        user_den=user_den,
         variant="limited" if limited else "perfect",
-        n_antennas=n,
-        n_secret=s_cnt,
     )

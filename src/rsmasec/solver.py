@@ -22,27 +22,11 @@ from scipy.special import softmax
 
 from .config import SystemConfig
 from .quadforms import QuadFormSet, QuadValues
-from .rates import LN2, PrecoderStack, lse_min
+from .rates import PrecoderStack, lse_min
 
 
 class NumericError(RuntimeError):
     """A weight, quadratic form, or solve came out nonfinite or nonpositive."""
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """Raw term weights of the stationarity operator at one iterate.
-
-    Perfect variant: common weights are ratio^(-1/(alpha*ln2)) and leakage
-    weights ratio^(+1/(alpha*ln2)) (the log-sum-exp exponentials in disguise).
-    Limited variant: common weights as above on the lower-bound ratios,
-    leakage weights are the raw collusion-term ratios.
-    """
-
-    common: np.ndarray    # (K,) or (0,) when no common stream
-    eve: np.ndarray       # (S, E)
-    user: np.ndarray      # (S, K-1)
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -65,40 +49,6 @@ class SolveTrace:
     iterates: tuple[tuple[int, float, float, float], ...]
     converged: bool
     iterations_used: int
-
-
-def compute_weights(
-    quadforms: QuadFormSet,
-    precoder: PrecoderStack | np.ndarray,
-    config: SystemConfig,
-) -> WeightSet:
-    fb = quadforms.f_blocks(precoder)
-    vals = quadforms.evaluate(fb)
-    expo = 1.0 / (config.smoothing * LN2)
-
-    if vals.common_num is not None:
-        common = np.power(vals.common_num / vals.common_den, -expo)
-    else:
-        common = np.zeros(0)
-
-    s_cnt = quadforms.n_secret
-    eve = np.zeros((s_cnt, 0))
-    user = np.zeros((s_cnt, 0))
-    if vals.eve_num is not None:
-        eve = vals.eve_num / vals.eve_den
-        if quadforms.variant == "perfect":
-            eve = np.power(eve, expo)
-    if vals.user_num is not None:
-        user = vals.user_num / vals.user_den
-        if quadforms.variant == "perfect":
-            user = np.power(user, expo)
-
-    for name, arr in (("common", common), ("eve", eve), ("user", user)):
-        bad = ~(np.isfinite(arr) & (arr > 0))
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise NumericError(f"nonpositive or nonfinite {name} weight at index {idx}")
-    return WeightSet(common=common, eve=eve, user=user, variant=quadforms.variant)
 
 
 def _lambda_from_values(vals: QuadValues, has_common: bool, alpha: float) -> float:
@@ -133,62 +83,41 @@ def assemble_kkt(
     """
     fb = quadforms.f_blocks(precoder)
     vals = values if values is not None else quadforms.evaluate(fb)
-    stacks = quadforms._stacks
     alpha = config.smoothing
-    nb, n = quadforms.n_blocks, quadforms.n_antennas
 
-    a_op = np.zeros((nb, n, n), dtype=complex)
-    b_op = np.zeros((nb, n, n), dtype=complex)
-
+    a_w = {"private_num": 1.0 / vals.private_num}
+    b_w = {"private_den": 1.0 / vals.private_den}
     if quadforms.has_common:
         w_c = softmax(-vals.common_rates() / alpha)
-        a_op += np.einsum("k,kbij->bij", w_c / vals.common_num, stacks["common_num"])
-        b_op += np.einsum("k,kbij->bij", w_c / vals.common_den, stacks["common_den"])
+        a_w["common_num"] = w_c / vals.common_num
+        b_w["common_den"] = w_c / vals.common_den
 
-    a_op += np.einsum("k,kbij->bij", 1.0 / vals.private_num, stacks["private_num"])
-    b_op += np.einsum("k,kbij->bij", 1.0 / vals.private_den, stacks["private_den"])
-
-    s_cnt = quadforms.n_secret
-    have_eve = vals.eve_num is not None
-    have_user = vals.user_num is not None
-    if s_cnt and (have_eve or have_user):
+    e_cnt = vals.eve_num.shape[1]
+    if e_cnt + vals.user_num.shape[1]:  # an empty wiretap set leaks nothing
         if quadforms.variant == "perfect":
             # Pooled softmax over each wiretap set; split back per family.
-            parts = []
-            if have_eve:
-                parts.append(np.log2(vals.eve_num / vals.eve_den))
-            if have_user:
-                parts.append(np.log2(vals.user_num / vals.user_den))
-            pooled = softmax(np.concatenate(parts, axis=1) / alpha, axis=1)
-            e_cnt = vals.eve_num.shape[1] if have_eve else 0
+            pooled = softmax(np.log2(np.concatenate(
+                [vals.eve_num / vals.eve_den, vals.user_num / vals.user_den], axis=1,
+            )) / alpha, axis=1)
             w_eve, w_user = pooled[:, :e_cnt], pooled[:, e_cnt:]
-            if have_eve:
-                a_op += np.einsum("se,sebij->bij", w_eve / vals.eve_den, stacks["eve_den"])
-                b_op += np.einsum("se,sebij->bij", w_eve / vals.eve_num, stacks["eve_num"])
-            if have_user:
-                a_op += np.einsum("su,subij->bij", w_user / vals.user_den, stacks["user_den"])
-                b_op += np.einsum("su,subij->bij", w_user / vals.user_num, stacks["user_num"])
+            a_w["eve_den"] = w_eve / vals.eve_den
+            b_w["eve_num"] = w_eve / vals.eve_num
+            a_w["user_den"] = w_user / vals.user_den
+            b_w["user_num"] = w_user / vals.user_num
         else:
             # Collusion bound: weights are the raw ratios and the normalizer
             # carries the +1 from log2(1 + sum).  On the B side the ratio's
             # numerator cancels, so the coefficient stays finite even when a
             # collusion term's numerator quadratic form vanishes.
-            norm = np.ones(s_cnt)
-            if have_eve:
-                norm += (vals.eve_num / vals.eve_den).sum(axis=1)
-            if have_user:
-                norm += (vals.user_num / vals.user_den).sum(axis=1)
-            if have_eve:
-                coef_a = vals.eve_num / (vals.eve_den**2 * norm[:, None])
-                coef_b = 1.0 / (vals.eve_den * norm[:, None])
-                a_op += np.einsum("se,sebij->bij", coef_a, stacks["eve_den"])
-                b_op += np.einsum("se,sebij->bij", coef_b, stacks["eve_num"])
-            if have_user:
-                coef_a = vals.user_num / (vals.user_den**2 * norm[:, None])
-                coef_b = 1.0 / (vals.user_den * norm[:, None])
-                a_op += np.einsum("su,subij->bij", coef_a, stacks["user_den"])
-                b_op += np.einsum("su,subij->bij", coef_b, stacks["user_num"])
+            norm = (1.0 + (vals.eve_num / vals.eve_den).sum(axis=1)
+                    + (vals.user_num / vals.user_den).sum(axis=1))[:, None]
+            a_w["eve_den"] = vals.eve_num / (vals.eve_den**2 * norm)
+            b_w["eve_num"] = 1.0 / (vals.eve_den * norm)
+            a_w["user_den"] = vals.user_num / (vals.user_den**2 * norm)
+            b_w["user_num"] = 1.0 / (vals.user_den * norm)
 
+    a_op = quadforms.weighted_blocks(a_w)
+    b_op = quadforms.weighted_blocks(b_w)
     if not (np.isfinite(a_op).all() and np.isfinite(b_op).all()):
         raise NumericError("operator assembly produced nonfinite blocks")
     lam = _lambda_from_values(vals, quadforms.has_common, alpha)
@@ -229,17 +158,6 @@ def _align_phase(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return vec * (inner.conjugate() / mag)
 
 
-def _objective_from_values(vals: QuadValues, quadforms: QuadFormSet, alpha: float) -> float:
-    private = vals.private_rates()
-    total = 0.0
-    if quadforms.has_common:
-        total += lse_min(vals.common_rates(), alpha)
-    for s in range(quadforms.n_secret):
-        total += private[s] - vals.smoothed_leakage(s, alpha)
-    total += float(private[quadforms.n_secret:].sum())
-    return float(total)
-
-
 def gpi_solve_vector(
     quadforms: QuadFormSet,
     start: np.ndarray,
@@ -269,7 +187,7 @@ def gpi_solve_vector(
 
     alpha = config.smoothing
     vals = quadforms.evaluate(vec.reshape(quadforms.n_blocks, quadforms.n_antennas))
-    obj = _objective_from_values(vals, quadforms, alpha)
+    obj = vals.objective(alpha)
     lam = _lambda_from_values(vals, quadforms.has_common, alpha)
     rows = [(0, math.nan, obj, lam)]
     best_obj, best_vec = obj, vec
@@ -296,7 +214,7 @@ def gpi_solve_vector(
             # returned near a point visited a few steps ago: periodic orbit
             gamma = max(0.5 * gamma, 0.0625)
         vals = quadforms.evaluate(nxt.reshape(quadforms.n_blocks, quadforms.n_antennas))
-        obj = _objective_from_values(vals, quadforms, alpha)
+        obj = vals.objective(alpha)
         lam = _lambda_from_values(vals, quadforms.has_common, alpha)
         rows.append((t, step, obj, lam))
         iterations = t

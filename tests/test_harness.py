@@ -52,9 +52,11 @@ def test_parse_k_consistency_check():
         ("n_antennas = four", "bad value"),
         ("just a line", "expected"),
         ("methods = warp-drive", "unknown method"),
+        ("methods = mrt, mrt", "duplicate entry in methods"),
         ("sweep_axis = humidity\nsweep_values = 1", "sweep_axis"),
         ("sweep_values = 1, 2", "without a sweep_axis"),
         ("sweep_axis = kappa", "needs sweep_values"),
+        ("sweep_axis = snr_db\nsweep_values = 10, 10", "duplicate entry in sweep_values"),
         ("sweep_axis = kappa\nsweep_values = 1.5", "kappa"),
         ("sweep_axis = n_eves\nsweep_values = 1.5", "integers"),
         ("sweep_axis = n_secret\nsweep_values = 9", "exceeds"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import rsmasec as rs
-from rsmasec.quadforms import QuadFormPair
 
 
 def random_unit(rng, dim):
@@ -91,11 +90,12 @@ def test_equivalence_requires_unit_norm(fig_config, scenario):
 
 
 def test_sign_flip_mutation_is_caught(fig_config, scenario):
-    # flipping the sign of one common denominator must break the oracle match
+    # flipping the sign of user 0's common-denominator table row must break
+    # the oracle match
     qf = rs.build_quadforms_perfect(scenario, fig_config)
-    pairs = list(qf.common_pairs)
-    pairs[0] = QuadFormPair(pairs[0].numerator, -pairs[0].denominator)
-    bad = dataclasses.replace(qf, common_pairs=tuple(pairs))
+    common_den = qf.common_den.copy()
+    common_den[0] *= -1.0
+    bad = dataclasses.replace(qf, common_den=common_den)
     stack = rs.PrecoderStack(random_unit(np.random.default_rng(0), 20), 4)
     with np.errstate(invalid="ignore"):
         rates = bad.evaluate(bad.f_blocks(stack)).common_rates()
@@ -139,14 +139,42 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     assert vals.private_rates().shape == (4,)
 
 
-def test_sdma_private_rates_match_padded_stack(fig_config, scenario):
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_sdma_private_rates_match_padded_stack(fig_config, scenario, build):
     vec = random_unit(np.random.default_rng(42), 16)
-    sdma = rs.SdmaPrecoderStack(vec, 4)
-    qf = rs.build_quadforms_perfect(scenario, fig_config, common_stream=False)
+    padded = rs.SdmaPrecoderStack(vec, 4).to_rsma()
+    qf = build(scenario, fig_config, common_stream=False)
     vals = qf.evaluate(qf.f_blocks(vec))
-    padded = sdma.to_rsma()
-    assert np.abs(vals.private_rates()
-                  - rs.private_se(scenario, padded, fig_config)).max() < 1e-10
+    if build is rs.build_quadforms_perfect:
+        private = rs.private_se(scenario, padded, fig_config)
+        leaks = [rs.leakage_se(scenario, padded, fig_config, s)[0]
+                 for s in range(fig_config.n_secret)]
+        assert all(np.abs(np.log2(vals.leak_ratios(s)) - leaks[s]).max() < 1e-10
+                   for s in range(fig_config.n_secret))
+    else:
+        _, private, leaks = direct_limited_rates(scenario, fig_config, padded)
+        assert all(abs(vals.smoothed_leakage(s, fig_config.smoothing) - leaks[s]) < 1e-10
+                   for s in range(fig_config.n_secret))
+    assert np.abs(vals.private_rates() - private).max() < 1e-10
+
+
+def array_bytes(obj):
+    """Bytes of every numpy array reachable from ``obj`` through its fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(array_bytes(x) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return sum(array_bytes(x) for x in vars(obj).values())
+    return 0
+
+
+def test_set_arrays_stay_small_at_large_scale():
+    # base matrices are stored once; only the real tables grow with the
+    # number of forms (dense per-pair stacks took 114.75 MiB here)
+    cfg = rs.SystemConfig(n_antennas=32, n_secret=8, n_normal=8, n_eves=8)
+    real = rs.draw_scenario(cfg, rs.ScenarioLayout(quad_nodes=64), np.random.default_rng(0))
+    assert array_bytes(rs.build_quadforms_limited(real, cfg)) < 8 * 2**20
 
 
 def test_f_blocks_rejects_wrong_length(fig_config, scenario):

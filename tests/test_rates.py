@@ -20,7 +20,6 @@ def manual_realization(user_channels, eve_channels=None, kappa=0.0):
         user_channels=h,
         eve_channels=g,
         user_estimates=h.copy(),
-        quant_errors=np.zeros_like(h),
         error_covs=np.tile(scale * np.eye(n, dtype=complex), (k, 1, 1)),
         user_covs=(eye,) * k,
         eve_covs=(eye,) * g.shape[0],

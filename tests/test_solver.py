@@ -53,15 +53,6 @@ def test_operator_matches_numeric_gradient(fig_config, scenario, build):
     assert cos > 0.999
 
 
-def test_weights_positive_and_shaped(fig_config, scenario):
-    qf = rs.build_quadforms_limited(scenario, fig_config)
-    w = rs.compute_weights(qf, random_unit(np.random.default_rng(0), 20), fig_config)
-    assert w.common.shape == (4,)
-    assert w.eve.shape == (2, 2)
-    assert w.user.shape == (2, 3)
-    assert (w.common > 0).all() and (w.eve > 0).all() and (w.user > 0).all()
-
-
 def test_block_solve_matches_dense():
     rng = np.random.default_rng(5)
     blocks = np.empty((3, 4, 4), dtype=complex)

@@ -5,7 +5,6 @@ import pytest
 
 import rsmasec
 import rsmasec.validate as validate
-from rsmasec.quadforms import QuadFormPair
 
 EXPECTED_NAMES = [
     "quadform-oracle",
@@ -45,14 +44,15 @@ def test_fast_checks_pass_and_report_timing():
 
 
 def test_sign_flip_mutation_fails_oracle_check(monkeypatch):
-    # an injected sign error in a common-stream denominator must be caught
+    # an injected sign error in user 0's common-denominator table row must
+    # be caught
     original = validate.build_quadforms_perfect
 
     def corrupted(realization, config, common_stream=True):
         qf = original(realization, config, common_stream)
-        pairs = list(qf.common_pairs)
-        pairs[0] = QuadFormPair(pairs[0].numerator, -pairs[0].denominator)
-        return dataclasses.replace(qf, common_pairs=tuple(pairs))
+        common_den = qf.common_den.copy()
+        common_den[0] *= -1.0
+        return dataclasses.replace(qf, common_den=common_den)
 
     monkeypatch.setattr(validate, "build_quadforms_perfect", corrupted)
     with np.errstate(invalid="ignore"):
