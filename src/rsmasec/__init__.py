@@ -6,7 +6,7 @@ package builds the smoothed sum secrecy spectral efficiency, solves for the
 precoder stack by generalized power iteration under perfect or limited CSIT,
 and ships an experiment harness with seeded Monte Carlo sweeps.
 """
-from .baselines import SdmaPrecoderStack, gpi_sdma_solve, mrt_init, mrt_init_sdma, rzf_precoder
+from .baselines import gpi_sdma_solve, mrt_init, rzf_precoder
 from .channel import (
     ArrayGeometry,
     ChannelRealization,
@@ -75,7 +75,6 @@ __all__ = [
     "QuadFormSet",
     "RateReport",
     "ScenarioLayout",
-    "SdmaPrecoderStack",
     "SolveTrace",
     "SystemConfig",
     "TrialResult",
@@ -96,7 +95,6 @@ __all__ = [
     "lse_max",
     "lse_min",
     "mrt_init",
-    "mrt_init_sdma",
     "one_ring_covariance",
     "parse_config",
     "parse_config_text",

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,95 +15,46 @@ from .solver import SolveTrace, gpi_solve_vector
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SdmaPrecoderStack:
-    """Stacked private-only precoder [f_1; ...; f_K], no common stream."""
-
-    entries: np.ndarray
-    n_antennas: int
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.entries, dtype=complex).ravel()
-        if vec.size % self.n_antennas != 0 or vec.size < self.n_antennas:
-            raise ValueError("stack length must be a positive multiple of n_antennas")
-        object.__setattr__(self, "entries", vec)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.entries.size // self.n_antennas
-
-    @property
-    def blocks(self) -> np.ndarray:
-        return self.entries.reshape(self.n_blocks, self.n_antennas)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def normalized(self) -> "SdmaPrecoderStack":
-        n = self.norm
-        if n == 0:
-            raise ValueError("cannot normalize a zero stack")
-        return SdmaPrecoderStack(self.entries / n, self.n_antennas)
-
-    def to_rsma(self) -> PrecoderStack:
-        """Pad a zero common block so the stack can be scored like RSMA."""
-        padded = np.concatenate([np.zeros(self.n_antennas, dtype=complex), self.entries])
-        return PrecoderStack(padded, self.n_antennas)
-
-
 def mrt_init(
     estimates: np.ndarray,
     rng: np.random.Generator | None = None,
+    common_stream: bool = True,
 ) -> PrecoderStack:
     """Matched-filter initializer: f_k = estimate_k, f_c = their average.
 
-    All-zero estimates are degenerate; a uniformly random unit stack is
-    returned instead and a warning logged.
+    With ``common_stream=False`` the common block is zero (the private-only
+    SDMA start).  All-zero estimates are degenerate; a uniformly random unit
+    stack, with the same common block rule, is returned instead and a
+    warning logged.
     """
     est = np.asarray(estimates, dtype=complex)
     if est.ndim != 2:
         raise ValueError("estimates must be a (K, N) array")
     k, n = est.shape
-    blocks = np.concatenate([est.mean(axis=0, keepdims=True), est], axis=0)
+    common = est.mean(axis=0, keepdims=True) if common_stream else np.zeros((1, n))
+    blocks = np.concatenate([common, est], axis=0)
     total = np.linalg.norm(blocks)
     if total == 0:
         log.warning("mrt_init got all-zero estimates; falling back to a random stack")
         rng = rng if rng is not None else np.random.default_rng(0)
-        raw = rng.standard_normal((k + 1) * n) + 1j * rng.standard_normal((k + 1) * n)
-        return PrecoderStack(raw / np.linalg.norm(raw), n)
+        blocks = rng.standard_normal((k + 1, n)) + 1j * rng.standard_normal((k + 1, n))
+        if not common_stream:
+            blocks[0] = 0.0
+        total = np.linalg.norm(blocks)
     return PrecoderStack(blocks.ravel() / total, n)
-
-
-def mrt_init_sdma(
-    estimates: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> SdmaPrecoderStack:
-    """Private-only matched filter, unit total power."""
-    est = np.asarray(estimates, dtype=complex)
-    if est.ndim != 2:
-        raise ValueError("estimates must be a (K, N) array")
-    k, n = est.shape
-    total = np.linalg.norm(est)
-    if total == 0:
-        log.warning("mrt_init_sdma got all-zero estimates; falling back to a random stack")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        raw = rng.standard_normal(k * n) + 1j * rng.standard_normal(k * n)
-        return SdmaPrecoderStack(raw / np.linalg.norm(raw), n)
-    return SdmaPrecoderStack(est.ravel() / total, n)
 
 
 def rzf_precoder(
     estimates: np.ndarray,
     config: SystemConfig,
     regularization: float | None = None,
-) -> SdmaPrecoderStack:
+) -> PrecoderStack:
     """Regularized zero-forcing on the estimated channels.
 
     Directions are the columns of (H H^H + reg I)^-1 H with H = estimates^T
     and reg = K * sigma^2 / P by default; reg = 0 gives plain zero-forcing
-    via the pseudoinverse.  Columns carry equal power and the stack is
-    normalized to unit total power.
+    via the pseudoinverse.  Columns carry equal power, the stack is
+    normalized to unit total power and its common block is zero.
     """
     est = np.asarray(estimates, dtype=complex)
     if est.ndim != 2:
@@ -123,7 +73,7 @@ def rzf_precoder(
     if np.any(col_norms == 0):
         raise ValueError("zero precoding column; estimates are degenerate")
     w = w / col_norms / math.sqrt(k)
-    return SdmaPrecoderStack(w.T.ravel(), n)
+    return PrecoderStack.from_blocks(np.concatenate([np.zeros((1, n)), w.T]))
 
 
 def gpi_sdma_solve(
@@ -131,20 +81,21 @@ def gpi_sdma_solve(
     config: SystemConfig,
     csit_mode: str = "perfect",
     rng: np.random.Generator | None = None,
-) -> tuple[SdmaPrecoderStack, SolveTrace]:
+) -> tuple[PrecoderStack, SolveTrace]:
     """Power iteration on the private-only objective (no common stream).
 
-    Identical machinery to the rate-splitting solver on a stack one block
-    shorter: no common-rate terms in the objective or the operators.
+    The rate-splitting solver on ``without_common()`` of the scenario's set,
+    started from a zero common block: the operators are block-diagonal, so
+    that block stays exactly zero and no common-rate term enters.
     """
     if csit_mode not in ("perfect", "limited"):
         raise ValueError("csit_mode must be 'perfect' or 'limited'")
     if csit_mode == "limited":
-        quadforms = build_quadforms_limited(realization, config, common_stream=False)
+        quadforms = build_quadforms_limited(realization, config)
         knowledge = realization.user_estimates
     else:
-        quadforms = build_quadforms_perfect(realization, config, common_stream=False)
+        quadforms = build_quadforms_perfect(realization, config)
         knowledge = realization.user_channels
-    start = mrt_init_sdma(knowledge, rng)
-    vec, trace = gpi_solve_vector(quadforms, start.entries, config)
-    return SdmaPrecoderStack(vec, config.n_antennas), trace
+    start = mrt_init(knowledge, rng, common_stream=False)
+    vec, trace = gpi_solve_vector(quadforms.without_common(), start.entries, config)
+    return PrecoderStack(vec, config.n_antennas), trace

@@ -54,14 +54,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_seed(config: ExperimentConfig, seed: int, source: str) -> ExperimentConfig:
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return replace(config, master_seed=seed)
+
+
 def _load_config(path: str) -> ExperimentConfig:
     config = parse_config(path)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            config = replace(config, master_seed=int(env))
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+        config = _with_seed(config, seed, SEED_ENV_VAR)
     return config
 
 
@@ -90,7 +97,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "single":
         config = _load_config(args.config)
-        config = replace(config, master_seed=args.seed)
+        config = _with_seed(config, args.seed, "--seed")
         rows = run_trial(config, None, 0)
         print(",".join(CSV_COLUMNS))
         for row in rows:

@@ -278,50 +278,38 @@ def run_trial(
     limited = config.csit_mode == "limited"
     knowledge = realization.user_estimates if limited else realization.user_channels
 
-    rsma_qf: QuadFormSet | None = None
-    sdma_qf: QuadFormSet | None = None
+    quadforms: QuadFormSet | None = None
 
-    def get_rsma():
-        nonlocal rsma_qf
-        if rsma_qf is None:
+    def get_quadforms():
+        nonlocal quadforms
+        if quadforms is None:
             build = build_quadforms_limited if limited else build_quadforms_perfect
-            rsma_qf = build(realization, system, common_stream=True)
-        return rsma_qf
-
-    def get_sdma():
-        nonlocal sdma_qf
-        if sdma_qf is None:
-            build = build_quadforms_limited if limited else build_quadforms_perfect
-            sdma_qf = build(realization, system, common_stream=False)
-        return sdma_qf
+            quadforms = build(realization, system)
+        return quadforms
 
     results = []
     for method in config.methods:
         t0 = time.perf_counter()
         try:
             if method == "gpi-rsma":
-                stack, trace = gpi_solve(get_rsma(), mrt_init(knowledge, rng), system)
-                eval_stack = stack
-                objective = smoothed_objective(get_rsma(), stack, system)
+                stack, trace = gpi_solve(get_quadforms(), mrt_init(knowledge, rng), system)
                 iterations, converged = trace.iterations_used, trace.converged
             elif method == "gpi-sdma":
-                sstack, trace = gpi_sdma_solve(realization, system, config.csit_mode, rng)
-                eval_stack = sstack.to_rsma()
-                objective = smoothed_objective(get_sdma(), sstack.entries, system)
+                stack, trace = gpi_sdma_solve(realization, system, config.csit_mode, rng)
                 iterations, converged = trace.iterations_used, trace.converged
             elif method == "rzf-sdma":
-                sstack = rzf_precoder(knowledge, system)
-                eval_stack = sstack.to_rsma()
-                objective = smoothed_objective(get_sdma(), sstack.entries, system)
+                stack = rzf_precoder(knowledge, system)
                 iterations, converged = 0, True
             elif method == "mrt":
                 stack = mrt_init(knowledge, rng)
-                eval_stack = stack
-                objective = smoothed_objective(get_rsma(), stack, system)
                 iterations, converged = 0, True
             else:
                 raise ConfigError(f"unknown method {method!r}")
-            report = sum_secrecy_se(realization, eval_stack, system)
+            qf = get_quadforms()
+            if method in ("gpi-sdma", "rzf-sdma"):  # private-only: no common family
+                qf = qf.without_common()
+            objective = smoothed_objective(qf, stack, system)
+            report = sum_secrecy_se(realization, stack, system)
         except NumericError as exc:
             runtime_ms = 1e3 * (time.perf_counter() - t0)
             log.warning("trial %d method %s failed numerically: %s", trial_index, method, exc)
@@ -444,7 +432,7 @@ def run_sweep(
     return out_path, agg
 
 
-CONVERGE_COLUMNS = ["snr_db", "trial", "seed", "iteration", "step_norm", "objective"]
+CONVERGE_COLUMNS = ["snr_db", "trial", "seed", "iteration", "step_norm", "objective", "lam"]
 
 
 def run_convergence(
@@ -455,7 +443,8 @@ def run_convergence(
     """Per-iteration solve traces of the rate-splitting solver across SNRs.
 
     One CSV row per (snr, trial, iteration); iteration 0 carries the
-    initializer objective and an empty step norm.
+    initializer objective and an empty step norm.  ``lam`` is the solver's
+    stationarity multiplier estimate at that iterate.
     """
     if not snr_list:
         raise ConfigError("converge needs at least one SNR value")
@@ -471,12 +460,12 @@ def run_convergence(
                 rng = np.random.default_rng(seed)
                 realization = draw_scenario(system, config.layout, rng)
                 knowledge = realization.user_estimates if limited else realization.user_channels
-                qf = build(realization, system, common_stream=True)
+                qf = build(realization, system)
                 _, trace = gpi_solve(qf, mrt_init(knowledge, rng), system)
-                for it, step, obj, _lam in trace.iterates:
+                for it, step, obj, lam in trace.iterates:
                     writer.writerow([
                         _fmt(snr), str(trial), str(seed), str(it),
                         "" if math.isnan(step) else _fmt(step),
-                        _fmt(obj),
+                        _fmt(obj), _fmt(lam),
                     ])
     return out_path

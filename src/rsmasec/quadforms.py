@@ -22,7 +22,7 @@ Two variants exist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +39,10 @@ class QuadFormSet:
     shape (..., n_bases, n_blocks) and real entries in {0, +-1, ridge}:
     ``common_*`` (K, ...), ``private_*`` (K, ...), ``eve_*`` (S, E, ...) and
     ``user_*`` (S, K-1, ...), where secret user s's wiretapping users run over
-    every other user in index order.  ``common_*`` is None when the set is
-    built without a common stream (the SDMA baseline); then the stack holds K
-    blocks instead of K+1.
+    every other user in index order.  The stack always has K+1 blocks, block 0
+    carrying the common stream.  ``common_*`` is None only on a
+    ``without_common()`` view, which scores private-only (SDMA) stacks whose
+    common block is zero.
     """
 
     bases: np.ndarray
@@ -66,6 +67,14 @@ class QuadFormSet:
     @property
     def n_antennas(self) -> int:
         return self.bases.shape[-1]
+
+    def without_common(self) -> "QuadFormSet":
+        """The same set with the common-rate family dropped (SDMA).
+
+        Read with a zero common block, every remaining table equals the
+        private-only set, so no second build is needed.  Shares every array.
+        """
+        return replace(self, common_num=None, common_den=None)
 
     @property
     def n_secret(self) -> int:
@@ -200,21 +209,19 @@ def smoothed_objective(
 def build_quadforms_perfect(
     realization: ChannelRealization,
     config: SystemConfig,
-    common_stream: bool = True,
 ) -> QuadFormSet:
     """Pairs over true channels; rates are exact SINR-plus-one quotients."""
-    return _build(realization, config, common_stream, limited=False)
+    return _build(realization, config, limited=False)
 
 
 def build_quadforms_limited(
     realization: ChannelRealization,
     config: SystemConfig,
-    common_stream: bool = True,
 ) -> QuadFormSet:
     """Pairs over the transmitter's knowledge: channel estimates plus error
     covariances for rate lower bounds, wiretapper covariances for the
     collusion leakage upper bound.  True channels are not read."""
-    return _build(realization, config, common_stream, limited=True)
+    return _build(realization, config, limited=True)
 
 
 def _outer(rows: np.ndarray) -> np.ndarray:
@@ -228,7 +235,6 @@ def _covs(covs, n: int) -> np.ndarray:
 def _build(
     realization: ChannelRealization,
     config: SystemConfig,
-    common_stream: bool,
     limited: bool,
 ) -> QuadFormSet:
     n = config.n_antennas
@@ -240,8 +246,7 @@ def _build(
     if realization.n_eves != e_cnt:
         raise ValueError("realization/config eavesdropper mismatch")
 
-    off = 1 if common_stream else 0
-    nb = k + off
+    nb = k + 1
     ridge_u = config.noise_user_ratio
     ridge_e = config.noise_eve_ratio
 
@@ -279,10 +284,8 @@ def _build(
         den[users, sig + users, signal_block] = 0.0
         return num, den
 
-    common_num = common_den = None
-    if common_stream:
-        common_num, common_den = rate_tables(slice(None), 0)
-    private_num, private_den = rate_tables(slice(off, None), off + users)
+    common_num, common_den = rate_tables(slice(None), 0)
+    private_num, private_den = rate_tables(slice(1, None), 1 + users)
 
     # Leakage of secret user s at eavesdropper e, perfect-CSIT form:
     # num = ridge_e + M_e on every block, den = num without M_e on s's block.
@@ -292,7 +295,7 @@ def _build(
     eve_num[:, :, 0, :] = ridge_e
     eve_num[:, eves, eve + eves, :] = 1.0
     eve_den = eve_num.copy()
-    eve_den[secrets, eves, eve + eves, off + secrets] = 0.0
+    eve_den[secrets, eves, eve + eves, 1 + secrets] = 0.0
 
     # Leakage at wiretapping user u (every user but s): num = ridge_u + M_u on
     # the private blocks other than u's own, den = num without M_u on s's block.
@@ -300,10 +303,10 @@ def _build(
     taps = slots + (slots >= secrets)
     user_num = np.zeros((s_cnt, k - 1, m, nb))
     user_num[:, :, 0, :] = ridge_u
-    user_num[secrets, slots, wire + taps, off:] = 1.0
-    user_num[secrets, slots, wire + taps, off + taps] = 0.0
+    user_num[secrets, slots, wire + taps, 1:] = 1.0
+    user_num[secrets, slots, wire + taps, 1 + taps] = 0.0
     user_den = user_num.copy()
-    user_den[secrets, slots, wire + taps, off + secrets] = 0.0
+    user_den[secrets, slots, wire + taps, 1 + secrets] = 0.0
 
     if limited:
         # Collusion terms are SINRs, not SINR + 1: the numerator keeps only

@@ -31,11 +31,10 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class KktOperator:
-    """Assembled block-diagonal operator pair plus the lambda diagnostic."""
+    """Assembled block-diagonal operator pair."""
 
     a_blocks: np.ndarray  # (n_blocks, N, N)
     b_blocks: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class SolveTrace:
     iterations_used: int
 
 
-def _lambda_from_values(vals: QuadValues, has_common: bool, alpha: float) -> float:
+def _lambda_from_values(vals: QuadValues, alpha: float) -> float:
     """Objective-linked eigenvalue diagnostic.
 
     exp(smoothed common + sum normal rates) * (exp(sum secret private rates)
@@ -61,7 +60,7 @@ def _lambda_from_values(vals: QuadValues, has_common: bool, alpha: float) -> flo
     private = vals.private_rates()
     s_cnt = vals.n_secret
     base = float(private[s_cnt:].sum())
-    if has_common:
+    if vals.common_num is not None:
         base += lse_min(vals.common_rates(), alpha)
     leak = sum(vals.smoothed_leakage(s, alpha) for s in range(s_cnt))
     secret = float(private[:s_cnt].sum())
@@ -120,8 +119,7 @@ def assemble_kkt(
     b_op = quadforms.weighted_blocks(b_w)
     if not (np.isfinite(a_op).all() and np.isfinite(b_op).all()):
         raise NumericError("operator assembly produced nonfinite blocks")
-    lam = _lambda_from_values(vals, quadforms.has_common, alpha)
-    return KktOperator(a_blocks=a_op, b_blocks=b_op, lam=lam)
+    return KktOperator(a_blocks=a_op, b_blocks=b_op)
 
 
 def block_solve(b_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -165,8 +163,10 @@ def gpi_solve_vector(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Power-iterate from ``start`` (any nonzero stack of matching length).
 
-    Stops when the phase-aligned step norm drops to config.epsilon or after
-    config.t_max steps.  On exhaustion the best-objective iterate seen is
+    On a set without a common family the start's common block must be zero;
+    the block-diagonal operators then keep it exactly zero.  Stops when the
+    phase-aligned step norm drops to config.epsilon or after config.t_max
+    steps.  On exhaustion the best-objective iterate seen is
     returned with converged=False.
 
     The plain map f -> normalize(B^-1 A f) can settle into a short periodic
@@ -183,12 +183,14 @@ def gpi_solve_vector(
     nrm = np.linalg.norm(vec)
     if nrm == 0 or not np.isfinite(nrm):
         raise ValueError("start vector must be nonzero and finite")
+    if not quadforms.has_common and np.any(vec[: quadforms.n_antennas]):
+        raise ValueError("set has no common family; the start's common block must be zero")
     vec = vec / nrm
 
     alpha = config.smoothing
     vals = quadforms.evaluate(vec.reshape(quadforms.n_blocks, quadforms.n_antennas))
     obj = vals.objective(alpha)
-    lam = _lambda_from_values(vals, quadforms.has_common, alpha)
+    lam = _lambda_from_values(vals, alpha)
     rows = [(0, math.nan, obj, lam)]
     best_obj, best_vec = obj, vec
     converged = False
@@ -215,7 +217,7 @@ def gpi_solve_vector(
             gamma = max(0.5 * gamma, 0.0625)
         vals = quadforms.evaluate(nxt.reshape(quadforms.n_blocks, quadforms.n_antennas))
         obj = vals.objective(alpha)
-        lam = _lambda_from_values(vals, quadforms.has_common, alpha)
+        lam = _lambda_from_values(vals, alpha)
         rows.append((t, step, obj, lam))
         iterations = t
         if obj > best_obj:
@@ -235,9 +237,11 @@ def gpi_solve(
     start: PrecoderStack,
     config: SystemConfig,
 ) -> tuple[PrecoderStack, SolveTrace]:
-    """GPI on a full rate-splitting stack (common block plus K private blocks)."""
-    if not quadforms.has_common:
-        raise ValueError("quad-form set has no common stream; use the SDMA solver")
+    """GPI on a stack of a common block plus K private blocks.
+
+    Takes either kind of set; on a ``without_common()`` set the start's
+    common block must be zero, and it stays zero.
+    """
     vec, trace = gpi_solve_vector(quadforms, start.entries, config)
     return PrecoderStack(vec, quadforms.n_antennas), trace
 

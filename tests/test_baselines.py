@@ -29,19 +29,24 @@ def test_mrt_zero_channels_fall_back_randomly(caplog):
         stack = rs.mrt_init(est, np.random.default_rng(0))
     assert "zero" in caplog.text.lower()
     assert abs(stack.norm - 1.0) < 1e-12
+    sdma = rs.mrt_init(est, np.random.default_rng(0), common_stream=False)
+    assert np.all(sdma.blocks[0] == 0)
+    assert abs(sdma.norm - 1.0) < 1e-12
 
 
 def test_mrt_sdma_has_no_common_block():
-    est = np.eye(3, dtype=complex)
-    stack = rs.mrt_init_sdma(est)
-    assert stack.entries.shape == (9,)
-    assert abs(np.linalg.norm(stack.entries) - 1.0) < 1e-12
+    rng = np.random.default_rng(2)
+    est = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    stack = rs.mrt_init(est, common_stream=False)
+    assert stack.entries.shape == (12,)
+    assert np.all(stack.blocks[0] == 0)
+    assert np.abs(stack.blocks[1:] - est / np.linalg.norm(est)).max() < 1e-15
 
 
 def test_rzf_aligns_with_orthogonal_channels(fig_config):
     est = np.eye(4, dtype=complex)
     stack = rs.rzf_precoder(est, fig_config)
-    blocks = stack.blocks
+    blocks = stack.blocks[1:]
     for i in range(4):
         cos = abs(np.vdot(blocks[i], est[i])) / np.linalg.norm(blocks[i])
         assert abs(cos - 1.0) < 1e-12
@@ -51,7 +56,7 @@ def test_rzf_zero_regularization_zero_forces(fig_config):
     rng = np.random.default_rng(9)
     est = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     stack = rs.rzf_precoder(est, fig_config, regularization=0.0)
-    blocks = stack.blocks
+    blocks = stack.blocks[1:]
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -63,7 +68,8 @@ def test_rzf_equal_column_powers(fig_config):
     est = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     stack = rs.rzf_precoder(est, fig_config)
     norms = np.linalg.norm(stack.blocks, axis=1)
-    assert np.allclose(norms, 0.5)
+    assert norms[0] == 0.0
+    assert np.allclose(norms[1:], 0.5)
     assert abs(np.linalg.norm(stack.entries) - 1.0) < 1e-12
 
 
@@ -77,24 +83,28 @@ def test_rzf_rejects_degenerate_inputs(fig_config):
         rs.rzf_precoder(est_bad, fig_config, regularization=0.0)
 
 
-def test_sdma_stack_padding_zeroes_common_stream(fig_config, scenario):
-    vec = np.arange(1, 17, dtype=complex)
-    vec /= np.linalg.norm(vec)
-    sdma = rs.SdmaPrecoderStack(vec, 4)
-    padded = sdma.to_rsma()
-    assert padded.entries.shape == (20,)
-    assert np.abs(padded.blocks[0]).max() == 0.0
-    assert abs(padded.norm - 1.0) < 1e-12
-    report = rs.sum_secrecy_se(scenario, padded, fig_config)
-    assert report.common_min == 0.0
+def test_sdma_stacks_zero_the_common_stream(fig_config, scenario):
+    for stack in (rs.rzf_precoder(scenario.user_estimates, fig_config),
+                  rs.mrt_init(scenario.user_estimates, common_stream=False)):
+        assert stack.entries.shape == (20,)
+        assert np.abs(stack.blocks[0]).max() == 0.0
+        assert abs(stack.norm - 1.0) < 1e-12
+        report = rs.sum_secrecy_se(scenario, stack, fig_config)
+        assert report.common_min == 0.0
 
 
 def test_gpi_sdma_solves_and_improves(fig_config, scenario):
-    rng = np.random.default_rng(3)
-    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "limited", rng)
-    assert stack.entries.shape == (16,)
+    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "limited", np.random.default_rng(3))
+    assert stack.entries.shape == (20,)
+    assert np.all(stack.blocks[0] == 0)
     assert abs(np.linalg.norm(stack.entries) - 1.0) < 1e-12
     assert trace.iterates[-1][2] >= trace.iterates[0][2]
+    # the same solve as the rate-splitting solver on the set without a common family
+    qf = rs.build_quadforms_limited(scenario, fig_config).without_common()
+    start = rs.mrt_init(scenario.user_estimates, common_stream=False)
+    again, trace_again = rs.gpi_solve(qf, start, fig_config)
+    assert np.array_equal(again.entries, stack.entries)
+    assert trace_again == trace
 
 
 def test_gpi_sdma_perfect_mode_runs(fig_config, scenario):

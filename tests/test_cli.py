@@ -113,3 +113,16 @@ def test_bad_env_var_is_config_error(config_file, tmp_path, monkeypatch, capsys)
     code = cli.main(["sweep", "--config", config_file, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "RSMASEC_MASTER_SEED" in capsys.readouterr().err
+
+
+def test_negative_seed_is_config_error(config_file, capsys):
+    code = cli.main(["single", "--config", config_file, "--seed", "-3"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_negative_env_seed_is_config_error(config_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RSMASEC_MASTER_SEED", "-5")
+    code = cli.main(["sweep", "--config", config_file, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "RSMASEC_MASTER_SEED" in capsys.readouterr().err

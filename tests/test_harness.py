@@ -218,7 +218,8 @@ def test_convergence_trace_file(tmp_path):
     out = rs.run_convergence(cfg, [0.0, 20.0], str(tmp_path / "trace.csv"))
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["snr_db", "trial", "seed", "iteration", "step_norm", "objective"]
+    assert rows[0] == ["snr_db", "trial", "seed", "iteration", "step_norm", "objective", "lam"]
+    assert all(math.isfinite(float(r[6])) for r in rows[1:])
     starts = [r for r in rows[1:] if r[3] == "0"]
     assert len(starts) == 4   # 2 SNRs x 2 trials
     assert all(r[4] == "" for r in starts)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rsmasec as rs
 
@@ -130,32 +132,57 @@ def test_kappa_zero_collapses_bounds_to_perfect_rates(fig_config):
 
 
 def test_sdma_variant_has_no_common_block(fig_config, scenario):
-    qf = rs.build_quadforms_perfect(scenario, fig_config, common_stream=False)
-    assert not qf.has_common
-    assert qf.n_blocks == 4
-    assert qf.stack_dim == 16
-    vals = qf.evaluate(qf.f_blocks(random_unit(np.random.default_rng(1), 16)))
-    assert vals.common_num is None
-    assert vals.private_rates().shape == (4,)
+    qf = rs.build_quadforms_perfect(scenario, fig_config)
+    sdma = qf.without_common()
+    assert qf.has_common and not sdma.has_common
+    # same K+1-block layout, every array shared
+    assert sdma.n_blocks == 5 and sdma.stack_dim == 20
+    assert all(getattr(sdma, f.name) is getattr(qf, f.name)
+               for f in dataclasses.fields(qf) if not f.name.startswith("common_"))
+    f = random_unit(np.random.default_rng(1), 20)
+    vals, full = sdma.evaluate(sdma.f_blocks(f)), qf.evaluate(qf.f_blocks(f))
+    assert vals.common_num is None and vals.common_rates() is None
+    alpha = fig_config.smoothing
+    assert abs(full.objective(alpha) - vals.objective(alpha)
+               - rs.lse_min(full.common_rates(), alpha)) < 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    s_cnt=st.integers(0, 3),
+    m_cnt=st.integers(0, 2),
+    e_cnt=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
-def test_sdma_private_rates_match_padded_stack(fig_config, scenario, build):
-    vec = random_unit(np.random.default_rng(42), 16)
-    padded = rs.SdmaPrecoderStack(vec, 4).to_rsma()
-    qf = build(scenario, fig_config, common_stream=False)
-    vals = qf.evaluate(qf.f_blocks(vec))
+def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, seed):
+    assume(s_cnt + m_cnt >= 1)
+    cfg = rs.SystemConfig(n_antennas=n, n_secret=s_cnt, n_normal=m_cnt, n_eves=e_cnt)
+    rng = np.random.default_rng(seed)
+    real = rs.draw_scenario(cfg, rs.ScenarioLayout(quad_nodes=64), rng)
+    k = cfg.n_users
+    # a private-only stack sits behind a zero common block
+    stack = rs.PrecoderStack(np.concatenate([np.zeros(n), random_unit(rng, k * n)]), n)
+    qf = build(real, cfg).without_common()
+    vals = qf.evaluate(qf.f_blocks(stack))
     if build is rs.build_quadforms_perfect:
-        private = rs.private_se(scenario, padded, fig_config)
-        leaks = [rs.leakage_se(scenario, padded, fig_config, s)[0]
-                 for s in range(fig_config.n_secret)]
-        assert all(np.abs(np.log2(vals.leak_ratios(s)) - leaks[s]).max() < 1e-10
-                   for s in range(fig_config.n_secret))
+        private = rs.private_se(real, stack, cfg)
+        for s in range(s_cnt):
+            np.testing.assert_allclose(np.log2(vals.leak_ratios(s)),
+                                       rs.leakage_se(real, stack, cfg, s)[0], rtol=0, atol=1e-10)
     else:
-        _, private, leaks = direct_limited_rates(scenario, fig_config, padded)
-        assert all(abs(vals.smoothed_leakage(s, fig_config.smoothing) - leaks[s]) < 1e-10
-                   for s in range(fig_config.n_secret))
-    assert np.abs(vals.private_rates() - private).max() < 1e-10
+        _, private, leaks = direct_limited_rates(real, cfg, stack)
+        for s in range(s_cnt):
+            assert abs(vals.smoothed_leakage(s, cfg.smoothing) - leaks[s]) < 1e-10
+    np.testing.assert_allclose(vals.private_rates(), private, rtol=0, atol=1e-10)
+
+    variant = "perfect" if build is rs.build_quadforms_perfect else "limited"
+    solved, _ = rs.gpi_sdma_solve(real, cfg, variant, rng)
+    assert solved.n_blocks == k + 1
+    assert np.isfinite(solved.entries).all()
+    assert abs(solved.norm - 1.0) < 1e-12
+    assert np.all(solved.blocks[0] == 0)
 
 
 def array_bytes(obj):

@@ -168,10 +168,14 @@ def test_gpi_rejects_bad_starts(fig_config, scenario):
         rs.gpi_solve_vector(qf, np.ones(8, dtype=complex), fig_config)
 
 
-def test_gpi_requires_common_block(fig_config, scenario):
-    qf = rs.build_quadforms_perfect(scenario, fig_config, common_stream=False)
+def test_gpi_rejects_common_start_without_common_family(fig_config, scenario):
+    qf = rs.build_quadforms_perfect(scenario, fig_config).without_common()
     with pytest.raises(ValueError):
         rs.gpi_solve(qf, rs.PrecoderStack(np.ones(20, dtype=complex), 4), fig_config)
+    start = np.ones(20, dtype=complex)
+    start[:4] = 0.0
+    stack, _ = rs.gpi_solve(qf, rs.PrecoderStack(start, 4), fig_config)
+    assert np.all(stack.blocks[0] == 0)
 
 
 def test_lambda_recorded_every_iteration(fig_config):

@@ -48,8 +48,8 @@ def test_sign_flip_mutation_fails_oracle_check(monkeypatch):
     # be caught
     original = validate.build_quadforms_perfect
 
-    def corrupted(realization, config, common_stream=True):
-        qf = original(realization, config, common_stream)
+    def corrupted(realization, config):
+        qf = original(realization, config)
         common_den = qf.common_den.copy()
         common_den[0] *= -1.0
         return dataclasses.replace(qf, common_den=common_den)
