@@ -259,12 +259,37 @@ class ChannelRealization:
         return self.user_channels.shape[1]
 
 
+@lru_cache(maxsize=128)
+def _user_statistics(
+    aoa: float,
+    spread: float,
+    n_antennas: int,
+    antenna_spacing: float,
+    n_nodes: int,
+    trunc_rel: float,
+) -> tuple[HermitianCovariance, KlDecomposition]:
+    """Covariance and KL factor of a terminal at a layout-fixed azimuth.
+
+    User azimuths depend only on the layout, so every trial of a sweep point
+    shares them; the arrays are read-only because every caller shares them.
+    """
+    cov = one_ring_covariance(aoa, spread, ArrayGeometry.ula(n_antennas, antenna_spacing), n_nodes)
+    kl = kl_decompose(cov, trunc_rel)
+    for arr in (cov.entries, kl.eigvecs, kl.eigvals):
+        arr.flags.writeable = False
+    return cov, kl
+
+
 def draw_scenario(
     config: SystemConfig,
     layout: ScenarioLayout,
     rng: np.random.Generator,
 ) -> ChannelRealization:
-    """Place terminals, build their covariances, and draw one channel set."""
+    """Place terminals, build their covariances, and draw one channel set.
+
+    User statistics come from a cache keyed by azimuth and geometry;
+    eavesdropper azimuths are drawn per trial, so theirs are rebuilt.
+    """
     n = config.n_antennas
     k = config.n_users
     e = config.n_eves
@@ -281,8 +306,10 @@ def draw_scenario(
     phi = np.zeros((k, n, n), dtype=complex)
     user_covs = []
     for i in range(k):
-        cov = one_ring_covariance(user_aoas[i], layout.angular_spread, geometry, layout.quad_nodes)
-        kl = kl_decompose(cov, layout.trunc_rel)
+        cov, kl = _user_statistics(
+            float(user_aoas[i]), layout.angular_spread, n,
+            layout.antenna_spacing, layout.quad_nodes, layout.trunc_rel,
+        )
         h[i] = sample_channel(kl, rng)
         h_est[i], _ = fdd_estimate(h[i], kl, layout.kappa, rng)
         phi[i] = err_scale * cov.entries

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelRealization
 from .config import SystemConfig
@@ -171,6 +170,26 @@ def sum_secrecy_se(
     )
 
 
+def _logsumexp(v: np.ndarray) -> np.float64:
+    """log(sum(exp(v))) with the operations of scipy.special.logsumexp.
+
+    Every maximal entry is taken out of the shifted sum and counted instead:
+    log1p(sum(exp(v - max)) / count) + log(count) + max.  Same bits as scipy
+    1.17.1 without its per-call array-API dispatch.  A NaN or infinite max
+    takes scipy's direct log(sum(exp(v))) route, which returns NaN, +inf or
+    -inf as the entries dictate.
+    """
+    v = v.ravel()
+    v_max = v.max()
+    if not np.isfinite(v_max):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.log(np.exp(v).sum())
+    at_max = v == v_max
+    count = np.float64(np.count_nonzero(at_max))
+    shifted = np.exp(np.where(at_max, -np.inf, v) - v_max).sum()
+    return np.log1p(shifted / count) + np.log(count) + v_max
+
+
 def lse_min(values, alpha: float) -> float:
     """Smooth minimum -alpha*ln(sum exp(-v/alpha)); within alpha*ln(n) below min."""
     if alpha <= 0:
@@ -178,7 +197,7 @@ def lse_min(values, alpha: float) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("lse_min of empty sequence")
-    return float(-alpha * logsumexp(-v / alpha))
+    return float(-alpha * _logsumexp(-v / alpha))
 
 
 def lse_max(values, alpha: float) -> float:
@@ -188,4 +207,4 @@ def lse_max(values, alpha: float) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("lse_max of empty sequence")
-    return float(alpha * logsumexp(v / alpha))
+    return float(alpha * _logsumexp(v / alpha))

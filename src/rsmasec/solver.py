@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.special import softmax
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .config import SystemConfig
 from .quadforms import QuadFormSet, QuadValues
@@ -39,15 +38,28 @@ class KktOperator:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Per-iteration records: (iteration, step_norm, objective, lam).
+    """Per-iteration records: (iteration, step_norm, objective).
 
     Row 0 holds the initializer (step_norm is NaN there).  ``converged``
-    reports whether the step-norm test fired before ``t_max``.
+    reports whether the step-norm test fired before ``t_max``.  ``values``
+    keeps each iterate's quadratic forms so that ``iterates`` can add the
+    lambda diagnostic when it is read; equality ignores them.
     """
 
-    iterates: tuple[tuple[int, float, float, float], ...]
+    rows: tuple[tuple[int, float, float], ...]
     converged: bool
     iterations_used: int
+    alpha: float
+    values: tuple[QuadValues, ...] = field(compare=False, repr=False)
+
+    @property
+    def iterates(self) -> tuple[tuple[int, float, float, float], ...]:
+        """(iteration, step_norm, objective, lam) per iterate; lam is
+        computed here from the stored values, never inside the solve."""
+        return tuple(
+            (*row, _lambda_from_values(vals, self.alpha))
+            for row, vals in zip(self.rows, self.values)
+        )
 
 
 def _lambda_from_values(vals: QuadValues, alpha: float) -> float:
@@ -55,7 +67,8 @@ def _lambda_from_values(vals: QuadValues, alpha: float) -> float:
 
     exp(smoothed common + sum normal rates) * (exp(sum secret private rates)
     - exp(sum smoothed leakages)); negative when leakage exceeds the secret
-    rates at the current point.  Recorded only, never fed back.
+    rates at the current point.  Computed only when ``SolveTrace.iterates``
+    is read, never fed back.
     """
     private = vals.private_rates()
     s_cnt = vals.n_secret
@@ -66,6 +79,12 @@ def _lambda_from_values(vals: QuadValues, alpha: float) -> float:
     secret = float(private[:s_cnt].sum())
     with np.errstate(over="ignore"):
         return float(np.exp(base) * (np.exp(secret) - np.exp(leak)))
+
+
+def _softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """scipy.special.softmax's operations: shift by the max, exp, normalize."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def assemble_kkt(
@@ -87,7 +106,7 @@ def assemble_kkt(
     a_w = {"private_num": 1.0 / vals.private_num}
     b_w = {"private_den": 1.0 / vals.private_den}
     if quadforms.has_common:
-        w_c = softmax(-vals.common_rates() / alpha)
+        w_c = _softmax(-vals.common_rates() / alpha)
         a_w["common_num"] = w_c / vals.common_num
         b_w["common_den"] = w_c / vals.common_den
 
@@ -95,7 +114,7 @@ def assemble_kkt(
     if e_cnt + vals.user_num.shape[1]:  # an empty wiretap set leaks nothing
         if quadforms.variant == "perfect":
             # Pooled softmax over each wiretap set; split back per family.
-            pooled = softmax(np.log2(np.concatenate(
+            pooled = _softmax(np.log2(np.concatenate(
                 [vals.eve_num / vals.eve_den, vals.user_num / vals.user_den], axis=1,
             )) / alpha, axis=1)
             w_eve, w_user = pooled[:, :e_cnt], pooled[:, e_cnt:]
@@ -122,21 +141,26 @@ def assemble_kkt(
     return KktOperator(a_blocks=a_op, b_blocks=b_op)
 
 
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1), dtype=complex),))
+
+
 def block_solve(b_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the block-diagonal system one Hermitian block at a time.
 
-    Cholesky per block, falling back to pivoted LU for a block that is not
-    numerically positive definite.  Cost is n_blocks * N^3 instead of the
-    (n_blocks * N)^3 of a dense solve.
+    Cholesky per block (LAPACK potrf/potrs called directly, with the
+    arguments scipy's cho_factor/cho_solve pass), falling back to pivoted LU
+    for a block that is not numerically positive definite.  Cost is
+    n_blocks * N^3 instead of the (n_blocks * N)^3 of a dense solve.
     """
     nb, n, _ = b_blocks.shape
     r = np.asarray(rhs, dtype=complex).reshape(nb, n)
     out = np.empty_like(r)
     for i in range(nb):
-        try:
-            out[i] = cho_solve(cho_factor(b_blocks[i], check_finite=False), r[i], check_finite=False)
-        except np.linalg.LinAlgError:
+        c, info = _POTRF(b_blocks[i], lower=False, overwrite_a=False, clean=False)
+        if info > 0:  # leading minor not positive definite
             out[i] = lu_solve(lu_factor(b_blocks[i], check_finite=False), r[i], check_finite=False)
+        else:
+            out[i] = _POTRS(c, r[i], lower=False, overwrite_b=False)[0]
         if not np.isfinite(out[i]).all():
             raise NumericError(f"solve produced nonfinite values in block {i}")
     return out.ravel()
@@ -190,8 +214,8 @@ def gpi_solve_vector(
     alpha = config.smoothing
     vals = quadforms.evaluate(vec.reshape(quadforms.n_blocks, quadforms.n_antennas))
     obj = vals.objective(alpha)
-    lam = _lambda_from_values(vals, alpha)
-    rows = [(0, math.nan, obj, lam)]
+    rows = [(0, math.nan, obj)]
+    history = [vals]
     best_obj, best_vec = obj, vec
     converged = False
     iterations = 0
@@ -217,8 +241,8 @@ def gpi_solve_vector(
             gamma = max(0.5 * gamma, 0.0625)
         vals = quadforms.evaluate(nxt.reshape(quadforms.n_blocks, quadforms.n_antennas))
         obj = vals.objective(alpha)
-        lam = _lambda_from_values(vals, alpha)
-        rows.append((t, step, obj, lam))
+        rows.append((t, step, obj))
+        history.append(vals)
         iterations = t
         if obj > best_obj:
             best_obj, best_vec = obj, nxt
@@ -229,7 +253,7 @@ def gpi_solve_vector(
             break
 
     result = vec if converged else best_vec
-    return result, SolveTrace(tuple(rows), converged, iterations)
+    return result, SolveTrace(tuple(rows), converged, iterations, alpha, tuple(history))
 
 
 def gpi_solve(

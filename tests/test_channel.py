@@ -181,3 +181,17 @@ def test_draw_scenario_is_deterministic(fig_config):
     assert np.array_equal(a.eve_channels, b.eve_channels)
     assert np.array_equal(a.user_estimates, b.user_estimates)
     assert np.array_equal(a.eve_aoas, b.eve_aoas)
+
+
+def test_draw_scenario_caches_user_statistics_only(fig_config):
+    layout = rs.ScenarioLayout()
+    a = rs.draw_scenario(fig_config, layout, np.random.default_rng(40))
+    b = rs.draw_scenario(fig_config, layout, np.random.default_rng(41))
+    geometry = rs.ArrayGeometry.ula(fig_config.n_antennas, layout.antenna_spacing)
+    for i, aoa in enumerate(a.user_aoas):
+        assert a.user_covs[i] is b.user_covs[i]
+        assert not a.user_covs[i].entries.flags.writeable
+        fresh = rs.one_ring_covariance(aoa, layout.angular_spread, geometry, layout.quad_nodes)
+        assert np.array_equal(a.user_covs[i].entries, fresh.entries)
+    assert not any(x is y for x, y in zip(a.eve_covs, b.eve_covs))
+    assert not np.array_equal(a.eve_aoas, b.eve_aoas)

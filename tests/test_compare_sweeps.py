@@ -1,0 +1,70 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_sweeps.py"
+_spec = importlib.util.spec_from_file_location("compare_sweeps", SCRIPT)
+compare_sweeps = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_sweeps)
+
+HEADER = "method,trial,axis,iterations,converged,objective,sum_secrecy_se,runtime_ms"
+ROWS = [
+    "gpi-rsma,0,0,7,true,1.25,1.80623285922,7.8",
+    "mrt,0,0,0,true,0.5,0.75,0.1",
+    "gpi-rsma,1,0,12,false,1.5,nan,9.1",
+]
+AGG = ["axis,method,mean_secrecy_se,stderr,n_trials", "0,gpi-rsma,1.8,0,2", "0,mrt,0.75,0,1"]
+
+
+def write_sweep(directory: pathlib.Path, rows: list[str], agg: list[str]) -> str:
+    directory.mkdir()
+    (directory / "rows.csv").write_text("\n".join([HEADER, *rows]) + "\n")
+    (directory / "rows.agg.csv").write_text("\n".join(agg) + "\n")
+    return str(directory / "rows.csv")
+
+
+def test_identical_apart_from_runtime(tmp_path, capsys):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    change = write_sweep(tmp_path / "c", [r.rsplit(",", 1)[0] + ",99" for r in ROWS], AGG)
+    assert compare_sweeps.main([parent, change]) == 0
+    out = capsys.readouterr().out
+    assert "3 compared, 0 differ" in out
+    assert "aggregates: identical" in out
+
+
+def test_lists_changed_rows_and_aggregates(tmp_path, capsys):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    rows = [
+        "gpi-rsma,0,0,8,false,1.25,1.80623286922,7.8",   # iterations, flag, SE +1e-8
+        "mrt,0,0,0,true,0.5000001,0.75,0.1",             # objective only
+        "gpi-rsma,1,0,12,false,1.5,2.0,9.1",             # NaN became a number
+    ]
+    change = write_sweep(tmp_path / "c", rows, [AGG[0], "0,gpi-rsma,1.9,0,2", AGG[2]])
+    assert compare_sweeps.main([parent, change]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "axis=0 trial=0 method=gpi-rsma: iterations 7 -> 8" in out
+    assert "axis=0 trial=0 method=gpi-rsma: converged true -> false" in out
+    assert any(line.startswith("axis=0 trial=0 method=gpi-rsma: sum_secrecy_se") for line in out)
+    assert any(line.startswith("axis=0 trial=1 method=gpi-rsma: sum_secrecy_se nan -> 2.0")
+               for line in out)
+    assert not any("method=mrt" in line for line in out)
+    assert "rows: 3 compared, 3 differ outside runtime_ms" in out
+    assert "aggregate line 2: '0,gpi-rsma,1.8,0,2' -> '0,gpi-rsma,1.9,0,2'" in out
+
+
+@pytest.mark.parametrize("se, listed", [("0.7500000005", False), ("0.750000002", True)])
+def test_se_tolerance(tmp_path, capsys, se, listed):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    change = write_sweep(tmp_path / "c", [ROWS[0], f"mrt,0,0,0,true,0.5,{se},0.1", ROWS[2]], AGG)
+    assert compare_sweeps.main([parent, change]) == 1   # any row difference fails
+    out = capsys.readouterr().out
+    assert ("method=mrt: sum_secrecy_se" in out) is listed
+
+
+def test_row_count_and_missing_file(tmp_path, capsys):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    change = write_sweep(tmp_path / "c", ROWS[:2], AGG)
+    assert compare_sweeps.main([parent, change]) == 1
+    assert "row count differs: 3 vs 2" in capsys.readouterr().out
+    assert compare_sweeps.main([parent, str(tmp_path / "none.csv")]) == 2

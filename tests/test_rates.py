@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import rsmasec as rs
+from rsmasec.rates import _logsumexp
 
 
 def manual_realization(user_channels, eve_channels=None, kappa=0.0):
@@ -152,3 +154,35 @@ def test_lse_survives_extreme_scales():
     v = np.array([500.0, -500.0, 250.0])
     assert math.isfinite(rs.lse_min(v, 0.01))
     assert math.isfinite(rs.lse_max(v, 0.01))
+
+
+_LSE_ENTRIES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, 1.0, -2.5]),  # repeated often, so maxima tie
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_LSE_ENTRIES, min_size=1, max_size=12))
+def test_logsumexp_matches_scipy_bit_for_bit(values):
+    v = np.asarray(values)
+    with np.errstate(all="ignore"):
+        ours = _logsumexp(v)
+        ref = logsumexp(v)
+    if np.isnan(v).any():
+        assert math.isnan(ours) and math.isnan(ref)
+    else:
+        assert ours == ref
+
+
+@pytest.mark.parametrize("values", [
+    [3.25], [-math.inf], [math.inf], [math.nan],
+    [2.0, 2.0, 2.0], [1e3, -1e3, 1e3, 0.5],
+    [-math.inf, -math.inf], [math.inf, 1.0, math.inf], [-math.inf, 4.0, -7.0],
+])
+def test_logsumexp_edge_cases_match_scipy(values):
+    v = np.asarray(values)
+    with np.errstate(all="ignore"):
+        ours, ref = _logsumexp(v), logsumexp(v)
+    assert ours == ref or (math.isnan(ours) and math.isnan(ref))

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, block_diag, solve
+from scipy.linalg import LinAlgWarning, block_diag, cho_factor, cho_solve, solve
+from scipy.special import softmax
 
 import rsmasec as rs
-from rsmasec.solver import _matvec
+from rsmasec import solver
+from rsmasec.solver import _matvec, _softmax
 
 
 def random_unit(rng, dim):
@@ -184,3 +187,59 @@ def test_lambda_recorded_every_iteration(fig_config):
     assert all(len(row) == 4 for row in trace.iterates)
     # lambda can be any sign but must be recorded as a float
     assert all(isinstance(row[3], float) for row in trace.iterates)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_softmax_matches_scipy_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal(shape)
+        axis = None if len(shape) == 1 else 1
+        assert np.array_equal(_softmax(x, axis=axis), softmax(x, axis=axis))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_block_solve_matches_cho_solve_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    blocks = np.empty((5, n, n), dtype=complex)
+    for i in range(5):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks[i] = g @ g.conj().T + 10.0 ** rng.uniform(-6, 0) * np.eye(n)
+    rhs = random_unit(rng, 5 * n)
+    expected = np.concatenate([
+        cho_solve(cho_factor(b, check_finite=False), r, check_finite=False)
+        for b, r in zip(blocks, rhs.reshape(5, n))
+    ])
+    assert np.array_equal(rs.block_solve(blocks, rhs), expected)
+
+
+def test_sweeps_never_compute_lambda(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lambda computed during a sweep trial")
+
+    monkeypatch.setattr(solver, "_lambda_from_values", forbidden)
+    for csit in ("limited", "perfect"):
+        cfg = rs.parse_config_text(
+            f"csit_mode = {csit}\nmethods = gpi-rsma, gpi-sdma, rzf-sdma, mrt\ntrials = 1")
+        rows = rs.run_trial(cfg, None, 0)
+        assert [r.method for r in rows] == ["gpi-rsma", "gpi-sdma", "rzf-sdma", "mrt"]
+        assert all(math.isfinite(r.sum_secrecy_se) for r in rows)
+        assert rows[0].iterations > 0
+
+
+def test_trace_equality_ignores_stored_values(fig_config):
+    cfg, qf, start = solve_setup(fig_config)
+    _, trace = rs.gpi_solve(qf, start, cfg)
+    assert len(trace.values) == len(trace.rows) == trace.iterations_used + 1
+    assert replace(trace, values=trace.values[::-1]) == trace
+    assert replace(trace, converged=not trace.converged) != trace
+
+
+def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
+    cfg, qf, start = solve_setup(fig_config)
+    _, trace = rs.gpi_solve(qf, start, cfg)
+    first, second = trace.iterates, trace.iterates
+    assert first == second
+    assert [row[:3] for row in first] == list(trace.rows)
+    lam = [solver._lambda_from_values(v, cfg.smoothing) for v in trace.values]
+    assert [row[3] for row in first] == lam
