@@ -17,13 +17,10 @@ import csv
 import math
 import sys
 
+from rsmasec.harness import aggregate_path
+
 SE_TOL = 1e-9
 IGNORED = ("runtime_ms",)
-
-
-def aggregate_path(path: str) -> str:
-    """The aggregate CSV that ``rsmasec sweep`` writes next to ``path``."""
-    return (path[: -len(".csv")] if path.endswith(".csv") else path) + ".agg.csv"
 
 
 def read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:

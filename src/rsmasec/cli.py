@@ -2,14 +2,11 @@
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 one or more
 validation checks failed.  The master seed from the config file can be
-overridden with the RSMASEC_MASTER_SEED environment variable.  Log records
-(a solve that fails numerically is logged at WARNING) go to stderr at the
-level given by --log-level.
+overridden with the RSMASEC_MASTER_SEED environment variable.
 """
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -33,9 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rsmasec",
         description="Secure rate-splitting precoder experiments",
     )
-    parser.add_argument("--log-level", default="WARNING", type=str.upper,
-                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
-                        help="least severe log record printed to stderr (default: WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep to CSV")
@@ -126,8 +120,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=args.log_level,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return _dispatch(args)
     except ConfigError as exc:

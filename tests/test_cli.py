@@ -1,13 +1,9 @@
 import csv
-import os
-import subprocess
-import sys
 
 import pytest
 
-import rsmasec
 import rsmasec.cli as cli
-from rsmasec.harness import CSV_COLUMNS, SEED_ENV_VAR
+from rsmasec.harness import CSV_COLUMNS
 from rsmasec.validate import CheckResult
 
 
@@ -131,36 +127,3 @@ def test_negative_env_seed_is_config_error(config_file, tmp_path, monkeypatch, c
     assert code == 1
     assert "RSMASEC_MASTER_SEED" in capsys.readouterr().err
 
-
-_FORCED_FAILURE = (
-    "import sys\n"
-    "import rsmasec.cli as cli, rsmasec.harness as harness\n"
-    "def fail(*args, **kwargs):\n"
-    "    raise harness.NumericError('forced failure')\n"
-    "harness.mrt_init = fail\n"
-    "sys.exit(cli.main(sys.argv[1:]))\n"
-)
-
-
-@pytest.mark.parametrize("level, printed", [(None, True), ("warning", True), ("ERROR", False)])
-def test_log_level_controls_numeric_error_warnings(config_file, level, printed):
-    # a fresh interpreter, so the root logger has no handlers but the CLI's
-    src = os.path.dirname(os.path.dirname(rsmasec.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop(SEED_ENV_VAR, None)
-    args = ([] if level is None else ["--log-level", level]) + [
-        "single", "--config", config_file, "--seed", "3"]
-    proc = subprocess.run([sys.executable, "-c", _FORCED_FAILURE, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1].startswith("mrt,0,")
-    expected = "WARNING rsmasec.harness: trial 0 method mrt failed numerically: forced failure"
-    assert (expected in proc.stderr) is printed
-    if not printed:
-        assert proc.stderr == ""
-
-
-def test_log_level_rejects_unknown_level(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["--log-level", "LOUD", "validate"])
-    assert "--log-level" in capsys.readouterr().err
