@@ -58,10 +58,6 @@ class HermitianCovariance:
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "entries", r)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class KlDecomposition:
@@ -79,10 +75,6 @@ class KlDecomposition:
             raise ValueError("eigvals must be positive and descending")
         object.__setattr__(self, "eigvecs", u)
         object.__setattr__(self, "eigvals", lam)
-
-    @property
-    def dim(self) -> int:
-        return self.eigvecs.shape[0]
 
     @property
     def rank(self) -> int:
@@ -200,6 +192,10 @@ class ScenarioLayout:
     quad_nodes: int = 512
 
     def __post_init__(self) -> None:
+        for name in ("user_sector", "user_spacing", "user_center", "eve_center", "eve_sector",
+                     "angular_spread", "antenna_spacing", "kappa", "trunc_rel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.user_mode not in ("sector", "spacing"):
             raise ValueError("user_mode must be 'sector' or 'spacing'")
         if self.angular_spread <= 0:
@@ -208,6 +204,10 @@ class ScenarioLayout:
             raise ValueError("kappa must be in [0, 1]")
         if self.antenna_spacing <= 0:
             raise ValueError("antenna_spacing must be positive")
+        if not 0.0 <= self.trunc_rel < 1.0:
+            raise ValueError("trunc_rel must be in [0, 1)")
+        if self.quad_nodes < 2:
+            raise ValueError("quad_nodes must be >= 2")
 
     def user_aoas(self, n_users: int) -> np.ndarray:
         if n_users == 1:
@@ -217,13 +217,6 @@ class ScenarioLayout:
         else:
             offsets = (np.arange(n_users) - (n_users - 1) / 2) * self.user_spacing
         return (self.user_center + offsets) % TWO_PI
-
-    def user_spacing_value(self, n_users: int) -> float:
-        if n_users == 1:
-            return 0.0
-        if self.user_mode == "sector":
-            return self.user_sector / (n_users - 1)
-        return self.user_spacing
 
 
 @dataclass(frozen=True)
@@ -241,10 +234,8 @@ class ChannelRealization:
     error_covs: np.ndarray           # (K, N, N)
     user_covs: tuple[HermitianCovariance, ...]
     eve_covs: tuple[HermitianCovariance, ...]
-    kappa: float
     user_aoas: np.ndarray = field(default=None)
     eve_aoas: np.ndarray = field(default=None)
-    user_spacing: float = 0.0
 
     @property
     def n_users(self) -> int:
@@ -329,8 +320,6 @@ def draw_scenario(
         error_covs=phi,
         user_covs=tuple(user_covs),
         eve_covs=tuple(eve_covs),
-        kappa=layout.kappa,
         user_aoas=user_aoas,
         eve_aoas=eve_aoas,
-        user_spacing=layout.user_spacing_value(k),
     )

@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 one or more
 validation checks failed.  The master seed from the config file can be
-overridden with the RSMASEC_MASTER_SEED environment variable.
+overridden with the RSMASEC_MASTER_SEED environment variable, and
+``sweep``/``converge`` write to the config's ``output_path`` (relative to
+the current directory) unless ``--out`` is given.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
+import time
 from dataclasses import replace
 
 from .harness import (
@@ -34,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep to CSV")
     sweep.add_argument("--config", required=True, help="experiment config file")
-    sweep.add_argument("--out", required=True, help="per-trial CSV output path")
+    sweep.add_argument("--out", default=None,
+                       help="per-trial CSV output path (default: the config's output_path)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: available cores)")
 
@@ -42,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--config", required=True, help="experiment config file")
     conv.add_argument("--snr", required=True,
                       help="comma-separated SNR values in dB, e.g. 0,10,20,30")
-    conv.add_argument("--out", required=True, help="trace CSV output path")
+    conv.add_argument("--out", default=None,
+                      help="trace CSV output path (default: the config's output_path)")
 
     single = sub.add_parser("single", help="run one trial and print its rows")
     single.add_argument("--config", required=True, help="experiment config file")
@@ -82,17 +88,33 @@ def _parse_snr_list(text: str) -> list[float]:
     return values
 
 
+def _out_path(out: str | None, config: ExperimentConfig) -> str:
+    """``--out``, else the config's output_path; its parent directory is created."""
+    out = out or config.output_path
+    if not out:
+        raise ConfigError("no --out given and the config sets no output_path")
+    pathlib.Path(out).parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sweep":
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = _load_config(args.config)
-        rows_path, agg_path = run_sweep(config, args.out, workers=args.workers)
-        print(f"wrote {rows_path} and {agg_path}")
+        out = _out_path(args.out, config)
+        start = time.perf_counter()
+        rows_path, agg_path = run_sweep(config, out, workers=args.workers)
+        print(f"wrote {rows_path} and {agg_path} ({time.perf_counter() - start:.1f}s)")
         return 0
 
     if args.command == "converge":
         config = _load_config(args.config)
-        out = run_convergence(config, _parse_snr_list(args.snr), args.out)
-        print(f"wrote {out}")
+        snr_list = _parse_snr_list(args.snr)
+        out = _out_path(args.out, config)
+        start = time.perf_counter()
+        run_convergence(config, snr_list, out)
+        print(f"wrote {out} ({time.perf_counter() - start:.1f}s)")
         return 0
 
     if args.command == "single":

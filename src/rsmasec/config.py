@@ -27,6 +27,9 @@ class SystemConfig:
     t_max: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("symbol_power", "noise_user", "noise_eve", "smoothing", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
         if self.n_secret < 0 or self.n_normal < 0 or self.n_eves < 0:
@@ -62,10 +65,6 @@ class SystemConfig:
     @property
     def secret_ids(self) -> range:
         return range(self.n_secret)
-
-    @property
-    def normal_ids(self) -> range:
-        return range(self.n_secret, self.n_users)
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
         """Same scenario at a different SNR, holding noise powers fixed."""

@@ -14,20 +14,19 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import gpi_sdma_solve, mrt_init, rzf_precoder
-from .channel import ChannelRealization, ScenarioLayout, draw_scenario
+from .channel import ScenarioLayout, draw_scenario
 from .config import SystemConfig
 from .quadforms import (
-    QuadFormSet,
     build_quadforms_limited,
     build_quadforms_perfect,
     smoothed_objective,
 )
-from .rates import PrecoderStack, sum_secrecy_se
+from .rates import sum_secrecy_se
 from .solver import NumericError, gpi_solve
 
 log = logging.getLogger(__name__)
@@ -128,48 +127,36 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return _config_from_dict(raw)
 
 
+_RENAMED = {"alpha": "smoothing", "user_layout": "user_mode"}
+
+
+def _fields_set(raw: dict, cls) -> dict:
+    """The config entries that set fields of ``cls``, keyed by field name."""
+    names = {f.name for f in fields(cls)}
+    named = {_RENAMED.get(key, key): value for key, value in raw.items()}
+    return {key: value for key, value in named.items() if key in names}
+
+
 def _config_from_dict(raw: dict) -> ExperimentConfig:
-    snr_db = raw.get("snr_db", 20.0)
-    noise_user = raw.get("noise_user", 1.0)
+    system_kw = _fields_set(raw, SystemConfig)
+    if "noise_user" in raw:
+        system_kw.setdefault("noise_eve", raw["noise_user"])
     try:
-        system = SystemConfig(
-            n_antennas=raw.get("n_antennas", 4),
-            n_secret=raw.get("n_secret", 2),
-            n_normal=raw.get("n_normal", 2),
-            n_eves=raw.get("n_eves", 2),
-            symbol_power=noise_user * 10.0 ** (snr_db / 10.0),
-            noise_user=noise_user,
-            noise_eve=raw.get("noise_eve", noise_user),
-            smoothing=raw.get("alpha", 0.3),
-            epsilon=raw.get("epsilon", 0.05),
-            t_max=raw.get("t_max", 100),
-        )
-        layout = ScenarioLayout(
-            user_mode=raw.get("user_layout", "sector"),
-            user_sector=raw.get("user_sector", math.pi / 6),
-            user_spacing=raw.get("user_spacing", math.pi / 6),
-            user_center=raw.get("user_center", 0.0),
-            eve_center=raw.get("eve_center", 0.0),
-            eve_sector=raw.get("eve_sector", 2 * math.pi),
-            angular_spread=raw.get("angular_spread", math.pi / 6),
-            antenna_spacing=raw.get("antenna_spacing", 0.5),
-            kappa=raw.get("kappa", 0.4),
-            trunc_rel=raw.get("trunc_rel", 1e-10),
-            quad_nodes=raw.get("quad_nodes", 512),
-        )
-    except ValueError as exc:
+        system = SystemConfig(**system_kw).with_snr_db(raw.get("snr_db", 20.0))
+        layout = ScenarioLayout(**_fields_set(raw, ScenarioLayout))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+    config = ExperimentConfig(system=system, layout=layout, **_fields_set(raw, ExperimentConfig))
 
     if "k" in raw and raw["k"] != system.n_users:
         raise ConfigError(
             f"k = {raw['k']} contradicts n_secret + n_normal = {system.n_users}"
         )
 
-    csit_mode = raw.get("csit_mode", "limited")
-    if csit_mode not in CSIT_MODES:
-        raise ConfigError(f"csit_mode must be one of {CSIT_MODES}, got {csit_mode!r}")
+    if config.csit_mode not in CSIT_MODES:
+        raise ConfigError(f"csit_mode must be one of {CSIT_MODES}, got {config.csit_mode!r}")
 
-    methods = raw.get("methods", ("gpi-rsma",))
+    methods = config.methods
     if not methods:
         raise ConfigError("methods list is empty")
     for m in methods:
@@ -178,10 +165,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     if len(set(methods)) != len(methods):
         raise ConfigError(f"duplicate entry in methods: {', '.join(methods)}")
 
-    axis = raw.get("sweep_axis", "none")
+    axis, values = config.sweep_axis, config.sweep_values
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = raw.get("sweep_values", ())
     if axis == "none" and values:
         raise ConfigError("sweep_values given without a sweep_axis")
     if axis != "none" and not values:
@@ -190,28 +176,17 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"duplicate entry in sweep_values: {', '.join(map(_fmt, values))}")
     _check_axis_values(axis, values, system)
 
-    trials = raw.get("trials", 100)
-    if trials < 1:
+    if config.trials < 1:
         raise ConfigError("trials must be >= 1")
-    master_seed = raw.get("master_seed", 12345)
-    if master_seed < 0:
+    if config.master_seed < 0:
         raise ConfigError("master_seed must be >= 0")
-
-    return ExperimentConfig(
-        system=system,
-        layout=layout,
-        csit_mode=csit_mode,
-        methods=tuple(methods),
-        sweep_axis=axis,
-        sweep_values=tuple(values),
-        trials=trials,
-        master_seed=master_seed,
-        output_path=raw.get("output_path"),
-    )
+    return config
 
 
 def _check_axis_values(axis: str, values: tuple[float, ...], system: SystemConfig) -> None:
     for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"{axis} sweep values must be finite, got {v}")
         if axis in ("n_secret", "n_eves"):
             if v != int(v) or v < 0:
                 raise ConfigError(f"{axis} sweep values must be nonnegative integers, got {v}")
@@ -223,6 +198,11 @@ def _check_axis_values(axis: str, values: tuple[float, ...], system: SystemConfi
             raise ConfigError(f"kappa sweep values must lie in [0, 1], got {v}")
         elif axis == "angular_separation" and v <= 0:
             raise ConfigError(f"angular separation must be positive, got {v}")
+        elif axis == "snr_db":
+            try:
+                system.with_snr_db(v)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"snr_db sweep value {v}: {exc}") from exc
 
 
 def effective_scenario(
@@ -253,15 +233,17 @@ def derive_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _nan_result(method, trial_index, seed, axis_value, system, layout, runtime_ms):
-    return TrialResult(
-        method=method, trial_index=trial_index, seed=seed, axis_value=axis_value,
-        snr_db=system.snr_db, n_antennas=system.n_antennas, n_users=system.n_users,
-        n_secret=system.n_secret, n_normal=system.n_normal, n_eves=system.n_eves,
-        kappa=layout.kappa, alpha=system.smoothing, iterations=0, converged=False,
-        smoothed_objective=math.nan, sum_secrecy_se=math.nan, common_min=math.nan,
-        runtime_ms=runtime_ms,
-    )
+def _draw(config: ExperimentConfig, system: SystemConfig, layout: ScenarioLayout, seed: int):
+    """Seeded scenario draw plus what the transmitter knows under the CSIT mode.
+
+    Returns ``(rng, realization, knowledge, quadforms)``; the generator has
+    drawn the scenario and is handed on to the methods in config order.
+    """
+    rng = np.random.default_rng(seed)
+    realization = draw_scenario(system, layout, rng)
+    if config.csit_mode == "limited":
+        return rng, realization, realization.user_estimates, build_quadforms_limited(realization, system)
+    return rng, realization, realization.user_channels, build_quadforms_perfect(realization, system)
 
 
 def run_trial(
@@ -273,50 +255,34 @@ def run_trial(
     """One scenario draw, every configured method solved and scored on it."""
     system, layout = effective_scenario(config, axis_value)
     seed = derive_seed(config.master_seed, axis_index, trial_index)
-    rng = np.random.default_rng(seed)
-    realization = draw_scenario(system, layout, rng)
-    limited = config.csit_mode == "limited"
-    knowledge = realization.user_estimates if limited else realization.user_channels
-
-    quadforms: QuadFormSet | None = None
-
-    def get_quadforms():
-        nonlocal quadforms
-        if quadforms is None:
-            build = build_quadforms_limited if limited else build_quadforms_perfect
-            quadforms = build(realization, system)
-        return quadforms
+    rng, realization, knowledge, quadforms = _draw(config, system, layout, seed)
 
     results = []
     for method in config.methods:
         t0 = time.perf_counter()
+        iterations, converged = 0, True
         try:
             if method == "gpi-rsma":
-                stack, trace = gpi_solve(get_quadforms(), mrt_init(knowledge, rng), system)
+                stack, trace = gpi_solve(quadforms, mrt_init(knowledge, rng), system)
                 iterations, converged = trace.iterations_used, trace.converged
             elif method == "gpi-sdma":
                 stack, trace = gpi_sdma_solve(realization, system, config.csit_mode, rng)
                 iterations, converged = trace.iterations_used, trace.converged
             elif method == "rzf-sdma":
                 stack = rzf_precoder(knowledge, system)
-                iterations, converged = 0, True
             elif method == "mrt":
                 stack = mrt_init(knowledge, rng)
-                iterations, converged = 0, True
             else:
                 raise ConfigError(f"unknown method {method!r}")
-            qf = get_quadforms()
-            if method in ("gpi-sdma", "rzf-sdma"):  # private-only: no common family
-                qf = qf.without_common()
+            # private-only methods have no common family to score
+            qf = quadforms.without_common() if method in ("gpi-sdma", "rzf-sdma") else quadforms
             objective = smoothed_objective(qf, stack, system)
             report = sum_secrecy_se(realization, stack, system)
+            secrecy_se, common_min = report.sum_secrecy_se, report.common_min
         except NumericError as exc:
-            runtime_ms = 1e3 * (time.perf_counter() - t0)
             log.warning("trial %d method %s failed numerically: %s", trial_index, method, exc)
-            results.append(_nan_result(method, trial_index, seed, axis_value,
-                                       system, layout, runtime_ms))
-            continue
-        runtime_ms = 1e3 * (time.perf_counter() - t0)
+            iterations, converged = 0, False
+            objective = secrecy_se = common_min = math.nan
         results.append(TrialResult(
             method=method,
             trial_index=trial_index,
@@ -333,9 +299,9 @@ def run_trial(
             iterations=iterations,
             converged=converged,
             smoothed_objective=objective,
-            sum_secrecy_se=report.sum_secrecy_se,
-            common_min=report.common_min,
-            runtime_ms=runtime_ms,
+            sum_secrecy_se=secrecy_se,
+            common_min=common_min,
+            runtime_ms=1e3 * (time.perf_counter() - t0),
         ))
     return results
 
@@ -344,27 +310,19 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
 def _result_row(r: TrialResult) -> list[str]:
-    return [
-        r.method,
-        str(r.trial_index),
-        str(r.seed),
-        "" if r.axis_value is None else _fmt(r.axis_value),
-        _fmt(r.snr_db),
-        str(r.n_antennas),
-        str(r.n_users),
-        str(r.n_secret),
-        str(r.n_normal),
-        str(r.n_eves),
-        _fmt(r.kappa),
-        _fmt(r.alpha),
-        str(r.iterations),
-        "true" if r.converged else "false",
-        _fmt(r.smoothed_objective),
-        _fmt(r.sum_secrecy_se),
-        _fmt(r.common_min),
-        _fmt(r.runtime_ms),
-    ]
+    """CSV cells of ``r``; the field order of TrialResult is CSV_COLUMNS."""
+    return [_cell(getattr(r, f.name)) for f in fields(r)]
 
 
 def _sweep_item(args) -> list[TrialResult]:
@@ -378,16 +336,11 @@ def aggregate_path(out_path: str) -> str:
     return out_path + ".agg.csv"
 
 
-def run_sweep(
-    config: ExperimentConfig,
-    out_path: str,
-    workers: int | None = None,
-) -> tuple[str, str]:
-    """Run the configured sweep and write per-trial plus aggregate CSVs.
+def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[TrialResult]:
+    """Every trial of the sweep, in (axis, trial, method) order.
 
     Trials are independent work items; with workers > 1 they are dispatched
-    to a process pool, and rows are always written in deterministic
-    (axis, trial, method) order regardless of worker count.
+    to a process pool, and the order does not depend on the worker count.
     """
     values: list[float | None] = list(config.sweep_values) if config.sweep_axis != "none" else [None]
     items = [
@@ -403,8 +356,33 @@ def run_sweep(
         chunk = max(1, len(items) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_item, items, chunksize=chunk))
-    rows = [r for batch in batches for r in batch]
+    return [r for batch in batches for r in batch]
 
+
+def aggregate(rows: list[TrialResult]) -> dict[tuple[float | None, str], tuple[float, float, int]]:
+    """Mean, standard error and count of the sum secrecy SE per (axis value, method).
+
+    Keys come in order of first appearance; the standard error is the sample
+    standard deviation over sqrt(count), and 0 for a single trial.
+    """
+    groups: dict[tuple[float | None, str], list[float]] = {}
+    for r in rows:
+        groups.setdefault((r.axis_value, r.method), []).append(r.sum_secrecy_se)
+    out = {}
+    for key, xs in groups.items():
+        vals = np.asarray(xs)
+        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+        out[key] = (float(vals.mean()), stderr, vals.size)
+    return out
+
+
+def run_sweep(
+    config: ExperimentConfig,
+    out_path: str,
+    workers: int | None = None,
+) -> tuple[str, str]:
+    """Run the configured sweep and write per-trial plus aggregate CSVs."""
+    rows = _sweep_rows(config, workers)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -415,20 +393,8 @@ def run_sweep(
     with open(agg, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGG_COLUMNS)
-        for v in values:
-            for method in config.methods:
-                vals = np.asarray([
-                    r.sum_secrecy_se for r in rows
-                    if r.method == method and (r.axis_value == v or (v is None and r.axis_value is None))
-                ])
-                stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-                writer.writerow([
-                    "" if v is None else _fmt(v),
-                    method,
-                    _fmt(float(vals.mean())),
-                    _fmt(stderr),
-                    str(vals.size),
-                ])
+        for (value, method), (mean, stderr, n) in aggregate(rows).items():
+            writer.writerow([_cell(value), method, _fmt(mean), _fmt(stderr), str(n)])
     return out_path, agg
 
 
@@ -442,26 +408,25 @@ def run_convergence(
 ) -> str:
     """Per-iteration solve traces of the rate-splitting solver across SNRs.
 
-    One CSV row per (snr, trial, iteration); iteration 0 carries the
-    initializer objective and an empty step norm.  ``lam`` is the solver's
-    stationarity multiplier estimate at that iterate.
+    The SNR list is run as an ``snr_db`` sweep, so each (snr index, trial)
+    draws the scenario of the matching sweep row.  One CSV row per (snr,
+    trial, iteration); iteration 0 carries the initializer objective and an
+    empty step norm.  ``lam`` is the solver's stationarity multiplier
+    estimate at that iterate.
     """
     if not snr_list:
         raise ConfigError("converge needs at least one SNR value")
-    limited = config.csit_mode == "limited"
-    build = build_quadforms_limited if limited else build_quadforms_perfect
+    config = replace(config, sweep_axis="snr_db", sweep_values=tuple(snr_list))
+    _check_axis_values(config.sweep_axis, config.sweep_values, config.system)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CONVERGE_COLUMNS)
-        for si, snr in enumerate(snr_list):
-            system = config.system.with_snr_db(snr)
+        for si, snr in enumerate(config.sweep_values):
+            system, layout = effective_scenario(config, snr)
             for trial in range(config.trials):
                 seed = derive_seed(config.master_seed, si, trial)
-                rng = np.random.default_rng(seed)
-                realization = draw_scenario(system, config.layout, rng)
-                knowledge = realization.user_estimates if limited else realization.user_channels
-                qf = build(realization, system)
-                _, trace = gpi_solve(qf, mrt_init(knowledge, rng), system)
+                rng, _, knowledge, quadforms = _draw(config, system, layout, seed)
+                _, trace = gpi_solve(quadforms, mrt_init(knowledge, rng), system)
                 for it, step, obj, lam in trace.iterates:
                     writer.writerow([
                         _fmt(snr), str(trial), str(seed), str(it),

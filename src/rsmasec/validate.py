@@ -34,7 +34,14 @@ from .channel import (
     sample_channel,
 )
 from .config import SystemConfig
-from .harness import ExperimentConfig, parse_config_text, run_sweep, run_trial
+from .harness import (
+    ExperimentConfig,
+    _sweep_rows,
+    aggregate,
+    parse_config_text,
+    run_sweep,
+    run_trial,
+)
 from .quadforms import (
     QuadFormSet,
     build_quadforms_limited,
@@ -290,41 +297,18 @@ def _check_convergence_speed() -> tuple[bool, str]:
     return ok, f"median iterations = {median:.1f} (limit 20); converged {frac:.1%} (need 95%)"
 
 
-def _paired_means(config: ExperimentConfig) -> dict[str, tuple[float, float]]:
-    """Mean and standard error of the exact objective per method."""
-    samples: dict[str, list[float]] = {m: [] for m in config.methods}
-    for t in range(config.trials):
-        for row in run_trial(config, None, t):
-            samples[row.method].append(row.sum_secrecy_se)
-    out = {}
-    for method, xs in samples.items():
-        arr = np.asarray(xs)
-        out[method] = (float(arr.mean()),
-                       float(arr.std(ddof=1) / math.sqrt(arr.size)))
-    return out
-
-
-def _axis_means(config: ExperimentConfig) -> list[tuple[float, float]]:
-    means = []
-    for ai, value in enumerate(config.sweep_values):
-        xs = np.asarray([
-            run_trial(config, value, t, ai)[0].sum_secrecy_se
-            for t in range(config.trials)
-        ])
-        means.append((float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size))))
-    return means
-
-
-def _monotone(means: list[tuple[float, float]], direction: str) -> tuple[bool, str]:
-    """Adjacent means ordered as required, within one pooled standard error."""
+def _monotone(config: ExperimentConfig, direction: str) -> tuple[bool, str]:
+    """Adjacent axis means of the one method ordered as required, within one
+    pooled standard error."""
+    means = list(aggregate(_sweep_rows(config, workers=1)).values())
     ok = True
-    for (m0, s0), (m1, s1) in zip(means, means[1:]):
+    for (m0, s0, _), (m1, s1, _) in zip(means, means[1:]):
         pooled = math.hypot(s0, s1)
         if direction == "non-increasing":
             ok &= m1 <= m0 + pooled
         else:
             ok &= m1 >= m0 - pooled
-    shown = ", ".join(f"{m:.3f}±{s:.3f}" for m, s in means)
+    shown = ", ".join(f"{m:.3f}±{s:.3f}" for m, s, _ in means)
     return ok, shown
 
 
@@ -338,8 +322,8 @@ def _check_ordering_rsma_sdma() -> tuple[bool, str]:
         trials=100,
         master_seed=71_000,
     )
-    means = _paired_means(config)
-    rsma, sdma = means["gpi-rsma"][0], means["gpi-sdma"][0]
+    means = aggregate(_sweep_rows(config, workers=1))
+    rsma, sdma = means[None, "gpi-rsma"][0], means[None, "gpi-sdma"][0]
     return rsma >= sdma, f"mean secrecy SE: rate-splitting {rsma:.3f} vs private-only {sdma:.3f}"
 
 
@@ -354,7 +338,7 @@ def _check_ordering_eavesdroppers() -> tuple[bool, str]:
         trials=100,
         master_seed=72_000,
     )
-    ok, shown = _monotone(_axis_means(config), "non-increasing")
+    ok, shown = _monotone(config, "non-increasing")
     return ok, f"mean secrecy SE over eavesdropper counts (0,2,4): {shown}"
 
 
@@ -369,7 +353,7 @@ def _check_ordering_separation() -> tuple[bool, str]:
         trials=100,
         master_seed=73_000,
     )
-    ok, shown = _monotone(_axis_means(config), "non-decreasing")
+    ok, shown = _monotone(config, "non-decreasing")
     return ok, f"mean secrecy SE over user spacings (pi/18, pi/6, pi/3): {shown}"
 
 
@@ -384,7 +368,7 @@ def _check_ordering_kappa() -> tuple[bool, str]:
         trials=100,
         master_seed=74_000,
     )
-    ok, shown = _monotone(_axis_means(config), "non-increasing")
+    ok, shown = _monotone(config, "non-increasing")
     return ok, f"mean secrecy SE over estimation-error levels (0, 0.4, 0.8): {shown}"
 
 

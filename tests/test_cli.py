@@ -74,6 +74,44 @@ def test_bad_snr_list_is_config_error(config_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_nonfinite_snr_is_config_error(config_file, tmp_path, capsys):
+    code = cli.main(["converge", "--config", config_file, "--snr", "0,nan",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_config_error(config_file, tmp_path, capsys, workers):
+    code = cli.main(["sweep", "--config", config_file, "--out", str(tmp_path / "x.csv"),
+                     "--workers", workers])
+    assert code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_out_defaults_to_config_output_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("methods = mrt\ntrials = 2\n")
+    for command in (["sweep", "--workers", "1"], ["converge", "--snr", "0"]):
+        assert cli.main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        assert "output_path" in capsys.readouterr().err
+
+    cfg.write_text("methods = mrt\ntrials = 2\noutput_path = new/dir/rows.csv\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--workers", "1"]) == 0
+    assert "wrote new/dir/rows.csv and new/dir/rows.agg.csv (" in capsys.readouterr().out
+    with open(tmp_path / "new" / "dir" / "rows.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 3
+    assert (tmp_path / "new" / "dir" / "rows.agg.csv").is_file()
+
+    cfg.write_text("trials = 1\noutput_path = other/trace.csv\n")
+    assert cli.main(["converge", "--config", str(cfg), "--snr", "0"]) == 0
+    assert "wrote other/trace.csv (" in capsys.readouterr().out
+    with open(tmp_path / "other" / "trace.csv", newline="") as fh:
+        assert next(csv.reader(fh))[0] == "snr_db"
+
+
 def test_unknown_filter_is_config_error(capsys):
     assert cli.main(["validate", "--filter", "definitely-not-a-check"]) == 1
 

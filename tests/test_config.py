@@ -30,7 +30,6 @@ def test_with_snr_db_roundtrip():
 def test_group_id_ranges():
     cfg = SystemConfig(n_secret=3, n_normal=2)
     assert list(cfg.secret_ids) == [0, 1, 2]
-    assert list(cfg.normal_ids) == [3, 4]
 
 
 @pytest.mark.parametrize(
@@ -45,6 +44,10 @@ def test_group_id_ranges():
         dict(smoothing=0.0),
         dict(epsilon=-0.1),
         dict(t_max=0),
+        dict(symbol_power=math.nan),
+        dict(noise_eve=math.inf),
+        dict(smoothing=math.inf),
+        dict(epsilon=math.nan),
     ],
 )
 def test_invalid_configs_raise(kwargs):

@@ -1,5 +1,6 @@
 import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def test_empty_config_fills_documented_defaults():
     assert cfg.trials == 100
     assert cfg.csit_mode == "limited"
     assert cfg.methods == ("gpi-rsma",)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")),
+    ids=lambda p: p.name,
+)
+def test_bundled_configs_parse_with_output_under_results(path):
+    # the bundled configs hold the CLI's default --out
+    cfg = rs.parse_config(str(path))
+    assert cfg.output_path.startswith("results/")
 
 
 def test_parse_comments_and_lists():
@@ -64,6 +76,17 @@ def test_parse_k_consistency_check():
         ("trials = 0", "trials"),
         ("csit_mode = psychic", "csit_mode"),
         ("n_secret = 0\nn_normal = 0", "user"),
+        ("snr_db = nan", "symbol_power must be finite"),
+        ("snr_db = inf", "symbol_power must be finite"),
+        ("alpha = inf", "smoothing must be finite"),
+        ("epsilon = nan", "epsilon must be finite"),
+        ("angular_spread = nan", "angular_spread must be finite"),
+        ("trunc_rel = 2", "trunc_rel"),
+        ("quad_nodes = 1", "quad_nodes"),
+        ("sweep_axis = n_eves\nsweep_values = nan", "finite"),
+        ("sweep_axis = snr_db\nsweep_values = 10, nan", "finite"),
+        ("sweep_axis = snr_db\nsweep_values = 10, 5000", "snr_db sweep value 5000"),
+        ("sweep_axis = angular_separation\nsweep_values = nan", "finite"),
     ],
 )
 def test_parse_errors(text, needle):
@@ -246,3 +269,19 @@ def test_convergence_rejects_empty_snr_list(tmp_path):
     cfg = rs.parse_config_text("")
     with pytest.raises(rs.ConfigError):
         rs.run_convergence(cfg, [], str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize("csit_mode", ["limited", "perfect"])
+def test_convergence_traces_match_sweep_trials(tmp_path, csit_mode):
+    cfg = rs.parse_config_text(
+        f"csit_mode = {csit_mode}\nsweep_axis = snr_db\nsweep_values = 0, 20\ntrials = 2"
+    )
+    out = rs.run_convergence(cfg, list(cfg.sweep_values), str(tmp_path / "trace.csv"))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for ai, snr in enumerate(cfg.sweep_values):
+        for trial in range(cfg.trials):
+            row = rs.run_trial(cfg, snr, trial, ai)[0]
+            trace = [r for r in rows if float(r["snr_db"]) == snr and int(r["trial"]) == trial]
+            assert {r["seed"] for r in trace} == {str(row.seed)}
+            assert int(trace[-1]["iteration"]) == row.iterations

@@ -25,7 +25,6 @@ def manual_realization(user_channels, eve_channels=None, kappa=0.0):
         error_covs=np.tile(scale * np.eye(n, dtype=complex), (k, 1, 1)),
         user_covs=(eye,) * k,
         eve_covs=(eye,) * g.shape[0],
-        kappa=kappa,
     )
 
 
