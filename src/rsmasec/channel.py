@@ -21,45 +21,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Antenna positions in wavelengths (rows of ``positions``, 2-D plane)."""
-
-    n_antennas: int
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.shape != (self.n_antennas, 2):
-            raise ValueError("positions must have shape (n_antennas, 2)")
-        object.__setattr__(self, "positions", pos)
-
-    @classmethod
-    def ula(cls, n_antennas: int, spacing: float = 0.5) -> "ArrayGeometry":
-        """Uniform linear array along the x-axis, spacing in wavelengths."""
-        pos = np.zeros((n_antennas, 2))
-        pos[:, 0] = spacing * np.arange(n_antennas)
-        return cls(n_antennas, pos)
-
-
-@dataclass(frozen=True)
-class HermitianCovariance:
-    """Hermitian PSD matrix wrapper; construction validates both properties."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.entries, dtype=complex)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError("covariance must be square")
-        if np.abs(r - r.conj().T).max() > 1e-12 * max(1.0, np.abs(r).max()):
-            raise ValueError("covariance must be Hermitian")
-        w = np.linalg.eigvalsh(r)
-        if w[0] < -1e-10 * max(w[-1], 1e-300):
-            raise ValueError("covariance must be positive semidefinite")
-        object.__setattr__(self, "entries", r)
-
-
-@dataclass(frozen=True)
 class KlDecomposition:
     """Retained eigenpairs of a covariance: R ~= U diag(eigvals) U^H."""
 
@@ -92,15 +53,17 @@ def _gauss_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def one_ring_covariance(
     aoa: float,
     spread: float,
-    geometry: ArrayGeometry,
+    n_antennas: int,
+    antenna_spacing: float = 0.5,
     n_nodes: int = 512,
-) -> HermitianCovariance:
-    """One-ring covariance for a terminal at azimuth ``aoa``.
+) -> np.ndarray:
+    """One-ring covariance of a uniform linear array for a terminal at ``aoa``.
 
     [R]_{a,b} = (1/2*spread) * integral over x in [aoa-spread, aoa+spread]
-    of exp(-j*2*pi*(cos x, sin x) . (r_a - r_b)), positions r in wavelengths.
-    Evaluated with fixed-node Gauss-Legendre quadrature (deterministic,
-    sub-1e-9 accurate for these smooth oscillatory integrands).
+    of exp(-j*2*pi*(cos x, sin x) . (r_a - r_b)), with element a at
+    (a * antenna_spacing, 0) in wavelengths.  Evaluated with fixed-node
+    Gauss-Legendre quadrature (deterministic, sub-1e-9 accurate for these
+    smooth oscillatory integrands).  Returns the Hermitian (N, N) matrix.
     """
     if spread <= 0:
         raise ValueError("angular spread must be positive")
@@ -108,18 +71,18 @@ def one_ring_covariance(
         raise ValueError("n_nodes must be >= 2")
     x, w = _gauss_nodes(n_nodes)
     ang = aoa + spread * x
-    direction = np.stack([np.cos(ang), np.sin(ang)])          # (2, nodes)
-    phase = TWO_PI * (geometry.positions @ direction)          # (n, nodes)
+    # the array lies on the x-axis, so only cos(angle) enters the phase
+    phase = TWO_PI * np.outer(antenna_spacing * np.arange(n_antennas), np.cos(ang))
     steer = np.exp(-1j * phase)
     # Interval substitution cancels the 1/(2*spread) prefactor down to 1/2.
     r = 0.5 * (steer * w) @ steer.conj().T
-    r = 0.5 * (r + r.conj().T)
-    return HermitianCovariance(r)
+    return 0.5 * (r + r.conj().T)
 
 
-def kl_decompose(cov: HermitianCovariance, trunc_rel: float = 1e-10) -> KlDecomposition:
-    """Eigendecompose and keep modes whose eigenvalue exceeds trunc_rel * max."""
-    w, u = np.linalg.eigh(cov.entries)
+def kl_decompose(cov: np.ndarray, trunc_rel: float = 1e-10) -> KlDecomposition:
+    """Eigendecompose a Hermitian covariance and keep modes whose eigenvalue
+    exceeds trunc_rel * max."""
+    w, u = np.linalg.eigh(cov)
     w = w[::-1]
     u = u[:, ::-1]
     if w.size == 0 or w[0] <= 0:
@@ -154,12 +117,12 @@ def fdd_estimate(
     return estimate, h - estimate
 
 
-def error_covariance(kl: KlDecomposition, kappa: float) -> np.ndarray:
-    """E[(h - estimate)(h - estimate)^H] = (2 - 2*sqrt(1-kappa^2)) U diag(eigvals) U^H."""
+def error_covariance(cov: np.ndarray, kappa: float) -> np.ndarray:
+    """E[(h - estimate)(h - estimate)^H] = (2 - 2*sqrt(1-kappa^2)) R for a
+    channel of covariance ``cov`` = R (up to the modes KL truncation drops)."""
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must be in [0, 1]")
-    scale = 2.0 - 2.0 * math.sqrt(1.0 - kappa**2)
-    return scale * kl.reconstruct()
+    return (2.0 - 2.0 * math.sqrt(1.0 - kappa**2)) * cov
 
 
 def _cn_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,15 +188,15 @@ class ChannelRealization:
 
     Under limited CSIT the transmitter sees ``user_estimates``, ``error_covs``
     and the covariances; ``user_channels``/``eve_channels`` are ground truth
-    used only for scoring.
+    used only for scoring.  Every covariance is a Hermitian (N, N) array.
     """
 
     user_channels: np.ndarray        # (K, N)
     eve_channels: np.ndarray         # (E, N)
     user_estimates: np.ndarray       # (K, N)
     error_covs: np.ndarray           # (K, N, N)
-    user_covs: tuple[HermitianCovariance, ...]
-    eve_covs: tuple[HermitianCovariance, ...]
+    user_covs: np.ndarray            # (K, N, N)
+    eve_covs: np.ndarray             # (E, N, N)
     user_aoas: np.ndarray = field(default=None)
     eve_aoas: np.ndarray = field(default=None)
 
@@ -258,15 +221,15 @@ def _user_statistics(
     antenna_spacing: float,
     n_nodes: int,
     trunc_rel: float,
-) -> tuple[HermitianCovariance, KlDecomposition]:
+) -> tuple[np.ndarray, KlDecomposition]:
     """Covariance and KL factor of a terminal at a layout-fixed azimuth.
 
     User azimuths depend only on the layout, so every trial of a sweep point
     shares them; the arrays are read-only because every caller shares them.
     """
-    cov = one_ring_covariance(aoa, spread, ArrayGeometry.ula(n_antennas, antenna_spacing), n_nodes)
+    cov = one_ring_covariance(aoa, spread, n_antennas, antenna_spacing, n_nodes)
     kl = kl_decompose(cov, trunc_rel)
-    for arr in (cov.entries, kl.eigvecs, kl.eigvals):
+    for arr in (cov, kl.eigvecs, kl.eigvals):
         arr.flags.writeable = False
     return cov, kl
 
@@ -284,42 +247,38 @@ def draw_scenario(
     n = config.n_antennas
     k = config.n_users
     e = config.n_eves
-    geometry = ArrayGeometry.ula(n, layout.antenna_spacing)
 
     user_aoas = layout.user_aoas(k)
     eve_aoas = (
         layout.eve_center + layout.eve_sector * (rng.uniform(size=e) - 0.5)
     ) % TWO_PI
 
-    err_scale = 2.0 - 2.0 * math.sqrt(1.0 - layout.kappa**2)
     h = np.zeros((k, n), dtype=complex)
     h_est = np.zeros((k, n), dtype=complex)
-    phi = np.zeros((k, n, n), dtype=complex)
-    user_covs = []
+    user_covs = np.zeros((k, n, n), dtype=complex)
     for i in range(k):
-        cov, kl = _user_statistics(
+        user_covs[i], kl = _user_statistics(
             float(user_aoas[i]), layout.angular_spread, n,
             layout.antenna_spacing, layout.quad_nodes, layout.trunc_rel,
         )
         h[i] = sample_channel(kl, rng)
         h_est[i], _ = fdd_estimate(h[i], kl, layout.kappa, rng)
-        phi[i] = err_scale * cov.entries
-        user_covs.append(cov)
 
     g = np.zeros((e, n), dtype=complex)
-    eve_covs = []
+    eve_covs = np.zeros((e, n, n), dtype=complex)
     for i in range(e):
-        cov = one_ring_covariance(eve_aoas[i], layout.angular_spread, geometry, layout.quad_nodes)
-        g[i] = sample_channel(kl_decompose(cov, layout.trunc_rel), rng)
-        eve_covs.append(cov)
+        eve_covs[i] = one_ring_covariance(
+            eve_aoas[i], layout.angular_spread, n, layout.antenna_spacing, layout.quad_nodes,
+        )
+        g[i] = sample_channel(kl_decompose(eve_covs[i], layout.trunc_rel), rng)
 
     return ChannelRealization(
         user_channels=h,
         eve_channels=g,
         user_estimates=h_est,
-        error_covs=phi,
-        user_covs=tuple(user_covs),
-        eve_covs=tuple(eve_covs),
+        error_covs=error_covariance(user_covs, layout.kappa),
+        user_covs=user_covs,
+        eve_covs=eve_covs,
         user_aoas=user_aoas,
         eve_aoas=eve_aoas,
     )

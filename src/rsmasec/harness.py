@@ -349,7 +349,9 @@ def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[Tr
         for t in range(config.trials)
     ]
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which can be fewer than the machine has
+        has_affinity = hasattr(os, "sched_getaffinity")
+        workers = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
     if workers <= 1 or len(items) == 1:
         batches = [_sweep_item(it) for it in items]
     else:

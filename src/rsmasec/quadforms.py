@@ -228,10 +228,6 @@ def _outer(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->kij", rows, rows.conj())
 
 
-def _covs(covs, n: int) -> np.ndarray:
-    return np.asarray([c.entries for c in covs], dtype=complex).reshape(-1, n, n)
-
-
 def _build(
     realization: ChannelRealization,
     config: SystemConfig,
@@ -256,9 +252,9 @@ def _build(
         parts = [
             np.eye(n, dtype=complex)[None],
             _outer(realization.user_estimates),
-            np.asarray(realization.error_covs, dtype=complex),
-            _covs(realization.eve_covs, n),
-            _covs(realization.user_covs, n),
+            realization.error_covs,
+            realization.eve_covs,
+            realization.user_covs,
         ]
         sig, err, eve, wire = 1, 1 + k, 1 + 2 * k, 1 + 2 * k + e_cnt
     else:

@@ -29,14 +29,6 @@ class NumericError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class KktOperator:
-    """Assembled block-diagonal operator pair."""
-
-    a_blocks: np.ndarray  # (n_blocks, N, N)
-    b_blocks: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveTrace:
     """Per-iteration records: (iteration, step_norm, objective).
 
@@ -89,20 +81,16 @@ def _softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 def assemble_kkt(
     quadforms: QuadFormSet,
-    precoder: PrecoderStack | np.ndarray,
-    config: SystemConfig,
-    values: QuadValues | None = None,
-) -> KktOperator:
-    """Build the operator pair of the stationarity condition at one iterate.
+    vals: QuadValues,
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, B) block stacks of the stationarity condition at the iterate
+    whose quadratic forms are ``vals``, each of shape (n_blocks, N, N).
 
     Normalized weights are computed in log space (softmax over rates divided
     by alpha), which is algebraically identical to the raw-weight form but
     immune to exponential overflow.
     """
-    fb = quadforms.f_blocks(precoder)
-    vals = values if values is not None else quadforms.evaluate(fb)
-    alpha = config.smoothing
-
     a_w = {"private_num": 1.0 / vals.private_num}
     b_w = {"private_den": 1.0 / vals.private_den}
     if quadforms.has_common:
@@ -138,7 +126,7 @@ def assemble_kkt(
     b_op = quadforms.weighted_blocks(b_w)
     if not (np.isfinite(a_op).all() and np.isfinite(b_op).all()):
         raise NumericError("operator assembly produced nonfinite blocks")
-    return KktOperator(a_blocks=a_op, b_blocks=b_op)
+    return a_op, b_op
 
 
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1), dtype=complex),))
@@ -178,6 +166,17 @@ def _align_phase(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     if mag < 1e-300:
         return vec
     return vec * (inner.conjugate() / mag)
+
+
+def _gpi_map(quadforms: QuadFormSet, vec: np.ndarray, vals: QuadValues, alpha: float) -> np.ndarray:
+    """One undamped step f -> B^-1 A f at the unit stack ``vec`` whose quadratic
+    forms are ``vals``, normalized and phase-aligned to ``vec``."""
+    a_op, b_op = assemble_kkt(quadforms, vals, alpha)
+    nxt = block_solve(b_op, _matvec(a_op, vec))
+    nrm = np.linalg.norm(nxt)
+    if nrm == 0 or not np.isfinite(nrm):
+        raise NumericError("iteration produced a zero or nonfinite stack")
+    return _align_phase(nxt / nrm, vec)
 
 
 def gpi_solve_vector(
@@ -223,12 +222,7 @@ def gpi_solve_vector(
     gamma = 1.0
 
     for t in range(1, config.t_max + 1):
-        op = assemble_kkt(quadforms, vec, config, values=vals)
-        nxt = block_solve(op.b_blocks, _matvec(op.a_blocks, vec))
-        nrm = np.linalg.norm(nxt)
-        if nrm == 0 or not np.isfinite(nrm):
-            raise NumericError("iteration produced a zero or nonfinite stack")
-        nxt = _align_phase(nxt / nrm, vec)
+        nxt = _gpi_map(quadforms, vec, vals, alpha)
         if gamma < 1.0:
             nxt = vec + gamma * (nxt - vec)
             nxt = _align_phase(nxt / np.linalg.norm(nxt), vec)
@@ -272,7 +266,7 @@ def gpi_solve(
 
 def kkt_residual(
     quadforms: QuadFormSet,
-    precoder: PrecoderStack | np.ndarray,
+    precoder: PrecoderStack,
     config: SystemConfig,
 ) -> float:
     """Distance between f and the normalized, phase-aligned image B^-1 A f.
@@ -280,9 +274,6 @@ def kkt_residual(
     Zero exactly at a fixed point of the iteration map; the convergence
     tolerance epsilon bounds it loosely at a converged solve.
     """
-    vec = precoder.entries if isinstance(precoder, PrecoderStack) else np.asarray(precoder, dtype=complex).ravel()
-    vec = vec / np.linalg.norm(vec)
-    op = assemble_kkt(quadforms, vec, config)
-    image = block_solve(op.b_blocks, _matvec(op.a_blocks, vec))
-    image = image / np.linalg.norm(image)
-    return float(np.linalg.norm(_align_phase(image, vec) - vec))
+    vec = precoder.normalized().entries
+    vals = quadforms.evaluate(quadforms.f_blocks(vec))
+    return float(np.linalg.norm(_gpi_map(quadforms, vec, vals, config.smoothing) - vec))

@@ -24,7 +24,6 @@ import numpy as np
 
 from .baselines import mrt_init
 from .channel import (
-    ArrayGeometry,
     ScenarioLayout,
     draw_scenario,
     error_covariance,
@@ -118,14 +117,14 @@ def _direct_limited_rates(realization, config, stack: PrecoderStack):
     for s in range(config.n_secret):
         total = 0.0
         for e in range(config.n_eves):
-            cov = realization.eve_covs[e].entries
+            cov = realization.eve_covs[e]
             num = quad(cov, fb[1 + s])
             den = sum(quad(cov, fb[b]) for b in range(k + 1) if b != 1 + s)
             total += num / (den + config.noise_eve_ratio)
         for u in range(k):
             if u == s:
                 continue
-            cov = realization.user_covs[u].entries
+            cov = realization.user_covs[u]
             num = quad(cov, fb[1 + s])
             den = sum(
                 quad(cov, fb[1 + j]) for j in range(k) if j not in (u, s)
@@ -206,8 +205,8 @@ def _check_gradient_consistency() -> tuple[bool, str]:
             qf = build(realization, config)
             f = _unit_stack(rng, qf.stack_dim)
 
-            op = assemble_kkt(qf, f, config)
-            d = _matvec(op.a_blocks, f) - _matvec(op.b_blocks, f)
+            a_op, b_op = assemble_kkt(qf, qf.evaluate(qf.f_blocks(f)), config.smoothing)
+            d = _matvec(a_op, f) - _matvec(b_op, f)
             analytic = np.concatenate([d.real, d.imag])
 
             x = np.concatenate([f.real, f.imag])
@@ -381,7 +380,6 @@ def _check_collusion_bound() -> tuple[bool, str]:
     """
     n, n_streams, n_taps, draws = 8, 5, 8, 100_000
     rng = np.random.default_rng(81_000)
-    geometry = ArrayGeometry.ula(n)
     fb = _unit_stack(rng, n_streams * n).reshape(n_streams, n)
     secret_col = 1
     noise = 0.01   # noise-to-power ratio at the wiretappers
@@ -390,10 +388,10 @@ def _check_collusion_bound() -> tuple[bool, str]:
     mc_ratio_sum = np.zeros(draws)
     for w in range(n_taps):
         aoa = 2.0 * np.pi * w / n_taps + rng.uniform(-0.1, 0.1)
-        cov = one_ring_covariance(aoa, np.pi / 6.0, geometry)
+        cov = one_ring_covariance(aoa, np.pi / 6.0, n)
         kl = kl_decompose(cov)
 
-        quads = np.einsum("si,ij,sj->s", fb.conj(), cov.entries, fb).real
+        quads = np.einsum("si,ij,sj->s", fb.conj(), cov, fb).real
         approx_sum += quads[secret_col] / (quads.sum() - quads[secret_col] + noise)
 
         root = kl.eigvecs * np.sqrt(kl.eigvals)
@@ -414,7 +412,7 @@ def _check_channel_statistics() -> tuple[bool, str]:
     """Sampled channels and estimation errors reproduce their covariances."""
     n, draws, kappa = 4, 100_000, 0.4
     rng = np.random.default_rng(91_000)
-    cov = one_ring_covariance(np.pi / 5.0, np.pi / 6.0, ArrayGeometry.ula(n))
+    cov = one_ring_covariance(np.pi / 5.0, np.pi / 6.0, n)
     kl = kl_decompose(cov)
 
     channels = np.empty((draws, n), dtype=complex)
@@ -427,8 +425,8 @@ def _check_channel_statistics() -> tuple[bool, str]:
 
     emp_h = channels.T @ channels.conj() / draws
     emp_e = errors.T @ errors.conj() / draws
-    rel_h = float(np.linalg.norm(emp_h - cov.entries) / np.linalg.norm(cov.entries))
-    target_e = error_covariance(kl, kappa)
+    rel_h = float(np.linalg.norm(emp_h - cov) / np.linalg.norm(cov))
+    target_e = error_covariance(cov, kappa)
     rel_e = float(np.linalg.norm(emp_e - target_e) / np.linalg.norm(target_e))
     worst = max(rel_h, rel_e)
     return worst <= 0.05, (

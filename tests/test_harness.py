@@ -1,11 +1,15 @@
 import csv
 import math
+import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rsmasec as rs
+from rsmasec import harness
 from rsmasec.harness import CSV_COLUMNS, derive_seed, effective_scenario
 
 
@@ -285,3 +289,46 @@ def test_convergence_traces_match_sweep_trials(tmp_path, csit_mode):
             trace = [r for r in rows if float(r["snr_db"]) == snr and int(r["trial"]) == trial]
             assert {r["seed"] for r in trace} == {str(row.seed)}
             assert int(trace[-1]["iteration"]) == row.iterations
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    # one usable CPU means a serial sweep, however many the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started with one available CPU")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    cfg = rs.parse_config_text(
+        "methods = mrt\nsweep_axis = snr_db\nsweep_values = 0, 10\ntrials = 2")
+    rows = harness._sweep_rows(cfg)
+    assert [(r.axis_value, r.trial_index) for r in rows] == [(0, 0), (0, 1), (10, 0), (10, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    s=st.integers(0, 4),
+    m=st.integers(0, 4),
+    e=st.integers(0, 3),
+    snr_db=st.sampled_from([-30.0, 0.0, 60.0]),
+    alpha=st.sampled_from([0.01, 0.3, 5.0]),
+    csit_mode=st.sampled_from(["perfect", "limited"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_trial_edge_dimensions(n, s, m, e, snr_db, alpha, csit_mode, seed):
+    assume(s + m >= 1)
+    system = rs.SystemConfig(n_antennas=n, n_secret=s, n_normal=m, n_eves=e, smoothing=alpha)
+    cfg = rs.ExperimentConfig(
+        system=system.with_snr_db(snr_db),
+        layout=rs.ScenarioLayout(),
+        csit_mode=csit_mode,
+        methods=harness.METHODS,
+        trials=1,
+        master_seed=seed,
+    )
+    rows = rs.run_trial(cfg, None, 0)
+    assert [r.method for r in rows] == list(harness.METHODS)
+    for r in rows:
+        assert math.isfinite(r.sum_secrecy_se) and r.sum_secrecy_se >= 0.0, r
+        assert 0 <= r.iterations <= system.t_max, r

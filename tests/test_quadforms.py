@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rsmasec as rs
+from rsmasec.rates import common_se, leakage_se, lse_min, private_se
 
 
 def random_unit(rng, dim):
@@ -38,13 +39,13 @@ def direct_limited_rates(real, cfg, stack):
     for s in range(cfg.n_secret):
         total = 0.0
         for e in range(cfg.n_eves):
-            cov = real.eve_covs[e].entries
+            cov = real.eve_covs[e]
             den = sum(quad(cov, fb[b]) for b in range(k + 1) if b != 1 + s)
             total += quad(cov, fb[1 + s]) / (den + cfg.noise_eve_ratio)
         for u in range(k):
             if u == s:
                 continue
-            cov = real.user_covs[u].entries
+            cov = real.user_covs[u]
             den = sum(quad(cov, fb[1 + j]) for j in range(k) if j not in (u, s))
             total += quad(cov, fb[1 + s]) / (den + cfg.noise_user_ratio)
         leaks.append(math.log2(1 + total))
@@ -58,11 +59,11 @@ def test_perfect_pairs_match_direct_formulas(fig_config, scenario):
         stack = rs.PrecoderStack(random_unit(rng, 20), 4)
         vals = qf.evaluate(qf.f_blocks(stack))
         assert np.abs(vals.common_rates()
-                      - rs.common_se(scenario, stack, fig_config)).max() < 1e-10
+                      - common_se(scenario, stack, fig_config)).max() < 1e-10
         assert np.abs(vals.private_rates()
-                      - rs.private_se(scenario, stack, fig_config)).max() < 1e-10
+                      - private_se(scenario, stack, fig_config)).max() < 1e-10
         for s in range(fig_config.n_secret):
-            direct, _ = rs.leakage_se(scenario, stack, fig_config, s)
+            direct, _ = leakage_se(scenario, stack, fig_config, s)
             assert np.abs(np.log2(vals.leak_ratios(s)) - direct).max() < 1e-10
 
 
@@ -87,7 +88,7 @@ def test_equivalence_requires_unit_norm(fig_config, scenario):
     rng = np.random.default_rng(4)
     stack = rs.PrecoderStack(2.0 * random_unit(rng, 20), 4)
     vals = qf.evaluate(qf.f_blocks(stack))
-    direct = rs.common_se(scenario, stack, fig_config)
+    direct = common_se(scenario, stack, fig_config)
     assert np.abs(vals.common_rates() - direct).max() > 1e-3
 
 
@@ -101,7 +102,7 @@ def test_sign_flip_mutation_is_caught(fig_config, scenario):
     stack = rs.PrecoderStack(random_unit(np.random.default_rng(0), 20), 4)
     with np.errstate(invalid="ignore"):
         rates = bad.evaluate(bad.f_blocks(stack)).common_rates()
-    direct = rs.common_se(scenario, stack, fig_config)
+    direct = common_se(scenario, stack, fig_config)
     assert not np.all(np.abs(rates - direct) < 1e-10)
 
 
@@ -144,7 +145,7 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     assert vals.common_num is None and vals.common_rates() is None
     alpha = fig_config.smoothing
     assert abs(full.objective(alpha) - vals.objective(alpha)
-               - rs.lse_min(full.common_rates(), alpha)) < 1e-12
+               - lse_min(full.common_rates(), alpha)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,10 +168,10 @@ def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, se
     qf = build(real, cfg).without_common()
     vals = qf.evaluate(qf.f_blocks(stack))
     if build is rs.build_quadforms_perfect:
-        private = rs.private_se(real, stack, cfg)
+        private = private_se(real, stack, cfg)
         for s in range(s_cnt):
             np.testing.assert_allclose(np.log2(vals.leak_ratios(s)),
-                                       rs.leakage_se(real, stack, cfg, s)[0], rtol=0, atol=1e-10)
+                                       leakage_se(real, stack, cfg, s)[0], rtol=0, atol=1e-10)
     else:
         _, private, leaks = direct_limited_rates(real, cfg, stack)
         for s in range(s_cnt):

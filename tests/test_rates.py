@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import rsmasec as rs
-from rsmasec.rates import _logsumexp
+from rsmasec.channel import error_covariance
+from rsmasec.rates import _logsumexp, common_se, leakage_se, lse_max, lse_min, private_se
 
 
 def manual_realization(user_channels, eve_channels=None, kappa=0.0):
@@ -16,15 +18,14 @@ def manual_realization(user_channels, eve_channels=None, kappa=0.0):
     k, n = h.shape
     g = (np.zeros((0, n), dtype=complex) if eve_channels is None
          else np.asarray(eve_channels, dtype=complex))
-    eye = rs.HermitianCovariance(np.eye(n, dtype=complex))
-    scale = 2.0 - 2.0 * math.sqrt(1.0 - kappa**2)
+    eye = np.eye(n, dtype=complex)
     return rs.ChannelRealization(
         user_channels=h,
         eve_channels=g,
         user_estimates=h.copy(),
-        error_covs=np.tile(scale * np.eye(n, dtype=complex), (k, 1, 1)),
-        user_covs=(eye,) * k,
-        eve_covs=(eye,) * g.shape[0],
+        error_covs=np.tile(error_covariance(eye, kappa), (k, 1, 1)),
+        user_covs=np.tile(eye, (k, 1, 1)),
+        eve_covs=np.tile(eye, (g.shape[0], 1, 1)),
     )
 
 
@@ -52,10 +53,10 @@ def test_common_rate_hand_value():
     real = manual_realization([[1.0, 0.0]])
     f = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)], dtype=complex)
     stack = rs.PrecoderStack(f, 2)
-    common = rs.common_se(real, stack, cfg)
+    common = common_se(real, stack, cfg)
     assert abs(common[0] - math.log2(1.5)) < 1e-12
     # the private stream is orthogonal to the channel here
-    assert rs.private_se(real, stack, cfg)[0] == 0.0
+    assert private_se(real, stack, cfg)[0] == 0.0
     report = rs.sum_secrecy_se(real, stack, cfg)
     assert abs(report.sum_secrecy_se - math.log2(1.5)) < 1e-12
     assert report.leakage_per_secret[0] == 0.0
@@ -68,7 +69,7 @@ def test_private_rate_excludes_common_interference():
     real = manual_realization([[1.0, 0.0], [0.0, 1.0]])
     f = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(3)
     stack = rs.PrecoderStack(f, 2)
-    private = rs.private_se(real, stack, cfg)
+    private = private_se(real, stack, cfg)
     # user 0: signal 1/3, interference from f_2 is 0, noise 1
     assert abs(private[0] - math.log2(1.0 + 1.0 / 3.0)) < 1e-12
 
@@ -77,12 +78,12 @@ def test_leakage_ordering_and_sets(fig_config, scenario, unit_stack):
     rng = np.random.default_rng(2)
     stack = rs.PrecoderStack(unit_stack(rng, 20), 4)
     for s in range(fig_config.n_secret):
-        values, worst = rs.leakage_se(scenario, stack, fig_config, s)
+        values, worst = leakage_se(scenario, stack, fig_config, s)
         # two eavesdroppers plus three other users
         assert values.shape == (5,)
         assert worst == values.max()
     with pytest.raises(ValueError):
-        rs.leakage_se(scenario, stack, fig_config, fig_config.n_secret)
+        leakage_se(scenario, stack, fig_config, fig_config.n_secret)
 
 
 def test_leakage_empty_wiretap_set():
@@ -90,7 +91,7 @@ def test_leakage_empty_wiretap_set():
                           symbol_power=1.0)
     real = manual_realization([[1.0, 0.0]])
     stack = rs.PrecoderStack(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), 2)
-    values, worst = rs.leakage_se(real, stack, cfg, 0)
+    values, worst = leakage_se(real, stack, cfg, 0)
     assert values.size == 0
     assert worst == 0.0
 
@@ -103,7 +104,7 @@ def test_secrecy_clamps_at_zero():
     f = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
     stack = rs.PrecoderStack(f, 2)
     report = rs.sum_secrecy_se(real, stack, cfg)
-    assert report.leakage_per_secret[0] > rs.private_se(real, stack, cfg)[0]
+    assert report.leakage_per_secret[0] > private_se(real, stack, cfg)[0]
     assert report.secrecy_per_secret[0] == 0.0
 
 
@@ -121,8 +122,8 @@ def test_lse_constant_vectors_hit_identity():
     for alpha in (1.0, 0.3, 0.01):
         for n in (1, 2, 5):
             v = np.full(n, 1.7)
-            assert abs(rs.lse_min(v, alpha) - (1.7 - alpha * math.log(n))) < 1e-12
-            assert abs(rs.lse_max(v, alpha) - (1.7 + alpha * math.log(n))) < 1e-12
+            assert abs(lse_min(v, alpha) - (1.7 - alpha * math.log(n))) < 1e-12
+            assert abs(lse_max(v, alpha) - (1.7 + alpha * math.log(n))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,26 +134,26 @@ def test_lse_constant_vectors_hit_identity():
 def test_lse_sandwich_property(values, alpha):
     v = np.asarray(values)
     width = alpha * math.log(v.size)
-    smin = rs.lse_min(v, alpha)
-    smax = rs.lse_max(v, alpha)
+    smin = lse_min(v, alpha)
+    smax = lse_max(v, alpha)
     assert v.min() - width - 1e-9 <= smin <= v.min() + 1e-9
     assert v.max() - 1e-9 <= smax <= v.max() + width + 1e-9
 
 
 def test_lse_rejects_bad_input():
     with pytest.raises(ValueError):
-        rs.lse_min([1.0], 0.0)
+        lse_min([1.0], 0.0)
     with pytest.raises(ValueError):
-        rs.lse_max([1.0], -0.5)
+        lse_max([1.0], -0.5)
     with pytest.raises(ValueError):
-        rs.lse_min([], 0.3)
+        lse_min([], 0.3)
 
 
 def test_lse_survives_extreme_scales():
     # alpha = 0.01 with rates in the hundreds must not overflow
     v = np.array([500.0, -500.0, 250.0])
-    assert math.isfinite(rs.lse_min(v, 0.01))
-    assert math.isfinite(rs.lse_max(v, 0.01))
+    assert math.isfinite(lse_min(v, 0.01))
+    assert math.isfinite(lse_max(v, 0.01))
 
 
 _LSE_ENTRIES = st.one_of(
@@ -185,3 +186,31 @@ def test_logsumexp_edge_cases_match_scipy(values):
     with np.errstate(all="ignore"):
         ours, ref = _logsumexp(v), logsumexp(v)
     assert ours == ref or (math.isnan(ours) and math.isnan(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    s=st.integers(1, 3),
+    m=st.integers(0, 3),
+    e=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adding_an_eavesdropper_never_raises_secrecy(n, s, m, e, seed):
+    # a fixed precoder scored with one eavesdropper fewer: every leakage max
+    # runs over a subset, so the sum secrecy SE cannot drop (up to rounding:
+    # the eavesdropper powers come from a matmul of another shape)
+    cfg = rs.SystemConfig(n_antennas=n, n_secret=s, n_normal=m, n_eves=e)
+    rng = np.random.default_rng(seed)
+    real = rs.draw_scenario(cfg, rs.ScenarioLayout(), rng)
+    vec = rng.standard_normal(n * (s + m + 1)) + 1j * rng.standard_normal(n * (s + m + 1))
+    stack = rs.PrecoderStack(vec / np.linalg.norm(vec), n)
+    fewer = dataclasses.replace(
+        real,
+        eve_channels=real.eve_channels[:-1],
+        eve_covs=real.eve_covs[:-1],
+        eve_aoas=real.eve_aoas[:-1],
+    )
+    with_all = rs.sum_secrecy_se(real, stack, cfg).sum_secrecy_se
+    without_last = rs.sum_secrecy_se(fewer, stack, dataclasses.replace(cfg, n_eves=e - 1))
+    assert with_all <= without_last.sum_secrecy_se + 1e-12

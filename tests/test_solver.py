@@ -8,7 +8,14 @@ from scipy.special import softmax
 
 import rsmasec as rs
 from rsmasec import solver
-from rsmasec.solver import _matvec, _softmax
+from rsmasec.solver import (
+    _matvec,
+    _softmax,
+    assemble_kkt,
+    block_solve,
+    gpi_solve_vector,
+    kkt_residual,
+)
 
 
 def random_unit(rng, dim):
@@ -27,8 +34,8 @@ def test_operator_tangency_identity(fig_config, scenario, build):
     qf = build(scenario, fig_config)
     for seed in range(10):
         f = random_unit(np.random.default_rng(seed), qf.stack_dim)
-        op = rs.assemble_kkt(qf, f, fig_config)
-        qa, qb = quads(op.a_blocks, f), quads(op.b_blocks, f)
+        a_op, b_op = assemble_kkt(qf, qf.evaluate(qf.f_blocks(f)), fig_config.smoothing)
+        qa, qb = quads(a_op, f), quads(b_op, f)
         assert abs(qa - qb) < 1e-10 * max(1.0, abs(qa))
 
 
@@ -36,8 +43,8 @@ def test_operator_tangency_identity(fig_config, scenario, build):
 def test_operator_matches_numeric_gradient(fig_config, scenario, build):
     qf = build(scenario, fig_config)
     f = random_unit(np.random.default_rng(3), qf.stack_dim)
-    op = rs.assemble_kkt(qf, f, fig_config)
-    d = _matvec(op.a_blocks, f) - _matvec(op.b_blocks, f)
+    a_op, b_op = assemble_kkt(qf, qf.evaluate(qf.f_blocks(f)), fig_config.smoothing)
+    d = _matvec(a_op, f) - _matvec(b_op, f)
     analytic = np.concatenate([d.real, d.imag])
 
     x = np.concatenate([f.real, f.imag])
@@ -63,28 +70,28 @@ def test_block_solve_matches_dense():
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         blocks[i] = g @ g.conj().T + np.eye(4)
     rhs = random_unit(rng, 12)
-    x = rs.block_solve(blocks, rhs)
+    x = block_solve(blocks, rhs)
     assert np.abs(x - solve(block_diag(*blocks), rhs)).max() < 1e-10
 
 
 def test_block_solve_identity_blocks():
     rhs = np.arange(8, dtype=complex)
     blocks = np.tile(np.eye(4, dtype=complex), (2, 1, 1))
-    assert np.array_equal(rs.block_solve(blocks, rhs), rhs)
+    assert np.array_equal(block_solve(blocks, rhs), rhs)
 
 
 def test_block_solve_indefinite_block_falls_back():
     # Hermitian but not positive definite: Cholesky fails, LU must take over
     blocks = np.array([np.diag([1.0, -1.0]).astype(complex)])
     rhs = np.array([2.0, 3.0], dtype=complex)
-    x = rs.block_solve(blocks, rhs)
+    x = block_solve(blocks, rhs)
     assert np.allclose(x, [2.0, -3.0])
 
 
 def test_block_solve_rejects_singular():
     blocks = np.zeros((1, 2, 2), dtype=complex)
     with pytest.raises(rs.NumericError), pytest.warns(LinAlgWarning):
-        rs.block_solve(blocks, np.ones(2, dtype=complex))
+        block_solve(blocks, np.ones(2, dtype=complex))
 
 
 def solve_setup(fig_config, seed=7, **cfg_overrides):
@@ -112,7 +119,7 @@ def test_gpi_converged_means_small_last_step(fig_config):
     assert trace.converged
     assert trace.iterations_used <= cfg.t_max
     assert trace.iterates[-1][1] <= cfg.epsilon
-    assert rs.kkt_residual(qf, stack, cfg) <= 3 * cfg.epsilon
+    assert kkt_residual(qf, stack, cfg) <= 3 * cfg.epsilon
 
 
 def test_gpi_restart_from_solution_stops_immediately(fig_config):
@@ -154,7 +161,7 @@ def test_gpi_breaks_periodic_orbits(fig_config):
     qf = rs.build_quadforms_perfect(real, cfg)
     stack, trace = rs.gpi_solve(qf, rs.mrt_init(real.user_channels, rng), cfg)
     assert trace.converged
-    assert rs.kkt_residual(qf, stack, cfg) <= 1e-3
+    assert kkt_residual(qf, stack, cfg) <= 1e-3
 
 
 def test_gpi_improves_on_initializer(fig_config):
@@ -166,9 +173,9 @@ def test_gpi_improves_on_initializer(fig_config):
 def test_gpi_rejects_bad_starts(fig_config, scenario):
     qf = rs.build_quadforms_perfect(scenario, fig_config)
     with pytest.raises(ValueError):
-        rs.gpi_solve_vector(qf, np.zeros(20, dtype=complex), fig_config)
+        gpi_solve_vector(qf, np.zeros(20, dtype=complex), fig_config)
     with pytest.raises(ValueError):
-        rs.gpi_solve_vector(qf, np.ones(8, dtype=complex), fig_config)
+        gpi_solve_vector(qf, np.ones(8, dtype=complex), fig_config)
 
 
 def test_gpi_rejects_common_start_without_common_family(fig_config, scenario):
@@ -210,7 +217,7 @@ def test_block_solve_matches_cho_solve_bit_for_bit(n):
         cho_solve(cho_factor(b, check_finite=False), r, check_finite=False)
         for b, r in zip(blocks, rhs.reshape(5, n))
     ])
-    assert np.array_equal(rs.block_solve(blocks, rhs), expected)
+    assert np.array_equal(block_solve(blocks, rhs), expected)
 
 
 def test_sweeps_never_compute_lambda(monkeypatch):
