@@ -22,7 +22,7 @@ from .harness import (
     run_trial,
 )
 from .quadforms import build_quadforms_limited, build_quadforms_perfect, smoothed_objective
-from .rates import PrecoderStack, sum_secrecy_se
+from .rates import sum_secrecy_se
 from .solver import NumericError, gpi_solve
 from .validate import run_validate
 
@@ -33,7 +33,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "NumericError",
-    "PrecoderStack",
     "ScenarioLayout",
     "SystemConfig",
     "build_quadforms_limited",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .rates import PrecoderStack, lse_max, lse_min
+from .rates import lse_max, lse_min
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,14 @@ class QuadFormSet:
         return self.private_num.shape[-1]
 
     @property
-    def stack_dim(self) -> int:
-        return self.n_blocks * self.n_antennas
+    def shape(self) -> tuple[int, int]:
+        """(n_blocks, N), the shape of the precoders this set scores."""
+        return self.n_blocks, self.n_antennas
 
-    def f_blocks(self, precoder: PrecoderStack | np.ndarray) -> np.ndarray:
-        vec = precoder.entries if isinstance(precoder, PrecoderStack) else np.asarray(precoder)
-        if vec.size != self.stack_dim:
-            raise ValueError(
-                f"stack length {vec.size} does not match {self.stack_dim}"
-            )
-        return vec.reshape(self.n_blocks, self.n_antennas)
-
-    def evaluate(self, f_blocks: np.ndarray) -> "QuadValues":
+    def evaluate(self, blocks: np.ndarray) -> "QuadValues":
         """All quadratic forms at one point, grouped by rate family."""
         # gram[m, b] = f_b^H M_m f_b, flattened to match the tables' last axes
-        gram = np.einsum("bi,mib->mb", f_blocks.conj(), self.bases @ f_blocks.T).real.ravel()
+        gram = np.einsum("bi,mib->mb", blocks.conj(), self.bases @ blocks.T).real.ravel()
 
         def ev(table):
             if table is None:
@@ -198,12 +191,14 @@ class QuadValues:
 
 def smoothed_objective(
     quadforms: QuadFormSet,
-    precoder: PrecoderStack | np.ndarray,
+    blocks: np.ndarray,
     config: SystemConfig,
 ) -> float:
     """Smoothed sum secrecy SE (``QuadValues.objective``) evaluated through
-    the quad forms.  Scale-invariant in the precoder."""
-    return quadforms.evaluate(quadforms.f_blocks(precoder)).objective(config.smoothing)
+    the quad forms at a ``quadforms.shape`` precoder.  Scale-invariant."""
+    if np.shape(blocks) != quadforms.shape:
+        raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")
+    return quadforms.evaluate(blocks).objective(config.smoothing)
 
 
 def build_quadforms_perfect(

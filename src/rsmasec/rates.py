@@ -1,10 +1,12 @@
 """Per-stream spectral efficiencies and the sum secrecy objective.
 
 The transmitter splits each message into a common part (stream 0, decoded by
-every user and then cancelled) and private parts (one stream per user).
-Rates are in bits/s/Hz.  For a secret user s, the wiretap set is all
-eavesdroppers plus every other user, each decoding s's private stream after
-cancelling what their own receiver chain removes.
+every user and then cancelled) and private parts (one stream per user).  A
+precoder is a complex (K+1, N) array whose row 0 is the common stream; its
+ravel() is the stacked f = [f_c; f_1; ...; f_K].  Rates are in bits/s/Hz.
+For a secret user s, the wiretap set is all eavesdroppers plus every other
+user, each decoding s's private stream after cancelling what their own
+receiver chain removes.
 """
 from __future__ import annotations
 
@@ -15,46 +17,6 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-
-LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class PrecoderStack:
-    """Stacked precoder [f_common; f_1; ...; f_K], one block per stream."""
-
-    entries: np.ndarray
-    n_antennas: int
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.entries, dtype=complex).ravel()
-        if vec.size % self.n_antennas != 0 or vec.size // self.n_antennas < 2:
-            raise ValueError("stack length must be a multiple >= 2 of n_antennas")
-        object.__setattr__(self, "entries", vec)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.entries.size // self.n_antennas
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """(n_blocks, N) view; row 0 is the common-stream precoder."""
-        return self.entries.reshape(self.n_blocks, self.n_antennas)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def normalized(self) -> "PrecoderStack":
-        n = self.norm
-        if n == 0:
-            raise ValueError("cannot normalize a zero stack")
-        return PrecoderStack(self.entries / n, self.n_antennas)
-
-    @classmethod
-    def from_blocks(cls, blocks: np.ndarray) -> "PrecoderStack":
-        blocks = np.asarray(blocks, dtype=complex)
-        return cls(blocks.ravel(), blocks.shape[1])
 
 
 @dataclass(frozen=True)
@@ -74,35 +36,36 @@ def _stream_powers(channels: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.abs(channels.conj() @ blocks.T) ** 2
 
 
-def _check_dims(realization: ChannelRealization, precoder: PrecoderStack, config: SystemConfig) -> None:
-    if precoder.n_antennas != config.n_antennas:
-        raise ValueError("precoder/config antenna mismatch")
-    if precoder.n_blocks != config.n_users + 1:
-        raise ValueError("stack must hold one common plus K private blocks")
+def _check_dims(realization: ChannelRealization, blocks: np.ndarray, config: SystemConfig) -> None:
+    want = (config.n_users + 1, config.n_antennas)
+    if np.shape(blocks) != want:
+        raise ValueError(f"precoder shape {np.shape(blocks)} is not (K+1, N) = {want}")
     if realization.n_users != config.n_users or realization.n_antennas != config.n_antennas:
         raise ValueError("realization/config dimension mismatch")
+    if realization.n_eves != config.n_eves:
+        raise ValueError("realization/config eavesdropper mismatch")
 
 
 def common_se(
     realization: ChannelRealization,
-    precoder: PrecoderStack,
+    blocks: np.ndarray,
     config: SystemConfig,
 ) -> np.ndarray:
     """Common-stream SE at each user, private streams all treated as noise."""
-    _check_dims(realization, precoder, config)
-    p = _stream_powers(realization.user_channels, precoder.blocks)
+    _check_dims(realization, blocks, config)
+    p = _stream_powers(realization.user_channels, blocks)
     denom = p[:, 1:].sum(axis=1) + config.noise_user_ratio
     return np.log2(1.0 + p[:, 0] / denom)
 
 
 def private_se(
     realization: ChannelRealization,
-    precoder: PrecoderStack,
+    blocks: np.ndarray,
     config: SystemConfig,
 ) -> np.ndarray:
     """Private-stream SE at each user, common stream already cancelled."""
-    _check_dims(realization, precoder, config)
-    p = _stream_powers(realization.user_channels, precoder.blocks)[:, 1:]
+    _check_dims(realization, blocks, config)
+    p = _stream_powers(realization.user_channels, blocks)[:, 1:]
     signal = np.diag(p)
     denom = p.sum(axis=1) - signal + config.noise_user_ratio
     return np.log2(1.0 + signal / denom)
@@ -110,7 +73,7 @@ def private_se(
 
 def leakage_se(
     realization: ChannelRealization,
-    precoder: PrecoderStack,
+    blocks: np.ndarray,
     config: SystemConfig,
     secret: int,
 ) -> tuple[np.ndarray, float]:
@@ -121,10 +84,9 @@ def leakage_se(
     user has already removed the common stream and its own private stream.
     An empty wiretap set yields ([], 0.0).
     """
-    _check_dims(realization, precoder, config)
+    _check_dims(realization, blocks, config)
     if not 0 <= secret < config.n_secret:
         raise ValueError("secret index out of range")
-    blocks = precoder.blocks
     noise_u = config.noise_user_ratio
     rates = []
 
@@ -148,15 +110,15 @@ def leakage_se(
 
 def sum_secrecy_se(
     realization: ChannelRealization,
-    precoder: PrecoderStack,
+    blocks: np.ndarray,
     config: SystemConfig,
 ) -> RateReport:
     """Exact (non-smoothed) objective: min common rate plus the clamped
     secrecy rate of each secret user plus the private rates of normal users."""
-    common = common_se(realization, precoder, config)
-    private = private_se(realization, precoder, config)
+    common = common_se(realization, blocks, config)
+    private = private_se(realization, blocks, config)
     leak = np.asarray(
-        [leakage_se(realization, precoder, config, s)[1] for s in config.secret_ids]
+        [leakage_se(realization, blocks, config, s)[1] for s in config.secret_ids]
     )
     secrecy = np.maximum(private[: config.n_secret] - leak, 0.0)
     total = float(common.min()) + float(secrecy.sum()) + float(private[config.n_secret:].sum())

@@ -21,7 +21,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .config import SystemConfig
 from .quadforms import QuadFormSet, QuadValues
-from .rates import PrecoderStack, lse_min
+from .rates import lse_min
 
 
 class NumericError(RuntimeError):
@@ -201,7 +201,7 @@ def gpi_solve_vector(
     trigger it.
     """
     vec = np.asarray(start, dtype=complex).ravel()
-    if vec.size != quadforms.stack_dim:
+    if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
     nrm = np.linalg.norm(vec)
     if nrm == 0 or not np.isfinite(nrm):
@@ -211,7 +211,7 @@ def gpi_solve_vector(
     vec = vec / nrm
 
     alpha = config.smoothing
-    vals = quadforms.evaluate(vec.reshape(quadforms.n_blocks, quadforms.n_antennas))
+    vals = quadforms.evaluate(vec.reshape(quadforms.shape))
     obj = vals.objective(alpha)
     rows = [(0, math.nan, obj)]
     history = [vals]
@@ -233,7 +233,7 @@ def gpi_solve_vector(
         ):
             # returned near a point visited a few steps ago: periodic orbit
             gamma = max(0.5 * gamma, 0.0625)
-        vals = quadforms.evaluate(nxt.reshape(quadforms.n_blocks, quadforms.n_antennas))
+        vals = quadforms.evaluate(nxt.reshape(quadforms.shape))
         obj = vals.objective(alpha)
         rows.append((t, step, obj))
         history.append(vals)
@@ -252,21 +252,24 @@ def gpi_solve_vector(
 
 def gpi_solve(
     quadforms: QuadFormSet,
-    start: PrecoderStack,
+    start: np.ndarray,
     config: SystemConfig,
-) -> tuple[PrecoderStack, SolveTrace]:
-    """GPI on a stack of a common block plus K private blocks.
+) -> tuple[np.ndarray, SolveTrace]:
+    """GPI on a ``quadforms.shape`` precoder: a common block plus K private
+    blocks.  Returns the solution in the same shape.
 
     Takes either kind of set; on a ``without_common()`` set the start's
     common block must be zero, and it stays zero.
     """
-    vec, trace = gpi_solve_vector(quadforms, start.entries, config)
-    return PrecoderStack(vec, quadforms.n_antennas), trace
+    if np.shape(start) != quadforms.shape:
+        raise ValueError(f"start shape {np.shape(start)} does not match {quadforms.shape}")
+    vec, trace = gpi_solve_vector(quadforms, start.ravel(), config)
+    return vec.reshape(quadforms.shape), trace
 
 
 def kkt_residual(
     quadforms: QuadFormSet,
-    precoder: PrecoderStack,
+    blocks: np.ndarray,
     config: SystemConfig,
 ) -> float:
     """Distance between f and the normalized, phase-aligned image B^-1 A f.
@@ -274,6 +277,11 @@ def kkt_residual(
     Zero exactly at a fixed point of the iteration map; the convergence
     tolerance epsilon bounds it loosely at a converged solve.
     """
-    vec = precoder.normalized().entries
-    vals = quadforms.evaluate(quadforms.f_blocks(vec))
+    if np.shape(blocks) != quadforms.shape:
+        raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")
+    nrm = np.linalg.norm(blocks)
+    if nrm == 0:
+        raise ValueError("cannot normalize a zero stack")
+    vec = blocks.ravel() / nrm
+    vals = quadforms.evaluate(vec.reshape(quadforms.shape))
     return float(np.linalg.norm(_gpi_map(quadforms, vec, vals, config.smoothing) - vec))

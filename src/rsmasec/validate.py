@@ -18,6 +18,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,7 @@ from .quadforms import (
     build_quadforms_perfect,
     smoothed_objective,
 )
-from .rates import PrecoderStack, common_se, leakage_se, lse_max, lse_min, private_se
+from .rates import common_se, leakage_se, lse_max, lse_min, private_se
 from .solver import _matvec, assemble_kkt, block_solve, gpi_solve, kkt_residual
 
 
@@ -91,9 +92,8 @@ def _random_layout(rng: np.random.Generator, **overrides) -> ScenarioLayout:
 # --- direct second-route formulas for the limited-knowledge bounds ---------
 
 
-def _direct_limited_rates(realization, config, stack: PrecoderStack):
+def _direct_limited_rates(realization, config, fb: np.ndarray):
     """Lower-bound rates and collusion leakage computed term by term."""
-    fb = stack.blocks
     k = config.n_users
     est = realization.user_estimates
     phi = realization.error_covs
@@ -144,25 +144,24 @@ def _check_quadform_oracle() -> tuple[bool, str]:
     for i in range(1000):
         rng = np.random.default_rng(20_000 + i)
         realization = draw_scenario(config, _random_layout(rng), rng)
-        stack = PrecoderStack(_unit_stack(rng, 5 * config.n_antennas), config.n_antennas)
-        fb = stack.blocks
+        fb = _unit_stack(rng, 5 * config.n_antennas).reshape(5, config.n_antennas)
         if i % 2 == 0:
             qf = build_quadforms_perfect(realization, config)
             with np.errstate(invalid="ignore"):
                 vals = qf.evaluate(fb)
                 worst = max(worst, _max_abs(
-                    vals.common_rates() - common_se(realization, stack, config)))
+                    vals.common_rates() - common_se(realization, fb, config)))
                 worst = max(worst, _max_abs(
-                    vals.private_rates() - private_se(realization, stack, config)))
+                    vals.private_rates() - private_se(realization, fb, config)))
                 for s in range(config.n_secret):
-                    direct, _ = leakage_se(realization, stack, config, s)
+                    direct, _ = leakage_se(realization, fb, config, s)
                     quad_rates = np.log2(vals.leak_ratios(s))
                     worst = max(worst, _max_abs(quad_rates - direct))
         else:
             qf = build_quadforms_limited(realization, config)
             with np.errstate(invalid="ignore"):
                 vals = qf.evaluate(fb)
-                common, private, leak = _direct_limited_rates(realization, config, stack)
+                common, private, leak = _direct_limited_rates(realization, config, fb)
                 worst = max(worst, _max_abs(vals.common_rates() - common))
                 worst = max(worst, _max_abs(vals.private_rates() - private))
                 for s in range(config.n_secret):
@@ -203,9 +202,9 @@ def _check_gradient_consistency() -> tuple[bool, str]:
             rng = np.random.default_rng(42_000 + i)
             realization = draw_scenario(config, _random_layout(rng), rng)
             qf = build(realization, config)
-            f = _unit_stack(rng, qf.stack_dim)
+            f = _unit_stack(rng, math.prod(qf.shape))
 
-            a_op, b_op = assemble_kkt(qf, qf.evaluate(qf.f_blocks(f)), config.smoothing)
+            a_op, b_op = assemble_kkt(qf, qf.evaluate(f.reshape(qf.shape)), config.smoothing)
             d = _matvec(a_op, f) - _matvec(b_op, f)
             analytic = np.concatenate([d.real, d.imag])
 
@@ -214,8 +213,8 @@ def _check_gradient_consistency() -> tuple[bool, str]:
             for j in range(x.size):
                 step = np.zeros_like(x)
                 step[j] = h
-                hi = (x + step)[: f.size] + 1j * (x + step)[f.size:]
-                lo = (x - step)[: f.size] + 1j * (x - step)[f.size:]
+                hi = ((x + step)[: f.size] + 1j * (x + step)[f.size:]).reshape(qf.shape)
+                lo = ((x - step)[: f.size] + 1j * (x - step)[f.size:]).reshape(qf.shape)
                 numeric[j] = (
                     smoothed_objective(qf, hi / np.linalg.norm(hi), config)
                     - smoothed_objective(qf, lo / np.linalg.norm(lo), config)
@@ -326,49 +325,23 @@ def _check_ordering_rsma_sdma() -> tuple[bool, str]:
     return rsma >= sdma, f"mean secrecy SE: rate-splitting {rsma:.3f} vs private-only {sdma:.3f}"
 
 
-def _check_ordering_eavesdroppers() -> tuple[bool, str]:
+def _check_trend(
+    axis: str, values: tuple[float, ...], seed: int, direction: str, label: str,
+) -> tuple[bool, str]:
+    """Limited-CSIT rate-splitting mean SE at 20 dB moves in ``direction``
+    along ``axis`` (100 trials per value)."""
     config = ExperimentConfig(
         system=_fig_shape_config().with_snr_db(20.0),
         layout=ScenarioLayout(),
         csit_mode="limited",
         methods=("gpi-rsma",),
-        sweep_axis="n_eves",
-        sweep_values=(0.0, 2.0, 4.0),
+        sweep_axis=axis,
+        sweep_values=values,
         trials=100,
-        master_seed=72_000,
+        master_seed=seed,
     )
-    ok, shown = _monotone(config, "non-increasing")
-    return ok, f"mean secrecy SE over eavesdropper counts (0,2,4): {shown}"
-
-
-def _check_ordering_separation() -> tuple[bool, str]:
-    config = ExperimentConfig(
-        system=_fig_shape_config().with_snr_db(20.0),
-        layout=ScenarioLayout(),
-        csit_mode="limited",
-        methods=("gpi-rsma",),
-        sweep_axis="angular_separation",
-        sweep_values=(math.pi / 18.0, math.pi / 6.0, math.pi / 3.0),
-        trials=100,
-        master_seed=73_000,
-    )
-    ok, shown = _monotone(config, "non-decreasing")
-    return ok, f"mean secrecy SE over user spacings (pi/18, pi/6, pi/3): {shown}"
-
-
-def _check_ordering_kappa() -> tuple[bool, str]:
-    config = ExperimentConfig(
-        system=_fig_shape_config().with_snr_db(20.0),
-        layout=ScenarioLayout(),
-        csit_mode="limited",
-        methods=("gpi-rsma",),
-        sweep_axis="kappa",
-        sweep_values=(0.0, 0.4, 0.8),
-        trials=100,
-        master_seed=74_000,
-    )
-    ok, shown = _monotone(config, "non-increasing")
-    return ok, f"mean secrecy SE over estimation-error levels (0, 0.4, 0.8): {shown}"
+    ok, shown = _monotone(config, direction)
+    return ok, f"mean secrecy SE over {label}: {shown}"
 
 
 def _check_collusion_bound() -> tuple[bool, str]:
@@ -483,9 +456,15 @@ CHECKS: tuple[tuple[str, float, Callable[[], tuple[bool, str]]], ...] = (
     ("block-solve", 60.0, _check_block_solve),
     ("convergence-speed", 600.0, _check_convergence_speed),
     ("ordering-rsma-sdma", 450.0, _check_ordering_rsma_sdma),
-    ("ordering-eavesdroppers", 450.0, _check_ordering_eavesdroppers),
-    ("ordering-separation", 450.0, _check_ordering_separation),
-    ("ordering-kappa", 450.0, _check_ordering_kappa),
+    ("ordering-eavesdroppers", 450.0, partial(
+        _check_trend, "n_eves", (0.0, 2.0, 4.0), 72_000, "non-increasing",
+        "eavesdropper counts (0,2,4)")),
+    ("ordering-separation", 450.0, partial(
+        _check_trend, "angular_separation", (math.pi / 18.0, math.pi / 6.0, math.pi / 3.0),
+        73_000, "non-decreasing", "user spacings (pi/18, pi/6, pi/3)")),
+    ("ordering-kappa", 450.0, partial(
+        _check_trend, "kappa", (0.0, 0.4, 0.8), 74_000, "non-increasing",
+        "estimation-error levels (0, 0.4, 0.8)")),
     ("collusion-bound", 120.0, _check_collusion_bound),
     ("channel-statistics", 120.0, _check_channel_statistics),
     ("determinism", 300.0, _check_determinism),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import rsmasec as rs
 from rsmasec.rates import common_se, leakage_se, lse_min, private_se
+from rsmasec.solver import kkt_residual
 
 
 def random_unit(rng, dim):
@@ -15,9 +16,8 @@ def random_unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def direct_limited_rates(real, cfg, stack):
+def direct_limited_rates(real, cfg, fb):
     """Second route for the limited-knowledge bounds, term by term."""
-    fb = stack.blocks
     k = cfg.n_users
     quad = lambda mat, v: float((v.conj() @ mat @ v).real)
     powers = np.abs(np.conj(real.user_estimates) @ fb.T) ** 2
@@ -56,8 +56,8 @@ def test_perfect_pairs_match_direct_formulas(fig_config, scenario):
     qf = rs.build_quadforms_perfect(scenario, fig_config)
     for i in range(50):
         rng = np.random.default_rng(100 + i)
-        stack = rs.PrecoderStack(random_unit(rng, 20), 4)
-        vals = qf.evaluate(qf.f_blocks(stack))
+        stack = random_unit(rng, 20).reshape(qf.shape)
+        vals = qf.evaluate(stack)
         assert np.abs(vals.common_rates()
                       - common_se(scenario, stack, fig_config)).max() < 1e-10
         assert np.abs(vals.private_rates()
@@ -71,8 +71,8 @@ def test_limited_pairs_match_direct_formulas(fig_config, scenario):
     qf = rs.build_quadforms_limited(scenario, fig_config)
     for i in range(50):
         rng = np.random.default_rng(300 + i)
-        stack = rs.PrecoderStack(random_unit(rng, 20), 4)
-        vals = qf.evaluate(qf.f_blocks(stack))
+        stack = random_unit(rng, 20).reshape(qf.shape)
+        vals = qf.evaluate(stack)
         common, private, leaks = direct_limited_rates(scenario, fig_config, stack)
         assert np.abs(vals.common_rates() - common).max() < 1e-10
         assert np.abs(vals.private_rates() - private).max() < 1e-10
@@ -86,8 +86,8 @@ def test_equivalence_requires_unit_norm(fig_config, scenario):
     # stacks reproduce the absolute-power formulas
     qf = rs.build_quadforms_perfect(scenario, fig_config)
     rng = np.random.default_rng(4)
-    stack = rs.PrecoderStack(2.0 * random_unit(rng, 20), 4)
-    vals = qf.evaluate(qf.f_blocks(stack))
+    stack = 2.0 * random_unit(rng, 20).reshape(qf.shape)
+    vals = qf.evaluate(stack)
     direct = common_se(scenario, stack, fig_config)
     assert np.abs(vals.common_rates() - direct).max() > 1e-3
 
@@ -99,9 +99,9 @@ def test_sign_flip_mutation_is_caught(fig_config, scenario):
     common_den = qf.common_den.copy()
     common_den[0] *= -1.0
     bad = dataclasses.replace(qf, common_den=common_den)
-    stack = rs.PrecoderStack(random_unit(np.random.default_rng(0), 20), 4)
+    stack = random_unit(np.random.default_rng(0), 20).reshape(qf.shape)
     with np.errstate(invalid="ignore"):
-        rates = bad.evaluate(bad.f_blocks(stack)).common_rates()
+        rates = bad.evaluate(stack).common_rates()
     direct = common_se(scenario, stack, fig_config)
     assert not np.all(np.abs(rates - direct) < 1e-10)
 
@@ -109,7 +109,7 @@ def test_sign_flip_mutation_is_caught(fig_config, scenario):
 def test_smoothed_objective_scale_invariance(fig_config, scenario):
     for build in (rs.build_quadforms_perfect, rs.build_quadforms_limited):
         qf = build(scenario, fig_config)
-        f = random_unit(np.random.default_rng(12), 20)
+        f = random_unit(np.random.default_rng(12), 20).reshape(qf.shape)
         a = rs.smoothed_objective(qf, f, fig_config)
         b = rs.smoothed_objective(qf, 7.3 * f, fig_config)
         assert abs(a - b) < 1e-9
@@ -121,9 +121,9 @@ def test_kappa_zero_collapses_bounds_to_perfect_rates(fig_config):
     assert np.abs(real.user_estimates - real.user_channels).max() == 0.0
     qf_l = rs.build_quadforms_limited(real, fig_config)
     qf_p = rs.build_quadforms_perfect(real, fig_config)
-    stack = rs.PrecoderStack(random_unit(rng, 20), 4)
-    vl = qf_l.evaluate(qf_l.f_blocks(stack))
-    vp = qf_p.evaluate(qf_p.f_blocks(stack))
+    stack = random_unit(rng, 20).reshape(qf_l.shape)
+    vl = qf_l.evaluate(stack)
+    vp = qf_p.evaluate(stack)
     # rate bounds collapse onto the exact rates; leakage stays covariance-based
     assert np.abs(vl.common_rates() - vp.common_rates()).max() < 1e-12
     assert np.abs(vl.private_rates() - vp.private_rates()).max() < 1e-12
@@ -137,11 +137,11 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     sdma = qf.without_common()
     assert qf.has_common and not sdma.has_common
     # same K+1-block layout, every array shared
-    assert sdma.n_blocks == 5 and sdma.stack_dim == 20
+    assert sdma.shape == qf.shape == (5, 4)
     assert all(getattr(sdma, f.name) is getattr(qf, f.name)
                for f in dataclasses.fields(qf) if not f.name.startswith("common_"))
-    f = random_unit(np.random.default_rng(1), 20)
-    vals, full = sdma.evaluate(sdma.f_blocks(f)), qf.evaluate(qf.f_blocks(f))
+    f = random_unit(np.random.default_rng(1), 20).reshape(qf.shape)
+    vals, full = sdma.evaluate(f), qf.evaluate(f)
     assert vals.common_num is None and vals.common_rates() is None
     alpha = fig_config.smoothing
     assert abs(full.objective(alpha) - vals.objective(alpha)
@@ -164,9 +164,9 @@ def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, se
     real = rs.draw_scenario(cfg, rs.ScenarioLayout(quad_nodes=64), rng)
     k = cfg.n_users
     # a private-only stack sits behind a zero common block
-    stack = rs.PrecoderStack(np.concatenate([np.zeros(n), random_unit(rng, k * n)]), n)
+    stack = np.concatenate([np.zeros(n), random_unit(rng, k * n)]).reshape(-1, n)
     qf = build(real, cfg).without_common()
-    vals = qf.evaluate(qf.f_blocks(stack))
+    vals = qf.evaluate(stack)
     if build is rs.build_quadforms_perfect:
         private = private_se(real, stack, cfg)
         for s in range(s_cnt):
@@ -180,10 +180,10 @@ def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, se
 
     variant = "perfect" if build is rs.build_quadforms_perfect else "limited"
     solved, _ = rs.gpi_sdma_solve(real, cfg, variant, rng)
-    assert solved.n_blocks == k + 1
-    assert np.isfinite(solved.entries).all()
-    assert abs(solved.norm - 1.0) < 1e-12
-    assert np.all(solved.blocks[0] == 0)
+    assert solved.shape == (k + 1, n)
+    assert np.isfinite(solved).all()
+    assert abs(np.linalg.norm(solved) - 1.0) < 1e-12
+    assert np.all(solved[0] == 0)
 
 
 def array_bytes(obj):
@@ -205,10 +205,20 @@ def test_set_arrays_stay_small_at_large_scale():
     assert array_bytes(rs.build_quadforms_limited(real, cfg)) < 8 * 2**20
 
 
-def test_f_blocks_rejects_wrong_length(fig_config, scenario):
+@pytest.mark.parametrize("score", [
+    lambda real, qf, f, cfg: rs.sum_secrecy_se(real, f, cfg),
+    lambda real, qf, f, cfg: rs.smoothed_objective(qf, f, cfg),
+    lambda real, qf, f, cfg: rs.gpi_solve(qf, f, cfg),
+    lambda real, qf, f, cfg: kkt_residual(qf, f, cfg),
+], ids=["sum_secrecy_se", "smoothed_objective", "gpi_solve", "kkt_residual"])
+@pytest.mark.parametrize("shape", [(4, 4), (20,)], ids=["K-by-N", "flat"])
+def test_precoder_must_be_k_plus_one_by_n(fig_config, scenario, score, shape):
+    # only the (K+1, N) array is a precoder: no private-only (K, N) stack and
+    # no flat stacked vector
     qf = rs.build_quadforms_perfect(scenario, fig_config)
-    with pytest.raises(ValueError):
-        qf.f_blocks(np.ones(16, dtype=complex))
+    f = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match="shape"):
+        score(scenario, qf, f, fig_config)
 
 
 def test_dimension_mismatch_raises(fig_config, scenario):

@@ -29,22 +29,6 @@ def manual_realization(user_channels, eve_channels=None, kappa=0.0):
     )
 
 
-def test_precoder_stack_normalization():
-    vec = np.arange(1, 9, dtype=complex)
-    stack = rs.PrecoderStack(vec, 4)
-    assert stack.n_blocks == 2
-    unit = stack.normalized()
-    assert abs(unit.norm - 1.0) < 1e-12
-    assert np.allclose(unit.entries * stack.norm, vec)
-
-
-def test_precoder_stack_rejects_single_block():
-    with pytest.raises(ValueError):
-        rs.PrecoderStack(np.ones(4, dtype=complex), 4)
-    with pytest.raises(ValueError):
-        rs.PrecoderStack(np.ones(6, dtype=complex), 4)
-
-
 def test_common_rate_hand_value():
     # one user, h = (1, 0), f_c = (1/sqrt2, 0), f_1 = (0, 1/sqrt2), sigma^2/P = 1:
     # SINR_c = 0.5 / (0 + 1) so the rate is exactly log2(1.5)
@@ -52,7 +36,7 @@ def test_common_rate_hand_value():
                           symbol_power=1.0)
     real = manual_realization([[1.0, 0.0]])
     f = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)], dtype=complex)
-    stack = rs.PrecoderStack(f, 2)
+    stack = f.reshape(-1, 2)
     common = common_se(real, stack, cfg)
     assert abs(common[0] - math.log2(1.5)) < 1e-12
     # the private stream is orthogonal to the channel here
@@ -68,7 +52,7 @@ def test_private_rate_excludes_common_interference():
                           symbol_power=1.0)
     real = manual_realization([[1.0, 0.0], [0.0, 1.0]])
     f = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(3)
-    stack = rs.PrecoderStack(f, 2)
+    stack = f.reshape(-1, 2)
     private = private_se(real, stack, cfg)
     # user 0: signal 1/3, interference from f_2 is 0, noise 1
     assert abs(private[0] - math.log2(1.0 + 1.0 / 3.0)) < 1e-12
@@ -76,7 +60,7 @@ def test_private_rate_excludes_common_interference():
 
 def test_leakage_ordering_and_sets(fig_config, scenario, unit_stack):
     rng = np.random.default_rng(2)
-    stack = rs.PrecoderStack(unit_stack(rng, 20), 4)
+    stack = unit_stack(rng, 20).reshape(-1, 4)
     for s in range(fig_config.n_secret):
         values, worst = leakage_se(scenario, stack, fig_config, s)
         # two eavesdroppers plus three other users
@@ -90,7 +74,7 @@ def test_leakage_empty_wiretap_set():
     cfg = rs.SystemConfig(n_antennas=2, n_secret=1, n_normal=0, n_eves=0,
                           symbol_power=1.0)
     real = manual_realization([[1.0, 0.0]])
-    stack = rs.PrecoderStack(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), 2)
+    stack = np.array([[1.0, 0], [0, 1.0]]) / math.sqrt(2)
     values, worst = leakage_se(real, stack, cfg, 0)
     assert values.size == 0
     assert worst == 0.0
@@ -102,14 +86,30 @@ def test_secrecy_clamps_at_zero():
                           symbol_power=1.0, noise_user=1.0, noise_eve=0.01)
     real = manual_realization([[1.0, 0.0]], eve_channels=[[1.0, 0.0]])
     f = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
-    stack = rs.PrecoderStack(f, 2)
+    stack = f.reshape(-1, 2)
     report = rs.sum_secrecy_se(real, stack, cfg)
     assert report.leakage_per_secret[0] > private_se(real, stack, cfg)[0]
     assert report.secrecy_per_secret[0] == 0.0
 
 
+@pytest.mark.parametrize("n_eves", [0, 1, 3])
+def test_scoring_rejects_eavesdropper_count_mismatch(n_eves):
+    # the realization holds two eavesdroppers; a config that claims another
+    # count must not drop or miscount them
+    cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=0, n_eves=2)
+    rng = np.random.default_rng(2)
+    real = rs.draw_scenario(cfg, rs.ScenarioLayout(eve_sector=0.3), rng)
+    stack = rs.mrt_init(real.user_channels)
+    assert math.isfinite(rs.sum_secrecy_se(real, stack, cfg).sum_secrecy_se)
+    other = dataclasses.replace(cfg, n_eves=n_eves)
+    with pytest.raises(ValueError, match="eavesdropper"):
+        rs.sum_secrecy_se(real, stack, other)
+    with pytest.raises(ValueError, match="eavesdropper"):
+        leakage_se(real, stack, other, 0)
+
+
 def test_report_totals_are_consistent(fig_config, scenario, unit_stack):
-    stack = rs.PrecoderStack(unit_stack(np.random.default_rng(8), 20), 4)
+    stack = unit_stack(np.random.default_rng(8), 20).reshape(-1, 4)
     report = rs.sum_secrecy_se(scenario, stack, fig_config)
     rebuilt = (report.common_min
                + report.secrecy_per_secret.sum()
@@ -204,7 +204,7 @@ def test_adding_an_eavesdropper_never_raises_secrecy(n, s, m, e, seed):
     rng = np.random.default_rng(seed)
     real = rs.draw_scenario(cfg, rs.ScenarioLayout(), rng)
     vec = rng.standard_normal(n * (s + m + 1)) + 1j * rng.standard_normal(n * (s + m + 1))
-    stack = rs.PrecoderStack(vec / np.linalg.norm(vec), n)
+    stack = (vec / np.linalg.norm(vec)).reshape(-1, n)
     fewer = dataclasses.replace(
         real,
         eve_channels=real.eve_channels[:-1],
