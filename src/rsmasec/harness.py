@@ -4,7 +4,9 @@ Config files are plain ``key = value`` lines with ``#`` comments and
 comma-separated lists.  Every trial derives its own seed from
 (master_seed, axis_index, trial_index), draws one channel scenario, runs
 each configured method on that same scenario, and scores the resulting
-precoder against the true channels.
+precoder against the true channels.  A sweep runs chunks of consecutive
+trials at one axis value, solving each GPI method for the whole chunk at
+once; a trial's rows do not depend on its chunk.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import gpi_sdma_solve, mrt_init, rzf_precoder
+from .baselines import mrt_init, rzf_precoder
 from .channel import ScenarioLayout, draw_scenario
 from .config import SystemConfig
 from .quadforms import (
@@ -27,7 +29,7 @@ from .quadforms import (
     smoothed_objective,
 )
 from .rates import sum_secrecy_se
-from .solver import NumericError, gpi_solve
+from .solver import NumericError, gpi_solve_batch
 
 log = logging.getLogger(__name__)
 
@@ -252,58 +254,95 @@ def run_trial(
     trial_index: int,
     axis_index: int = 0,
 ) -> list[TrialResult]:
-    """One scenario draw, every configured method solved and scored on it."""
-    system, layout = effective_scenario(config, axis_value)
-    seed = derive_seed(config.master_seed, axis_index, trial_index)
-    rng, realization, knowledge, quadforms = _draw(config, system, layout, seed)
+    """One scenario draw, every configured method solved and scored on it:
+    a chunk of one trial, so its rows equal the sweep's rows."""
+    return _run_chunk(config, axis_value, axis_index, range(trial_index, trial_index + 1))
 
-    results = []
+
+def _draw_chunk(config: ExperimentConfig, axis_value: float | None, axis_index: int, trials: range):
+    """``(system, layout, seeds, draws)`` of consecutive trials at one axis
+    value; each draw is ``_draw``'s tuple for that trial's seed."""
+    system, layout = effective_scenario(config, axis_value)
+    seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
+    return system, layout, seeds, [_draw(config, system, layout, seed) for seed in seeds]
+
+
+def _gpi_chunk(draws: list, system: SystemConfig, rsma: bool) -> list:
+    """``gpi_solve_batch`` over a chunk's draws from their MRT starts, on the
+    full sets (rate splitting) or their ``without_common()`` views (SDMA)."""
+    return gpi_solve_batch(
+        [qf if rsma else qf.without_common() for _, _, _, qf in draws],
+        np.stack([mrt_init(knowledge, rng, common_stream=rsma) for rng, _, knowledge, _ in draws]),
+        system,
+    )
+
+
+def _run_chunk(
+    config: ExperimentConfig,
+    axis_value: float | None,
+    axis_index: int,
+    trials: range,
+) -> list[TrialResult]:
+    """Consecutive trials at one axis value, in (trial, method) order.
+
+    Each trial draws its scenario as ``run_trial`` would.  Then every method
+    runs over the whole chunk in config order; the GPI methods solve all
+    trials in one ``gpi_solve_batch`` call, whose time is split evenly over
+    the chunk's rows.  A trial's rows do not depend on the chunk it is in.
+    """
+    system, layout, seeds, draws = _draw_chunk(config, axis_value, axis_index, trials)
+    rows: list[list[TrialResult]] = [[] for _ in draws]
     for method in config.methods:
-        t0 = time.perf_counter()
-        iterations, converged = 0, True
-        try:
-            if method == "gpi-rsma":
-                stack, trace = gpi_solve(quadforms, mrt_init(knowledge, rng), system)
-                iterations, converged = trace.iterations_used, trace.converged
-            elif method == "gpi-sdma":
-                stack, trace = gpi_sdma_solve(realization, system, config.csit_mode, rng)
-                iterations, converged = trace.iterations_used, trace.converged
-            elif method == "rzf-sdma":
-                stack = rzf_precoder(knowledge, system)
-            elif method == "mrt":
-                stack = mrt_init(knowledge, rng)
-            else:
-                raise ConfigError(f"unknown method {method!r}")
-            # private-only methods have no common family to score
-            qf = quadforms.without_common() if method in ("gpi-sdma", "rzf-sdma") else quadforms
-            objective = smoothed_objective(qf, stack, system)
-            report = sum_secrecy_se(realization, stack, system)
-            secrecy_se, common_min = report.sum_secrecy_se, report.common_min
-        except NumericError as exc:
-            log.warning("trial %d method %s failed numerically: %s", trial_index, method, exc)
-            iterations, converged = 0, False
-            objective = secrecy_se = common_min = math.nan
-        results.append(TrialResult(
-            method=method,
-            trial_index=trial_index,
-            seed=seed,
-            axis_value=axis_value,
-            snr_db=system.snr_db,
-            n_antennas=system.n_antennas,
-            n_users=system.n_users,
-            n_secret=system.n_secret,
-            n_normal=system.n_normal,
-            n_eves=system.n_eves,
-            kappa=layout.kappa,
-            alpha=system.smoothing,
-            iterations=iterations,
-            converged=converged,
-            smoothed_objective=objective,
-            sum_secrecy_se=secrecy_se,
-            common_min=common_min,
-            runtime_ms=1e3 * (time.perf_counter() - t0),
-        ))
-    return results
+        shared_s = 0.0
+        if method in ("gpi-rsma", "gpi-sdma"):
+            t0 = time.perf_counter()
+            solved = _gpi_chunk(draws, system, rsma=method == "gpi-rsma")
+            shared_s = (time.perf_counter() - t0) / len(draws)
+        for i, (rng, realization, knowledge, quadforms) in enumerate(draws):
+            t0 = time.perf_counter()
+            iterations, converged = 0, True
+            try:
+                if method in ("gpi-rsma", "gpi-sdma"):
+                    if isinstance(solved[i], NumericError):
+                        raise solved[i]
+                    stack, trace = solved[i]
+                    iterations, converged = trace.iterations_used, trace.converged
+                elif method == "rzf-sdma":
+                    stack = rzf_precoder(knowledge, system)
+                elif method == "mrt":
+                    stack = mrt_init(knowledge, rng)
+                else:
+                    raise ConfigError(f"unknown method {method!r}")
+                # private-only methods have no common family to score
+                qf = quadforms.without_common() if method in ("gpi-sdma", "rzf-sdma") else quadforms
+                objective = smoothed_objective(qf, stack, system)
+                report = sum_secrecy_se(realization, stack, system)
+                secrecy_se, common_min = report.sum_secrecy_se, report.common_min
+            except NumericError as exc:
+                log.warning("trial %d method %s failed numerically: %s", trials[i], method, exc)
+                iterations, converged = 0, False
+                objective = secrecy_se = common_min = math.nan
+            rows[i].append(TrialResult(
+                method=method,
+                trial_index=trials[i],
+                seed=seeds[i],
+                axis_value=axis_value,
+                snr_db=system.snr_db,
+                n_antennas=system.n_antennas,
+                n_users=system.n_users,
+                n_secret=system.n_secret,
+                n_normal=system.n_normal,
+                n_eves=system.n_eves,
+                kappa=layout.kappa,
+                alpha=system.smoothing,
+                iterations=iterations,
+                converged=converged,
+                smoothed_objective=objective,
+                sum_secrecy_se=secrecy_se,
+                common_min=common_min,
+                runtime_ms=1e3 * (shared_s + time.perf_counter() - t0),
+            ))
+    return [r for trial_rows in rows for r in trial_rows]
 
 
 def _fmt(x: float) -> str:
@@ -326,8 +365,7 @@ def _result_row(r: TrialResult) -> list[str]:
 
 
 def _sweep_item(args) -> list[TrialResult]:
-    config, axis_value, trial_index, axis_index = args
-    return run_trial(config, axis_value, trial_index, axis_index)
+    return _run_chunk(*args)
 
 
 def aggregate_path(out_path: str) -> str:
@@ -336,28 +374,56 @@ def aggregate_path(out_path: str) -> str:
     return out_path + ".agg.csv"
 
 
+# Bytes of solver arrays one chunk may hold; see ``_trial_bytes``.
+CHUNK_BYTES = 4 * 2**20
+
+
+def _trial_bytes(system: SystemConfig, csit_mode: str) -> int:
+    """Bytes of one trial's solver arrays: its quad-form set (complex base
+    matrices plus real coefficient tables) and the (A, B) block stacks."""
+    n, k, s, e = system.n_antennas, system.n_users, system.n_secret, system.n_eves
+    n_bases = 1 + k + e + (2 * k if csit_mode == "limited" else 0)
+    n_forms = 2 * (2 * k + s * e + s * (k - 1))
+    return 16 * (n_bases + 2 * (k + 1)) * n * n + 8 * n_forms * n_bases * (k + 1)
+
+
+def _sweep_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
+    """The sweep's work items: runs of consecutive trials at one axis value.
+
+    A chunk holds as many trials as fit in CHUNK_BYTES (at least one), and
+    with several workers at most an even share of all trials, so that every
+    worker gets work.
+    """
+    values: list[float | None] = list(config.sweep_values) if config.sweep_axis != "none" else [None]
+    share = -(-len(values) * config.trials // workers)
+    items = []
+    for ai, v in enumerate(values):
+        system, _ = effective_scenario(config, v)
+        size = min(max(1, CHUNK_BYTES // _trial_bytes(system, config.csit_mode)), share)
+        items += [
+            (config, v, ai, range(t, min(t + size, config.trials)))
+            for t in range(0, config.trials, size)
+        ]
+    return items
+
+
 def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[TrialResult]:
     """Every trial of the sweep, in (axis, trial, method) order.
 
-    Trials are independent work items; with workers > 1 they are dispatched
-    to a process pool, and the order does not depend on the worker count.
+    Chunks of trials are independent work items; with workers > 1 they are
+    dispatched to a process pool.  Neither the chunking nor the worker count
+    changes any row.
     """
-    values: list[float | None] = list(config.sweep_values) if config.sweep_axis != "none" else [None]
-    items = [
-        (config, v, t, ai)
-        for ai, v in enumerate(values)
-        for t in range(config.trials)
-    ]
     if workers is None:
         # the CPUs this process may run on, which can be fewer than the machine has
         has_affinity = hasattr(os, "sched_getaffinity")
         workers = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+    items = _sweep_chunks(config, max(workers, 1))
     if workers <= 1 or len(items) == 1:
         batches = [_sweep_item(it) for it in items]
     else:
-        chunk = max(1, len(items) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_item, items, chunksize=chunk))
+            batches = list(pool.map(_sweep_item, items))
     return [r for batch in batches for r in batch]
 
 
@@ -423,13 +489,12 @@ def run_convergence(
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CONVERGE_COLUMNS)
-        for si, snr in enumerate(config.sweep_values):
-            system, layout = effective_scenario(config, snr)
-            for trial in range(config.trials):
-                seed = derive_seed(config.master_seed, si, trial)
-                rng, _, knowledge, quadforms = _draw(config, system, layout, seed)
-                _, trace = gpi_solve(quadforms, mrt_init(knowledge, rng), system)
-                for it, step, obj, lam in trace.iterates:
+        for _, snr, si, trials in _sweep_chunks(config, 1):
+            system, _, seeds, draws = _draw_chunk(config, snr, si, trials)
+            for trial, seed, solved in zip(trials, seeds, _gpi_chunk(draws, system, rsma=True)):
+                if isinstance(solved, NumericError):
+                    raise solved
+                for it, step, obj, lam in solved[1].iterates:
                     writer.writerow([
                         _fmt(snr), str(trial), str(seed), str(it),
                         "" if math.isnan(step) else _fmt(step),

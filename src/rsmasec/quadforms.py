@@ -21,7 +21,7 @@ Two variants exist:
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,9 +31,23 @@ from .config import SystemConfig
 from .rates import lse_max, lse_min
 
 
+_TABLES = ("common_num", "common_den", "private_num", "private_den",
+           "eve_num", "eve_den", "user_num", "user_den")
+
+
+def _take(obj, index, names):
+    """``obj`` with every named array field indexed by ``index``."""
+    return replace(obj, **{n: getattr(obj, n)[index] for n in names if getattr(obj, n) is not None})
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """``x`` as a C-contiguous complex array, whose (re, im) pairs a float view reads."""
+    return np.ascontiguousarray(x, dtype=complex)
+
+
 @dataclass(frozen=True)
 class QuadFormSet:
-    """All quadratic-form pairs for one scenario.
+    """All quadratic-form pairs for one scenario, or for a chunk of trials.
 
     ``bases`` is the (n_bases, N, N) stack of base matrices.  Each table has
     shape (..., n_bases, n_blocks) and real entries in {0, +-1, ridge}:
@@ -43,6 +57,9 @@ class QuadFormSet:
     carrying the common stream.  ``common_*`` is None only on a
     ``without_common()`` view, which scores private-only (SDMA) stacks whose
     common block is zero.
+
+    A set made by ``stack`` puts a leading trial axis on ``bases`` and on
+    every table; ``evaluate`` and ``weighted_blocks`` then work per trial.
     """
 
     bases: np.ndarray
@@ -59,6 +76,23 @@ class QuadFormSet:
     def __post_init__(self) -> None:
         if self.variant not in ("perfect", "limited"):
             raise ValueError("variant must be 'perfect' or 'limited'")
+
+    @staticmethod
+    def stack(sets: Sequence["QuadFormSet"]) -> "QuadFormSet":
+        """One set with a leading trial axis over ``sets``, which must share
+        variant, shape and common family."""
+        first = sets[0]
+        if any((s.variant, s.has_common, s.bases.shape) != (first.variant, first.has_common, first.bases.shape)
+               for s in sets):
+            raise ValueError("stacked sets must share variant, shape and common family")
+        return replace(first, bases=np.stack([s.bases for s in sets]), **{
+            n: np.stack([getattr(s, n) for s in sets])
+            for n in _TABLES if getattr(first, n) is not None
+        })
+
+    def take(self, index) -> "QuadFormSet":
+        """The trials ``index`` (an index array) of a stacked set."""
+        return _take(self, index, ("bases", *_TABLES))
 
     @property
     def has_common(self) -> bool:
@@ -78,7 +112,7 @@ class QuadFormSet:
 
     @property
     def n_secret(self) -> int:
-        return self.eve_num.shape[0]
+        return self.eve_num.shape[-4]
 
     @property
     def n_blocks(self) -> int:
@@ -90,24 +124,27 @@ class QuadFormSet:
         return self.n_blocks, self.n_antennas
 
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
-        """All quadratic forms at one point, grouped by rate family."""
-        # gram[m, b] = f_b^H M_m f_b, flattened to match the tables' last axes
-        gram = np.einsum("bi,mib->mb", blocks.conj(), self.bases @ blocks.T).real.ravel()
+        """All quadratic forms at one point, grouped by rate family.
+
+        On a stacked set ``blocks`` is (T, n_blocks, N), one precoder per
+        trial, and every value gains the leading trial axis.
+        """
+        bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
+        t, m, n, _ = bases.shape
+        f = _complex(blocks).reshape(t, -1, n)
+        # gram[t, m, b] = f_tb^H M_tm f_tb = sum_ij Re(M_ij conj(f_i) f_j), a real
+        # product of the interleaved (re, im) entries of M and of f conj(f)^T;
+        # flattened to match the tables' last axes
+        outer = (f[..., :, None] * f.conj()[..., None, :]).view(float).reshape(t, -1, 2 * n * n)
+        gram = (bases.view(float).reshape(t, m, -1) @ outer.transpose(0, 2, 1)).reshape(t, -1, 1)
 
         def ev(table):
             if table is None:
                 return None
-            return table.reshape(*table.shape[:-2], gram.size) @ gram
+            return (table.reshape(t, -1, gram.shape[1]) @ gram).reshape(table.shape[:-2])
 
         return QuadValues(
-            common_num=ev(self.common_num),
-            common_den=ev(self.common_den),
-            private_num=ev(self.private_num),
-            private_den=ev(self.private_den),
-            eve_num=ev(self.eve_num),
-            eve_den=ev(self.eve_den),
-            user_num=ev(self.user_num),
-            user_den=ev(self.user_den),
+            **{name: ev(getattr(self, name)) for name in _TABLES},
             variant=self.variant,
             n_secret=self.n_secret,
         )
@@ -118,19 +155,28 @@ class QuadFormSet:
         ``weights`` maps a table name ("private_num", "eve_den", ...) to one
         real weight per form, shaped like that table's leading axes.  The
         weights are contracted with the tables first, so each base matrix is
-        touched once.  Returns the (n_blocks, N, N) block stack.
+        touched once.  Returns the (n_blocks, N, N) block stack, with a
+        leading trial axis on a stacked set.
         """
-        m, n, nb = self.bases.shape[0], self.n_antennas, self.n_blocks
+        bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
+        t, m, n, _ = bases.shape
+        nb = self.n_blocks
         coef = sum(
-            w.ravel() @ getattr(self, name).reshape(w.size, m * nb)
+            w.reshape(t, 1, -1) @ getattr(self, name).reshape(t, -1, m * nb)
             for name, w in weights.items()
         )
-        return (coef.reshape(m, nb).T @ self.bases.reshape(m, n * n)).reshape(nb, n, n)
+        # real coefficients times the interleaved (re, im) entries of the bases
+        out = coef.reshape(t, m, nb).transpose(0, 2, 1) @ bases.view(float).reshape(t, m, -1)
+        return out.view(complex).reshape(*self.bases.shape[:-3], nb, n, n)
 
 
 @dataclass(frozen=True)
 class QuadValues:
-    """Numerator/denominator quadratic forms per rate family at one iterate."""
+    """Numerator/denominator quadratic forms per rate family at one iterate.
+
+    Values of a stacked set carry a leading trial axis on every array; the
+    methods then return one value per trial.
+    """
 
     common_num: np.ndarray | None
     common_den: np.ndarray | None
@@ -143,6 +189,10 @@ class QuadValues:
     variant: str
     n_secret: int
 
+    def take(self, index) -> "QuadValues":
+        """The trials ``index`` of stacked values (one trial for an integer)."""
+        return _take(self, index, _TABLES)
+
     def common_rates(self) -> np.ndarray | None:
         if self.common_num is None:
             return None
@@ -151,42 +201,50 @@ class QuadValues:
     def private_rates(self) -> np.ndarray:
         return np.log2(self.private_num / self.private_den)
 
+    def _all_leak_ratios(self) -> np.ndarray:
+        """(..., S, E + K - 1) wiretap-set ratios, eavesdroppers first."""
+        return np.concatenate(
+            [self.eve_num / self.eve_den, self.user_num / self.user_den], axis=-1)
+
     def leak_ratios(self, secret: int) -> np.ndarray:
         """Wiretap-set ratios for one secret user, eavesdroppers first."""
-        return np.concatenate([
-            self.eve_num[secret] / self.eve_den[secret],
-            self.user_num[secret] / self.user_den[secret],
-        ])
+        return self._all_leak_ratios()[..., secret, :]
 
-    def smoothed_leakage(self, secret: int, alpha: float) -> float:
-        """Leakage term for one secret user, in bits.
+    def smoothed_leakages(self, alpha: float) -> np.ndarray:
+        """Leakage term of every secret user, in bits, on the last axis.
 
         Perfect variant: log-sum-exp smoothed max over the wiretap set.
         Limited variant: the collusion bound log2(1 + sum of ratios), which
         is already smooth.  Empty wiretap set contributes zero.
         """
-        ratios = self.leak_ratios(secret)
-        if ratios.size == 0:
-            return 0.0
+        ratios = self._all_leak_ratios()
+        if ratios.shape[-1] == 0:
+            return np.zeros(ratios.shape[:-1])
         if self.variant == "perfect":
             return lse_max(np.log2(ratios), alpha)
-        return math.log2(1.0 + float(ratios.sum()))
+        return np.log2(1.0 + ratios.sum(axis=-1))
 
-    def objective(self, alpha: float) -> float:
+    def smoothed_leakage(self, secret: int, alpha: float):
+        """``smoothed_leakages`` of one secret user."""
+        return self.smoothed_leakages(alpha)[..., secret]
+
+    def objective(self, alpha: float):
         """Log-sum-exp smoothed sum secrecy SE at these values.
 
         The smoothed min over common rates replaces the hard min, each secret
-        user's leakage enters through ``smoothed_leakage``, and the
-        positive-part clamp on secrecy rates is relaxed.
+        user's leakage enters through ``smoothed_leakages``, and the
+        positive-part clamp on secrecy rates is relaxed.  A float, or one
+        value per trial for stacked values.
         """
         private = self.private_rates()
+        leak = self.smoothed_leakages(alpha)
         total = 0.0
         if self.common_num is not None:
-            total += lse_min(self.common_rates(), alpha)
+            total = total + lse_min(self.common_rates(), alpha)
         for s in range(self.n_secret):
-            total += private[s] - self.smoothed_leakage(s, alpha)
-        total += float(private[self.n_secret:].sum())
-        return float(total)
+            total = total + (private[..., s] - leak[..., s])
+        total = total + private[..., self.n_secret:].sum(axis=-1)
+        return float(total) if np.ndim(total) == 0 else total
 
 
 def smoothed_objective(

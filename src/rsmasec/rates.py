@@ -132,41 +132,46 @@ def sum_secrecy_se(
     )
 
 
-def _logsumexp(v: np.ndarray) -> np.float64:
-    """log(sum(exp(v))) with the operations of scipy.special.logsumexp.
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis, with the operations of
+    scipy.special.logsumexp.
 
     Every maximal entry is taken out of the shifted sum and counted instead:
     log1p(sum(exp(v - max)) / count) + log(count) + max.  Same bits as scipy
-    1.17.1 without its per-call array-API dispatch.  A NaN or infinite max
-    takes scipy's direct log(sum(exp(v))) route, which returns NaN, +inf or
-    -inf as the entries dictate.
+    1.17.1 without its per-call array-API dispatch.  A row whose max is NaN or
+    infinite takes scipy's direct log(sum(exp(v))) route, which returns NaN,
+    +inf or -inf as the entries dictate.  Returns one value per row: a 0-d
+    array for 1-D input.
     """
-    v = v.ravel()
-    v_max = v.max()
-    if not np.isfinite(v_max):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.log(np.exp(v).sum())
-    at_max = v == v_max
-    count = np.float64(np.count_nonzero(at_max))
-    shifted = np.exp(np.where(at_max, -np.inf, v) - v_max).sum()
-    return np.log1p(shifted / count) + np.log(count) + v_max
+    v_max = v.max(axis=-1, keepdims=True)
+    finite = np.isfinite(v_max)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        at_max = v == v_max
+        count = np.count_nonzero(at_max, axis=-1, keepdims=True).astype(float)
+        shifted = np.exp(np.where(at_max, -np.inf, v) - v_max).sum(axis=-1, keepdims=True)
+        out = np.log1p(shifted / count) + np.log(count) + v_max
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(v).sum(axis=-1, keepdims=True)))
+    return out[..., 0]
 
 
-def lse_min(values, alpha: float) -> float:
-    """Smooth minimum -alpha*ln(sum exp(-v/alpha)); within alpha*ln(n) below min."""
+def _smooth(values, alpha: float, sign: float, name: str):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("lse_min of empty sequence")
-    return float(-alpha * _logsumexp(-v / alpha))
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.shape[-1] == 0:
+        raise ValueError(f"{name} of empty sequence")
+    out = sign * alpha * _logsumexp(sign * v / alpha)
+    return float(out) if out.ndim == 0 else out
 
 
-def lse_max(values, alpha: float) -> float:
-    """Smooth maximum alpha*ln(sum exp(v/alpha)); within alpha*ln(n) above max."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("lse_max of empty sequence")
-    return float(alpha * _logsumexp(v / alpha))
+def lse_min(values, alpha: float):
+    """Smooth minimum -alpha*ln(sum exp(-v/alpha)) over the last axis; within
+    alpha*ln(n) below the min.  A float for 1-D input, else one per row."""
+    return _smooth(values, alpha, -1.0, "lse_min")
+
+
+def lse_max(values, alpha: float):
+    """Smooth maximum alpha*ln(sum exp(v/alpha)) over the last axis; within
+    alpha*ln(n) above the max.  A float for 1-D input, else one per row."""
+    return _smooth(values, alpha, 1.0, "lse_max")

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,21 +212,62 @@ def test_sweep_axis_none_leaves_axis_column_empty(tmp_path):
 
 
 def test_sweep_worker_counts_agree(tmp_path):
-    cfg = rs.parse_config_text(
-        "methods = mrt\nsweep_axis = snr_db\nsweep_values = 0, 20\ntrials = 3"
-    )
-    a, agg_a = rs.run_sweep(cfg, str(tmp_path / "a.csv"), workers=1)
-    b, agg_b = rs.run_sweep(cfg, str(tmp_path / "b.csv"), workers=3)
-
+    # three workers split each axis value's trials into chunks of 2 and 1,
+    # one worker solves them as one chunk of 3; the GPI methods must not care
     def body_without_runtime(path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         drop = rows[0].index("runtime_ms")
         return [r[:drop] + r[drop + 1:] for r in rows]
 
-    assert body_without_runtime(a) == body_without_runtime(b)
-    with open(agg_a) as fa, open(agg_b) as fb:
-        assert fa.read() == fb.read()
+    for methods in ("mrt", ", ".join(harness.METHODS)):
+        cfg = rs.parse_config_text(
+            f"methods = {methods}\nsweep_axis = snr_db\nsweep_values = 0, 20\ntrials = 3"
+        )
+        assert [len(it[3]) for it in harness._sweep_chunks(cfg, 3)] == [2, 1, 2, 1]
+        a, agg_a = rs.run_sweep(cfg, str(tmp_path / "a.csv"), workers=1)
+        b, agg_b = rs.run_sweep(cfg, str(tmp_path / "b.csv"), workers=3)
+        assert body_without_runtime(a) == body_without_runtime(b)
+        with open(agg_a) as fa, open(agg_b) as fb:
+            assert fa.read() == fb.read()
+
+
+def cells(row):
+    """A row's CSV cells without runtime_ms."""
+    return harness._result_row(row)[:-1]
+
+
+def test_chunk_size_follows_the_byte_budget():
+    paper = rs.parse_config_text("trials = 500")
+    large = rs.parse_config_text(
+        "n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 3")
+    sizes = [len(it[3]) for it in harness._sweep_chunks(paper, 1)]
+    assert sizes[0] == harness.CHUNK_BYTES // harness._trial_bytes(paper.system, "limited")
+    assert sum(sizes) == 500 and len(sizes) > 1
+    assert [len(it[3]) for it in harness._sweep_chunks(large, 1)] == [1, 1, 1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scoring the poisoned trial's mrt row
+def test_failed_solve_gives_only_its_own_trial_a_failed_row(monkeypatch):
+    cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
+    clean = [rs.run_trial(cfg, None, t) for t in range(3)]
+    draw = harness._draw
+
+    def poisoned(config, system, layout, seed):
+        rng, realization, knowledge, qf = draw(config, system, layout, seed)
+        if seed == clean[1][0].seed:
+            bases = qf.bases.copy()
+            bases[1, 0, 0] = np.inf
+            qf = replace(qf, bases=bases)
+        return rng, realization, knowledge, qf
+
+    monkeypatch.setattr(harness, "_draw", poisoned)
+    rows = harness._sweep_rows(cfg, workers=1)
+    for r in rows[3:5]:
+        assert r.trial_index == 1 and r.method.startswith("gpi")
+        assert (r.iterations, r.converged) == (0, False)
+        assert all(math.isnan(x) for x in (r.smoothed_objective, r.sum_secrecy_se, r.common_min))
+    assert [cells(r) for r in rows[:3] + rows[6:]] == [cells(r) for r in clean[0] + clean[2]]
 
 
 def test_float_formatting_round_trips():
@@ -332,3 +374,10 @@ def test_run_trial_edge_dimensions(n, s, m, e, snr_db, alpha, csit_mode, seed):
     for r in rows:
         assert math.isfinite(r.sum_secrecy_se) and r.sum_secrecy_se >= 0.0, r
         assert 0 <= r.iterations <= system.t_max, r
+    # one chunk of three trials gives each trial the rows it gets alone
+    cfg = replace(cfg, trials=3)
+    swept = harness._sweep_rows(cfg, workers=1)
+    for t in range(3):
+        alone = rows if t == 0 else rs.run_trial(cfg, None, t)
+        got = swept[4 * t: 4 * t + 4]
+        assert [cells(r) for r in got] == [cells(r) for r in alone]
