@@ -36,7 +36,7 @@ def main() -> int:
         system, _, _, draws = _draw_chunk(config, value, axis_index, trials)
         for rsma in [m == "gpi-rsma" for m in config.methods if m.startswith("gpi")]:
             sets = [qf if rsma else qf.without_common() for *_, qf in draws]
-            starts = np.stack([mrt_init(k, rng, common_stream=rsma) for rng, _, k, _ in draws])
+            starts = np.stack([mrt_init(k, common_stream=rsma) for _, k, _ in draws])
             jobs.append((system, sets, starts))
 
     def one_by_one():

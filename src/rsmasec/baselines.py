@@ -1,7 +1,6 @@
 """Reference transmit schemes the rate-splitting solver is compared against."""
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -11,35 +10,21 @@ from .config import SystemConfig
 from .quadforms import build_quadforms_limited, build_quadforms_perfect
 from .solver import SolveTrace, gpi_solve_vector
 
-log = logging.getLogger(__name__)
 
-
-def mrt_init(
-    estimates: np.ndarray,
-    rng: np.random.Generator | None = None,
-    common_stream: bool = True,
-) -> np.ndarray:
+def mrt_init(estimates: np.ndarray, *, common_stream: bool = True) -> np.ndarray:
     """Matched-filter initializer: f_k = estimate_k, f_c = their average.
 
     With ``common_stream=False`` the common block is zero (the private-only
-    SDMA start).  All-zero estimates are degenerate; a uniformly random unit
-    stack, with the same common block rule, is returned instead and a
-    warning logged.
+    SDMA start).  All-zero estimates are degenerate and raise ValueError.
     """
     est = np.asarray(estimates, dtype=complex)
     if est.ndim != 2:
         raise ValueError("estimates must be a (K, N) array")
-    k, n = est.shape
-    common = est.mean(axis=0, keepdims=True) if common_stream else np.zeros((1, n))
+    common = est.mean(axis=0, keepdims=True) if common_stream else np.zeros((1, est.shape[1]))
     blocks = np.concatenate([common, est], axis=0)
     total = np.linalg.norm(blocks)
     if total == 0:
-        log.warning("mrt_init got all-zero estimates; falling back to a random stack")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        blocks = rng.standard_normal((k + 1, n)) + 1j * rng.standard_normal((k + 1, n))
-        if not common_stream:
-            blocks[0] = 0.0
-        total = np.linalg.norm(blocks)
+        raise ValueError("all-zero estimates; the matched filter is degenerate")
     return blocks / total
 
 
@@ -67,7 +52,6 @@ def gpi_sdma_solve(
     realization: ChannelRealization,
     config: SystemConfig,
     csit_mode: str = "perfect",
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, SolveTrace]:
     """Power iteration on the private-only objective (no common stream).
 
@@ -83,6 +67,6 @@ def gpi_sdma_solve(
     else:
         quadforms = build_quadforms_perfect(realization, config)
         knowledge = realization.user_channels
-    start = mrt_init(knowledge, rng, common_stream=False)
+    start = mrt_init(knowledge, common_stream=False)
     vec, trace = gpi_solve_vector(quadforms.without_common(), start.ravel(), config)
     return vec.reshape(start.shape), trace

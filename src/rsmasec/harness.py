@@ -236,16 +236,13 @@ def derive_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
 
 
 def _draw(config: ExperimentConfig, system: SystemConfig, layout: ScenarioLayout, seed: int):
-    """Seeded scenario draw plus what the transmitter knows under the CSIT mode.
-
-    Returns ``(rng, realization, knowledge, quadforms)``; the generator has
-    drawn the scenario and is handed on to the methods in config order.
-    """
-    rng = np.random.default_rng(seed)
-    realization = draw_scenario(system, layout, rng)
+    """Seeded scenario draw plus what the transmitter knows under the CSIT mode:
+    ``(realization, knowledge, quadforms)``.  The generator ends here, so every
+    method is a function of the drawn scenario alone."""
+    realization = draw_scenario(system, layout, np.random.default_rng(seed))
     if config.csit_mode == "limited":
-        return rng, realization, realization.user_estimates, build_quadforms_limited(realization, system)
-    return rng, realization, realization.user_channels, build_quadforms_perfect(realization, system)
+        return realization, realization.user_estimates, build_quadforms_limited(realization, system)
+    return realization, realization.user_channels, build_quadforms_perfect(realization, system)
 
 
 def run_trial(
@@ -271,8 +268,8 @@ def _gpi_chunk(draws: list, system: SystemConfig, rsma: bool) -> list:
     """``gpi_solve_batch`` over a chunk's draws from their MRT starts, on the
     full sets (rate splitting) or their ``without_common()`` views (SDMA)."""
     return gpi_solve_batch(
-        [qf if rsma else qf.without_common() for _, _, _, qf in draws],
-        np.stack([mrt_init(knowledge, rng, common_stream=rsma) for rng, _, knowledge, _ in draws]),
+        [qf if rsma else qf.without_common() for _, _, qf in draws],
+        np.stack([mrt_init(knowledge, common_stream=rsma) for _, knowledge, _ in draws]),
         system,
     )
 
@@ -298,30 +295,29 @@ def _run_chunk(
             t0 = time.perf_counter()
             solved = _gpi_chunk(draws, system, rsma=method == "gpi-rsma")
             shared_s = (time.perf_counter() - t0) / len(draws)
-        for i, (rng, realization, knowledge, quadforms) in enumerate(draws):
+        for i, (realization, knowledge, quadforms) in enumerate(draws):
             t0 = time.perf_counter()
-            iterations, converged = 0, True
-            try:
-                if method in ("gpi-rsma", "gpi-sdma"):
-                    if isinstance(solved[i], NumericError):
-                        raise solved[i]
-                    stack, trace = solved[i]
-                    iterations, converged = trace.iterations_used, trace.converged
-                elif method == "rzf-sdma":
-                    stack = rzf_precoder(knowledge, system)
-                elif method == "mrt":
-                    stack = mrt_init(knowledge, rng)
-                else:
-                    raise ConfigError(f"unknown method {method!r}")
+            iterations, converged, stack = 0, True, None
+            if method == "rzf-sdma":
+                stack = rzf_precoder(knowledge, system)
+            elif method == "mrt":
+                stack = mrt_init(knowledge)
+            elif method not in ("gpi-rsma", "gpi-sdma"):
+                raise ConfigError(f"unknown method {method!r}")
+            elif isinstance(solved[i], NumericError):
+                log.warning("trial %d method %s failed numerically: %s",
+                            trials[i], method, solved[i])
+                converged = False
+            else:
+                stack, trace = solved[i]
+                iterations, converged = trace.iterations_used, trace.converged
+            objective = secrecy_se = common_min = math.nan
+            if stack is not None:
                 # private-only methods have no common family to score
                 qf = quadforms.without_common() if method in ("gpi-sdma", "rzf-sdma") else quadforms
                 objective = smoothed_objective(qf, stack, system)
                 report = sum_secrecy_se(realization, stack, system)
                 secrecy_se, common_min = report.sum_secrecy_se, report.common_min
-            except NumericError as exc:
-                log.warning("trial %d method %s failed numerically: %s", trials[i], method, exc)
-                iterations, converged = 0, False
-                objective = secrecy_se = common_min = math.nan
             rows[i].append(TrialResult(
                 method=method,
                 trial_index=trials[i],
@@ -362,10 +358,6 @@ def _cell(value) -> str:
 def _result_row(r: TrialResult) -> list[str]:
     """CSV cells of ``r``; the field order of TrialResult is CSV_COLUMNS."""
     return [_cell(getattr(r, f.name)) for f in fields(r)]
-
-
-def _sweep_item(args) -> list[TrialResult]:
-    return _run_chunk(*args)
 
 
 def aggregate_path(out_path: str) -> str:
@@ -420,27 +412,27 @@ def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[Tr
         workers = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
     items = _sweep_chunks(config, max(workers, 1))
     if workers <= 1 or len(items) == 1:
-        batches = [_sweep_item(it) for it in items]
+        batches = [_run_chunk(*it) for it in items]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_item, items))
+            batches = list(pool.map(_run_chunk, *zip(*items)))
     return [r for batch in batches for r in batch]
 
 
 def aggregate(rows: list[TrialResult]) -> dict[tuple[float | None, str], tuple[float, float, int]]:
-    """Mean, standard error and count of the sum secrecy SE per (axis value, method).
-
-    Keys come in order of first appearance; the standard error is the sample
-    standard deviation over sqrt(count), and 0 for a single trial.
-    """
+    """Mean, standard error and count of the finite sum secrecy SEs per (axis
+    value, method), keys in order of first appearance; a group whose every
+    solve failed reads (NaN, NaN, 0).  The standard error is the sample
+    standard deviation over sqrt(count), and 0 for a single trial."""
     groups: dict[tuple[float | None, str], list[float]] = {}
     for r in rows:
         groups.setdefault((r.axis_value, r.method), []).append(r.sum_secrecy_se)
     out = {}
     for key, xs in groups.items():
         vals = np.asarray(xs)
+        vals = vals[np.isfinite(vals)]   # a failed solve's row has a NaN SE
         stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        out[key] = (float(vals.mean()), stderr, vals.size)
+        out[key] = (float(vals.mean()), stderr, vals.size) if vals.size else (math.nan, math.nan, 0)
     return out
 
 

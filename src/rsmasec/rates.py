@@ -133,26 +133,13 @@ def sum_secrecy_se(
 
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:
-    """log(sum(exp(v))) over the last axis, with the operations of
-    scipy.special.logsumexp.
-
-    Every maximal entry is taken out of the shifted sum and counted instead:
-    log1p(sum(exp(v - max)) / count) + log(count) + max.  Same bits as scipy
-    1.17.1 without its per-call array-API dispatch.  A row whose max is NaN or
-    infinite takes scipy's direct log(sum(exp(v))) route, which returns NaN,
-    +inf or -inf as the entries dictate.  Returns one value per row: a 0-d
-    array for 1-D input.
-    """
-    v_max = v.max(axis=-1, keepdims=True)
-    finite = np.isfinite(v_max)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        at_max = v == v_max
-        count = np.count_nonzero(at_max, axis=-1, keepdims=True).astype(float)
-        shifted = np.exp(np.where(at_max, -np.inf, v) - v_max).sum(axis=-1, keepdims=True)
-        out = np.log1p(shifted / count) + np.log(count) + v_max
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(v).sum(axis=-1, keepdims=True)))
-    return out[..., 0]
+    """log(sum(exp(v))) over the last axis as m + log(sum(exp(v - m))), m the
+    row max (0 where that is not finite, so NaN and +-inf come out as the
+    entries dictate).  One value per row: a scalar for 1-D input."""
+    m = v.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.log(np.exp(v - m).sum(axis=-1)) + m[..., 0]
 
 
 def _smooth(values, alpha: float, sign: float, name: str):

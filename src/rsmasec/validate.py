@@ -40,7 +40,6 @@ from .harness import (
     aggregate,
     parse_config_text,
     run_sweep,
-    run_trial,
 )
 from .quadforms import (
     QuadFormSet,
@@ -49,7 +48,7 @@ from .quadforms import (
     smoothed_objective,
 )
 from .rates import common_se, leakage_se, lse_max, lse_min, private_se
-from .solver import _matvec, assemble_kkt, block_solve, gpi_solve, kkt_residual
+from .solver import NumericError, _matvec, assemble_kkt, block_solve, gpi_solve_batch, kkt_residual
 
 
 @dataclass(frozen=True)
@@ -229,42 +228,49 @@ def _check_gradient_consistency() -> tuple[bool, str]:
     return worst >= 0.999, f"min gradient cosine = {worst:.6f} (limit 0.999)"
 
 
+def _residual(qf: QuadFormSet, solved, config: SystemConfig) -> float:
+    """``kkt_residual`` at a batch result's solution; NumericError counts as +inf."""
+    if isinstance(solved, NumericError):
+        return math.inf
+    try:
+        return kkt_residual(qf, solved[0], config)
+    except NumericError:
+        return math.inf
+
+
 def _check_fixed_point_residual() -> tuple[bool, str]:
     """Residual of the returned precoder under the iteration map."""
     config = _fig_shape_config(epsilon=1e-4, t_max=500).with_snr_db(20.0)
-    passed = 0
-    worst = 0.0
+    sets, starts = [], []
     for i in range(200):
         rng = np.random.default_rng(1000 + i)
         realization = draw_scenario(config, _random_layout(rng), rng)
-        if i < 100:
-            qf = build_quadforms_perfect(realization, config)
-            knowledge = realization.user_channels
-        else:
-            qf = build_quadforms_limited(realization, config)
-            knowledge = realization.user_estimates
-        stack, _ = gpi_solve(qf, mrt_init(knowledge, rng), config)
-        res = kkt_residual(qf, stack, config)
-        worst = max(worst, res)
-        passed += res <= 1e-3
-    return passed >= 190, f"{passed}/200 residuals <= 1e-3 (need 190); max = {worst:.3e}"
+        build = build_quadforms_perfect if i < 100 else build_quadforms_limited
+        sets.append(build(realization, config))
+        starts.append(mrt_init(realization.user_channels if i < 100 else realization.user_estimates))
+    residuals = []
+    for part in (slice(0, 100), slice(100, 200)):   # one batch per CSIT mode
+        solved = gpi_solve_batch(sets[part], np.stack(starts[part]), config)
+        residuals += [_residual(qf, result, config) for qf, result in zip(sets[part], solved)]
+    passed = sum(res <= 1e-3 for res in residuals)
+    return passed >= 190, f"{passed}/200 residuals <= 1e-3 (need 190); max = {max(residuals):.3e}"
 
 
 def _check_block_solve() -> tuple[bool, str]:
     """Per-block Hermitian solves agree with one dense solve."""
-    from scipy.linalg import block_diag, solve
-
     rng = np.random.default_rng(52_000)
     n, k = 8, 8
     worst = 0.0
     for _ in range(100):
         blocks = np.empty((k + 1, n, n), dtype=complex)
+        dense = np.zeros(((k + 1) * n, (k + 1) * n), dtype=complex)
         for b in range(k + 1):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             blocks[b] = g @ g.conj().T + (0.1 + rng.uniform()) * np.eye(n)
+            dense[b * n:(b + 1) * n, b * n:(b + 1) * n] = blocks[b]
         rhs = _unit_stack(rng, (k + 1) * n)
         x_blocks = block_solve(blocks, rhs)
-        x_dense = solve(block_diag(*blocks), rhs, assume_a="pos")
+        x_dense = np.linalg.solve(dense, rhs)
         worst = max(worst, _max_abs(
             np.linalg.norm(x_blocks - x_dense) / np.linalg.norm(x_dense)))
     return worst <= 1e-8, f"max relative solve error = {worst:.3e} (limit 1e-8)"
@@ -274,7 +280,6 @@ def _check_convergence_speed() -> tuple[bool, str]:
     """Iteration counts at the default tolerance across SNR."""
     iters: list[int] = []
     converged = 0
-    total = 0
     for snr in (0.0, 10.0, 20.0, 30.0):
         config = ExperimentConfig(
             system=_fig_shape_config().with_snr_db(snr),
@@ -284,13 +289,11 @@ def _check_convergence_speed() -> tuple[bool, str]:
             trials=100,
             master_seed=61_000,
         )
-        for t in range(config.trials):
-            row = run_trial(config, None, t)[0]
+        for row in _sweep_rows(config, workers=1):
             iters.append(row.iterations)
             converged += row.converged
-            total += 1
     median = float(np.median(iters))
-    frac = converged / total
+    frac = converged / len(iters)
     ok = median <= 20.0 and frac >= 0.95
     return ok, f"median iterations = {median:.1f} (limit 20); converged {frac:.1%} (need 95%)"
 

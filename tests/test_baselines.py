@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -22,15 +21,17 @@ def test_mrt_structure_on_orthonormal_channels():
     assert abs(np.linalg.norm(blocks[0]) - math.sqrt(0.5) / total) < 1e-12
 
 
-def test_mrt_zero_channels_fall_back_randomly(caplog):
-    est = np.zeros((2, 4), dtype=complex)
-    with caplog.at_level(logging.WARNING, logger="rsmasec.baselines"):
-        stack = rs.mrt_init(est, np.random.default_rng(0))
-    assert "zero" in caplog.text.lower()
-    assert abs(np.linalg.norm(stack) - 1.0) < 1e-12
-    sdma = rs.mrt_init(est, np.random.default_rng(0), common_stream=False)
-    assert np.all(sdma[0] == 0)
-    assert abs(np.linalg.norm(sdma) - 1.0) < 1e-12
+@pytest.mark.parametrize("common_stream", [True, False])
+def test_mrt_rejects_all_zero_estimates(common_stream):
+    with pytest.raises(ValueError, match="all-zero"):
+        rs.mrt_init(np.zeros((2, 4), dtype=complex), common_stream=common_stream)
+
+
+def test_mrt_takes_no_generator():
+    # a stale positional generator must not be read as common_stream
+    est = np.eye(2, dtype=complex)
+    with pytest.raises(TypeError):
+        rs.mrt_init(est, np.random.default_rng(0))
 
 
 def test_mrt_sdma_has_no_common_block():
@@ -78,7 +79,7 @@ def test_sdma_stacks_zero_the_common_stream(fig_config, scenario):
 
 
 def test_gpi_sdma_solves_and_improves(fig_config, scenario):
-    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "limited", np.random.default_rng(3))
+    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "limited")
     assert stack.shape == (5, 4)
     assert np.all(stack[0] == 0)
     assert abs(np.linalg.norm(stack) - 1.0) < 1e-12
@@ -92,5 +93,5 @@ def test_gpi_sdma_solves_and_improves(fig_config, scenario):
 
 
 def test_gpi_sdma_perfect_mode_runs(fig_config, scenario):
-    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "perfect", np.random.default_rng(4))
+    stack, trace = rs.gpi_sdma_solve(scenario, fig_config, "perfect")
     assert trace.converged

@@ -247,27 +247,75 @@ def test_chunk_size_follows_the_byte_budget():
     assert [len(it[3]) for it in harness._sweep_chunks(large, 1)] == [1, 1, 1]
 
 
+def poison_trial(monkeypatch, seed):
+    """Make the quad-form set drawn for ``seed`` nonfinite, so that trial's
+    GPI solves fail and nothing else changes."""
+    draw = harness._draw
+
+    def poisoned(config, system, layout, trial_seed):
+        realization, knowledge, qf = draw(config, system, layout, trial_seed)
+        if trial_seed == seed:
+            bases = qf.bases.copy()
+            bases[1, 0, 0] = np.inf
+            qf = replace(qf, bases=bases)
+        return realization, knowledge, qf
+
+    monkeypatch.setattr(harness, "_draw", poisoned)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scoring the poisoned trial's mrt row
 def test_failed_solve_gives_only_its_own_trial_a_failed_row(monkeypatch):
     cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
     clean = [rs.run_trial(cfg, None, t) for t in range(3)]
-    draw = harness._draw
-
-    def poisoned(config, system, layout, seed):
-        rng, realization, knowledge, qf = draw(config, system, layout, seed)
-        if seed == clean[1][0].seed:
-            bases = qf.bases.copy()
-            bases[1, 0, 0] = np.inf
-            qf = replace(qf, bases=bases)
-        return rng, realization, knowledge, qf
-
-    monkeypatch.setattr(harness, "_draw", poisoned)
+    poison_trial(monkeypatch, clean[1][0].seed)
     rows = harness._sweep_rows(cfg, workers=1)
     for r in rows[3:5]:
         assert r.trial_index == 1 and r.method.startswith("gpi")
         assert (r.iterations, r.converged) == (0, False)
         assert all(math.isnan(x) for x in (r.smoothed_objective, r.sum_secrecy_se, r.common_min))
     assert [cells(r) for r in rows[:3] + rows[6:]] == [cells(r) for r in clean[0] + clean[2]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scoring the poisoned trial's mrt row
+def test_failed_row_is_left_out_of_its_aggregate(monkeypatch):
+    cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
+    clean = [rs.run_trial(cfg, None, t) for t in range(3)]
+    poison_trial(monkeypatch, clean[1][0].seed)
+    agg = harness.aggregate(harness._sweep_rows(cfg, workers=1))
+    for j, method in enumerate(("gpi-rsma", "gpi-sdma")):
+        mean, stderr, n = agg[None, method]
+        kept = np.array([clean[0][j].sum_secrecy_se, clean[2][j].sum_secrecy_se])
+        assert n == 2
+        assert mean == kept.mean()
+        assert stderr == pytest.approx(kept.std(ddof=1) / math.sqrt(2), rel=1e-12)
+    assert agg[None, "mrt"][2] == 3
+
+
+def test_aggregate_of_only_failed_rows_is_nan_with_count_zero():
+    row = rs.run_trial(rs.parse_config_text("methods = mrt"), None, 0)[0]
+    failed = replace(row, sum_secrecy_se=math.nan)
+    mean, stderr, n = harness.aggregate([failed, failed])[None, "mrt"]
+    assert math.isnan(mean) and math.isnan(stderr) and n == 0
+    assert harness.aggregate([failed, row])[None, "mrt"] == (row.sum_secrecy_se, 0.0, 1)
+
+
+@pytest.mark.parametrize("csit_mode", ["limited", "perfect"])
+def test_each_method_depends_on_the_scenario_alone(csit_mode):
+    # the rows of a method do not depend on which other methods run, or in what order
+    methods = ("gpi-rsma", "gpi-sdma", "rzf-sdma", "mrt")
+
+    def rows_by_method(order):
+        cfg = rs.parse_config_text(
+            f"csit_mode = {csit_mode}\nmethods = {', '.join(order)}\ntrials = 3")
+        out = {}
+        for r in harness._sweep_rows(cfg, workers=1):
+            out.setdefault(r.method, []).append(cells(r))
+        return out
+
+    together = rows_by_method(methods)
+    assert rows_by_method(methods[::-1]) == together
+    for method in methods:
+        assert rows_by_method((method,)) == {method: together[method]}
 
 
 def test_float_formatting_round_trips():
@@ -299,7 +347,7 @@ def test_convergence_trace_file(tmp_path):
     rng = np.random.default_rng(int(r0[2]))
     real = rs.draw_scenario(system, cfg.layout, rng)
     qf = rs.build_quadforms_limited(real, system)
-    start = rs.mrt_init(real.user_estimates, rng)
+    start = rs.mrt_init(real.user_estimates)
     want = rs.smoothed_objective(qf, start / np.linalg.norm(start), system)
     assert abs(float(r0[5]) - want) < 1e-9
 

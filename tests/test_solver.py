@@ -101,7 +101,7 @@ def solve_setup(fig_config, seed=7, **cfg_overrides):
     rng = np.random.default_rng(seed)
     real = rs.draw_scenario(cfg, rs.ScenarioLayout(), rng)
     qf = rs.build_quadforms_limited(real, cfg)
-    start = rs.mrt_init(real.user_estimates, rng)
+    start = rs.mrt_init(real.user_estimates)
     return cfg, qf, start
 
 
@@ -160,7 +160,7 @@ def test_gpi_breaks_periodic_orbits(fig_config):
     layout = rs.ScenarioLayout(user_center=float(rng.uniform(0, 2 * np.pi)))
     real = rs.draw_scenario(cfg, layout, rng)
     qf = rs.build_quadforms_perfect(real, cfg)
-    stack, trace = rs.gpi_solve(qf, rs.mrt_init(real.user_channels, rng), cfg)
+    stack, trace = rs.gpi_solve(qf, rs.mrt_init(real.user_channels), cfg)
     assert trace.converged
     assert kkt_residual(qf, stack, cfg) <= 1e-3
 
@@ -250,7 +250,7 @@ def chunk(build, count, t_max=60):
         layout = rs.ScenarioLayout(user_center=float(rng.uniform(0, 2 * np.pi)))
         real = rs.draw_scenario(cfg, layout, rng)
         sets.append(build(real, cfg))
-        starts.append(rs.mrt_init(real.user_channels, rng))
+        starts.append(rs.mrt_init(real.user_channels))
     return cfg, sets, np.stack(starts)
 
 
