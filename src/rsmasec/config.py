@@ -62,10 +62,6 @@ class SystemConfig:
     def noise_eve_ratio(self) -> float:
         return self.noise_eve / self.symbol_power
 
-    @property
-    def secret_ids(self) -> range:
-        return range(self.n_secret)
-
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
         """Same scenario at a different SNR, holding noise powers fixed."""
         return replace(self, symbol_power=self.noise_user * 10.0 ** (snr_db / 10.0))

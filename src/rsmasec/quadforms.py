@@ -201,14 +201,10 @@ class QuadValues:
     def private_rates(self) -> np.ndarray:
         return np.log2(self.private_num / self.private_den)
 
-    def _all_leak_ratios(self) -> np.ndarray:
+    def leak_ratios(self) -> np.ndarray:
         """(..., S, E + K - 1) wiretap-set ratios, eavesdroppers first."""
         return np.concatenate(
             [self.eve_num / self.eve_den, self.user_num / self.user_den], axis=-1)
-
-    def leak_ratios(self, secret: int) -> np.ndarray:
-        """Wiretap-set ratios for one secret user, eavesdroppers first."""
-        return self._all_leak_ratios()[..., secret, :]
 
     def smoothed_leakages(self, alpha: float) -> np.ndarray:
         """Leakage term of every secret user, in bits, on the last axis.
@@ -217,16 +213,12 @@ class QuadValues:
         Limited variant: the collusion bound log2(1 + sum of ratios), which
         is already smooth.  Empty wiretap set contributes zero.
         """
-        ratios = self._all_leak_ratios()
+        ratios = self.leak_ratios()
         if ratios.shape[-1] == 0:
             return np.zeros(ratios.shape[:-1])
         if self.variant == "perfect":
             return lse_max(np.log2(ratios), alpha)
         return np.log2(1.0 + ratios.sum(axis=-1))
-
-    def smoothed_leakage(self, secret: int, alpha: float):
-        """``smoothed_leakages`` of one secret user."""
-        return self.smoothed_leakages(alpha)[..., secret]
 
     def objective(self, alpha: float):
         """Log-sum-exp smoothed sum secrecy SE at these values.

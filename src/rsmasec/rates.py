@@ -10,7 +10,6 @@ receiver chain removes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,89 +22,13 @@ from .config import SystemConfig
 class RateReport:
     """Per-stream rates and the resulting sum secrecy spectral efficiency."""
 
-    common_per_user: np.ndarray      # (K,)
+    common_per_user: np.ndarray         # (K,)
     common_min: float
-    private_per_user: np.ndarray     # (K,)
-    leakage_per_secret: np.ndarray   # (S,) max over each wiretap set
-    secrecy_per_secret: np.ndarray   # (S,) [private - leakage]^+
+    private_per_user: np.ndarray        # (K,)
+    leakage_per_wiretapper: np.ndarray  # (S, E+K-1) eavesdroppers, then other users
+    leakage_per_secret: np.ndarray      # (S,) max over each wiretap set
+    secrecy_per_secret: np.ndarray      # (S,) [private - leakage]^+
     sum_secrecy_se: float
-
-
-def _stream_powers(channels: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """|h_k^H f_j|^2 for every channel row k and stack block j."""
-    return np.abs(channels.conj() @ blocks.T) ** 2
-
-
-def _check_dims(realization: ChannelRealization, blocks: np.ndarray, config: SystemConfig) -> None:
-    want = (config.n_users + 1, config.n_antennas)
-    if np.shape(blocks) != want:
-        raise ValueError(f"precoder shape {np.shape(blocks)} is not (K+1, N) = {want}")
-    if realization.n_users != config.n_users or realization.n_antennas != config.n_antennas:
-        raise ValueError("realization/config dimension mismatch")
-    if realization.n_eves != config.n_eves:
-        raise ValueError("realization/config eavesdropper mismatch")
-
-
-def common_se(
-    realization: ChannelRealization,
-    blocks: np.ndarray,
-    config: SystemConfig,
-) -> np.ndarray:
-    """Common-stream SE at each user, private streams all treated as noise."""
-    _check_dims(realization, blocks, config)
-    p = _stream_powers(realization.user_channels, blocks)
-    denom = p[:, 1:].sum(axis=1) + config.noise_user_ratio
-    return np.log2(1.0 + p[:, 0] / denom)
-
-
-def private_se(
-    realization: ChannelRealization,
-    blocks: np.ndarray,
-    config: SystemConfig,
-) -> np.ndarray:
-    """Private-stream SE at each user, common stream already cancelled."""
-    _check_dims(realization, blocks, config)
-    p = _stream_powers(realization.user_channels, blocks)[:, 1:]
-    signal = np.diag(p)
-    denom = p.sum(axis=1) - signal + config.noise_user_ratio
-    return np.log2(1.0 + signal / denom)
-
-
-def leakage_se(
-    realization: ChannelRealization,
-    blocks: np.ndarray,
-    config: SystemConfig,
-    secret: int,
-) -> tuple[np.ndarray, float]:
-    """SE of secret user ``secret``'s stream at each wiretapper.
-
-    Returns (per-wiretapper rates ordered [eavesdroppers..., other users...],
-    max over the set).  Eavesdroppers cannot cancel anything; a wiretapping
-    user has already removed the common stream and its own private stream.
-    An empty wiretap set yields ([], 0.0).
-    """
-    _check_dims(realization, blocks, config)
-    if not 0 <= secret < config.n_secret:
-        raise ValueError("secret index out of range")
-    noise_u = config.noise_user_ratio
-    rates = []
-
-    if config.n_eves:
-        pe = _stream_powers(realization.eve_channels, blocks)
-        num = pe[:, secret + 1]
-        denom = pe.sum(axis=1) - num + config.noise_eve_ratio
-        rates.extend(np.log2(1.0 + num / denom))
-
-    pu = _stream_powers(realization.user_channels, blocks)[:, 1:]
-    for u in range(config.n_users):
-        if u == secret:
-            continue
-        num = pu[u, secret]
-        denom = pu[u].sum() - pu[u, u] - num + noise_u
-        rates.append(math.log2(1.0 + num / denom))
-
-    values = np.asarray(rates, dtype=float)
-    return values, float(values.max()) if values.size else 0.0
 
 
 def sum_secrecy_se(
@@ -114,18 +37,49 @@ def sum_secrecy_se(
     config: SystemConfig,
 ) -> RateReport:
     """Exact (non-smoothed) objective: min common rate plus the clamped
-    secrecy rate of each secret user plus the private rates of normal users."""
-    common = common_se(realization, blocks, config)
-    private = private_se(realization, blocks, config)
-    leak = np.asarray(
-        [leakage_se(realization, blocks, config, s)[1] for s in config.secret_ids]
-    )
-    secrecy = np.maximum(private[: config.n_secret] - leak, 0.0)
-    total = float(common.min()) + float(secrecy.sum()) + float(private[config.n_secret:].sum())
+    secrecy rate of each secret user plus the private rates of normal users.
+
+    Every rate reads the stream powers |h^H f_j|^2 of the users and of the
+    eavesdroppers.  The common rate treats every private stream as noise; a
+    private rate sees the other private streams once the common stream is
+    cancelled.  Secret user s's stream leaks to each eavesdropper, which
+    cancels nothing, and to each other user, which has removed the common
+    stream and its own private stream.  An empty wiretap set leaks 0 bits.
+    """
+    k, n_s = config.n_users, config.n_secret
+    want = (k + 1, config.n_antennas)
+    if np.shape(blocks) != want:
+        raise ValueError(f"precoder shape {np.shape(blocks)} is not (K+1, N) = {want}")
+    if realization.n_users != k or realization.n_antennas != config.n_antennas:
+        raise ValueError("realization/config dimension mismatch")
+    if realization.n_eves != config.n_eves:
+        raise ValueError("realization/config eavesdropper mismatch")
+    pu = np.abs(realization.user_channels.conj() @ blocks.T) ** 2  # (K, K+1)
+    pe = np.abs(realization.eve_channels.conj() @ blocks.T) ** 2   # (E, K+1)
+    noise_u = config.noise_user_ratio
+
+    private_total = pu[:, 1:].sum(axis=1)
+    signal = np.diag(pu[:, 1:])
+    interference = private_total - signal
+    common = np.log2(1.0 + pu[:, 0] / (private_total + noise_u))
+    private = np.log2(1.0 + signal / (interference + noise_u))
+
+    eve_num = pe[:, 1 : n_s + 1].T                                  # (S, E)
+    eve_ratio = eve_num / (pe.sum(axis=1) - eve_num + config.noise_eve_ratio)
+    user_num = pu[:, 1 : n_s + 1].T                                 # (S, K)
+    user_den = interference - user_num + noise_u
+    others = ~np.eye(n_s, k, dtype=bool)                            # user u != s
+    user_ratio = (user_num[others] / user_den[others]).reshape(n_s, k - 1)
+    wiretap = np.log2(1.0 + np.concatenate([eve_ratio, user_ratio], axis=1))
+
+    leak = wiretap.max(axis=1, initial=0.0)
+    secrecy = np.maximum(private[:n_s] - leak, 0.0)
+    total = float(common.min()) + float(secrecy.sum()) + float(private[n_s:].sum())
     return RateReport(
         common_per_user=common,
         common_min=float(common.min()),
         private_per_user=private,
+        leakage_per_wiretapper=wiretap,
         leakage_per_secret=leak,
         secrecy_per_secret=secrecy,
         sum_secrecy_se=total,

@@ -47,7 +47,7 @@ from .quadforms import (
     build_quadforms_perfect,
     smoothed_objective,
 )
-from .rates import common_se, leakage_se, lse_max, lse_min, private_se
+from .rates import lse_max, lse_min, sum_secrecy_se
 from .solver import NumericError, _matvec, assemble_kkt, block_solve, gpi_solve_batch, kkt_residual
 
 
@@ -146,16 +146,13 @@ def _check_quadform_oracle() -> tuple[bool, str]:
         fb = _unit_stack(rng, 5 * config.n_antennas).reshape(5, config.n_antennas)
         if i % 2 == 0:
             qf = build_quadforms_perfect(realization, config)
+            report = sum_secrecy_se(realization, fb, config)
             with np.errstate(invalid="ignore"):
                 vals = qf.evaluate(fb)
+                worst = max(worst, _max_abs(vals.common_rates() - report.common_per_user))
+                worst = max(worst, _max_abs(vals.private_rates() - report.private_per_user))
                 worst = max(worst, _max_abs(
-                    vals.common_rates() - common_se(realization, fb, config)))
-                worst = max(worst, _max_abs(
-                    vals.private_rates() - private_se(realization, fb, config)))
-                for s in range(config.n_secret):
-                    direct, _ = leakage_se(realization, fb, config, s)
-                    quad_rates = np.log2(vals.leak_ratios(s))
-                    worst = max(worst, _max_abs(quad_rates - direct))
+                    np.log2(vals.leak_ratios()) - report.leakage_per_wiretapper))
         else:
             qf = build_quadforms_limited(realization, config)
             with np.errstate(invalid="ignore"):
@@ -163,9 +160,7 @@ def _check_quadform_oracle() -> tuple[bool, str]:
                 common, private, leak = _direct_limited_rates(realization, config, fb)
                 worst = max(worst, _max_abs(vals.common_rates() - common))
                 worst = max(worst, _max_abs(vals.private_rates() - private))
-                for s in range(config.n_secret):
-                    bound = vals.smoothed_leakage(s, config.smoothing)
-                    worst = max(worst, _max_abs(bound - leak[s]))
+                worst = max(worst, _max_abs(vals.smoothed_leakages(config.smoothing) - leak))
     return worst <= 1e-10, f"max |rate difference| = {worst:.3e} bits (limit 1e-10)"
 
 

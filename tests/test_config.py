@@ -27,11 +27,6 @@ def test_with_snr_db_roundtrip():
     assert abs(cfg.symbol_power - 10 ** 0.75) < 1e-12
 
 
-def test_group_id_ranges():
-    cfg = SystemConfig(n_secret=3, n_normal=2)
-    assert list(cfg.secret_ids) == [0, 1, 2]
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rsmasec as rs
-from rsmasec.rates import common_se, leakage_se, lse_min, private_se
+from rsmasec.rates import lse_min
 from rsmasec.solver import kkt_residual
 
 
@@ -58,13 +58,11 @@ def test_perfect_pairs_match_direct_formulas(fig_config, scenario):
         rng = np.random.default_rng(100 + i)
         stack = random_unit(rng, 20).reshape(qf.shape)
         vals = qf.evaluate(stack)
-        assert np.abs(vals.common_rates()
-                      - common_se(scenario, stack, fig_config)).max() < 1e-10
-        assert np.abs(vals.private_rates()
-                      - private_se(scenario, stack, fig_config)).max() < 1e-10
-        for s in range(fig_config.n_secret):
-            direct, _ = leakage_se(scenario, stack, fig_config, s)
-            assert np.abs(np.log2(vals.leak_ratios(s)) - direct).max() < 1e-10
+        report = rs.sum_secrecy_se(scenario, stack, fig_config)
+        assert np.abs(vals.common_rates() - report.common_per_user).max() < 1e-10
+        assert np.abs(vals.private_rates() - report.private_per_user).max() < 1e-10
+        assert np.abs(np.log2(vals.leak_ratios())
+                      - report.leakage_per_wiretapper).max() < 1e-10
 
 
 def test_limited_pairs_match_direct_formulas(fig_config, scenario):
@@ -76,9 +74,7 @@ def test_limited_pairs_match_direct_formulas(fig_config, scenario):
         common, private, leaks = direct_limited_rates(scenario, fig_config, stack)
         assert np.abs(vals.common_rates() - common).max() < 1e-10
         assert np.abs(vals.private_rates() - private).max() < 1e-10
-        for s in range(fig_config.n_secret):
-            bound = vals.smoothed_leakage(s, fig_config.smoothing)
-            assert abs(bound - leaks[s]) < 1e-10
+        assert np.abs(vals.smoothed_leakages(fig_config.smoothing) - leaks).max() < 1e-10
 
 
 def test_equivalence_requires_unit_norm(fig_config, scenario):
@@ -88,7 +84,7 @@ def test_equivalence_requires_unit_norm(fig_config, scenario):
     rng = np.random.default_rng(4)
     stack = 2.0 * random_unit(rng, 20).reshape(qf.shape)
     vals = qf.evaluate(stack)
-    direct = common_se(scenario, stack, fig_config)
+    direct = rs.sum_secrecy_se(scenario, stack, fig_config).common_per_user
     assert np.abs(vals.common_rates() - direct).max() > 1e-3
 
 
@@ -102,7 +98,7 @@ def test_sign_flip_mutation_is_caught(fig_config, scenario):
     stack = random_unit(np.random.default_rng(0), 20).reshape(qf.shape)
     with np.errstate(invalid="ignore"):
         rates = bad.evaluate(stack).common_rates()
-    direct = common_se(scenario, stack, fig_config)
+    direct = rs.sum_secrecy_se(scenario, stack, fig_config).common_per_user
     assert not np.all(np.abs(rates - direct) < 1e-10)
 
 
@@ -127,8 +123,8 @@ def test_kappa_zero_collapses_bounds_to_perfect_rates(fig_config):
     # rate bounds collapse onto the exact rates; leakage stays covariance-based
     assert np.abs(vl.common_rates() - vp.common_rates()).max() < 1e-12
     assert np.abs(vl.private_rates() - vp.private_rates()).max() < 1e-12
-    s0_l = vl.smoothed_leakage(0, fig_config.smoothing)
-    s0_p = vp.smoothed_leakage(0, fig_config.smoothing)
+    s0_l = vl.smoothed_leakages(fig_config.smoothing)[0]
+    s0_p = vp.smoothed_leakages(fig_config.smoothing)[0]
     assert abs(s0_l - s0_p) > 1e-6
 
 
@@ -168,14 +164,14 @@ def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, se
     qf = build(real, cfg).without_common()
     vals = qf.evaluate(stack)
     if build is rs.build_quadforms_perfect:
-        private = private_se(real, stack, cfg)
-        for s in range(s_cnt):
-            np.testing.assert_allclose(np.log2(vals.leak_ratios(s)),
-                                       leakage_se(real, stack, cfg, s)[0], rtol=0, atol=1e-10)
+        report = rs.sum_secrecy_se(real, stack, cfg)
+        private = report.private_per_user
+        np.testing.assert_allclose(np.log2(vals.leak_ratios()),
+                                   report.leakage_per_wiretapper, rtol=0, atol=1e-10)
     else:
         _, private, leaks = direct_limited_rates(real, cfg, stack)
-        for s in range(s_cnt):
-            assert abs(vals.smoothed_leakage(s, cfg.smoothing) - leaks[s]) < 1e-10
+        np.testing.assert_allclose(vals.smoothed_leakages(cfg.smoothing), leaks,
+                                   rtol=0, atol=1e-10)
     np.testing.assert_allclose(vals.private_rates(), private, rtol=0, atol=1e-10)
 
     variant = "perfect" if build is rs.build_quadforms_perfect else "limited"

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import rsmasec as rs
 from rsmasec.channel import error_covariance
-from rsmasec.rates import _logsumexp, common_se, leakage_se, lse_max, lse_min, private_se
+from rsmasec.rates import _logsumexp, lse_max, lse_min
 
 
 def manual_realization(user_channels, eve_channels=None, kappa=0.0):
@@ -37,11 +37,10 @@ def test_common_rate_hand_value():
     real = manual_realization([[1.0, 0.0]])
     f = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)], dtype=complex)
     stack = f.reshape(-1, 2)
-    common = common_se(real, stack, cfg)
-    assert abs(common[0] - math.log2(1.5)) < 1e-12
-    # the private stream is orthogonal to the channel here
-    assert private_se(real, stack, cfg)[0] == 0.0
     report = rs.sum_secrecy_se(real, stack, cfg)
+    assert abs(report.common_per_user[0] - math.log2(1.5)) < 1e-12
+    # the private stream is orthogonal to the channel here
+    assert report.private_per_user[0] == 0.0
     assert abs(report.sum_secrecy_se - math.log2(1.5)) < 1e-12
     assert report.leakage_per_secret[0] == 0.0
 
@@ -53,7 +52,7 @@ def test_private_rate_excludes_common_interference():
     real = manual_realization([[1.0, 0.0], [0.0, 1.0]])
     f = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(3)
     stack = f.reshape(-1, 2)
-    private = private_se(real, stack, cfg)
+    private = rs.sum_secrecy_se(real, stack, cfg).private_per_user
     # user 0: signal 1/3, interference from f_2 is 0, noise 1
     assert abs(private[0] - math.log2(1.0 + 1.0 / 3.0)) < 1e-12
 
@@ -61,13 +60,11 @@ def test_private_rate_excludes_common_interference():
 def test_leakage_ordering_and_sets(fig_config, scenario, unit_stack):
     rng = np.random.default_rng(2)
     stack = unit_stack(rng, 20).reshape(-1, 4)
-    for s in range(fig_config.n_secret):
-        values, worst = leakage_se(scenario, stack, fig_config, s)
-        # two eavesdroppers plus three other users
-        assert values.shape == (5,)
-        assert worst == values.max()
-    with pytest.raises(ValueError):
-        leakage_se(scenario, stack, fig_config, fig_config.n_secret)
+    report = rs.sum_secrecy_se(scenario, stack, fig_config)
+    # per secret user: two eavesdroppers plus three other users
+    assert report.leakage_per_wiretapper.shape == (2, 5)
+    np.testing.assert_array_equal(report.leakage_per_secret,
+                                  report.leakage_per_wiretapper.max(axis=1))
 
 
 def test_leakage_empty_wiretap_set():
@@ -75,9 +72,9 @@ def test_leakage_empty_wiretap_set():
                           symbol_power=1.0)
     real = manual_realization([[1.0, 0.0]])
     stack = np.array([[1.0, 0], [0, 1.0]]) / math.sqrt(2)
-    values, worst = leakage_se(real, stack, cfg, 0)
-    assert values.size == 0
-    assert worst == 0.0
+    report = rs.sum_secrecy_se(real, stack, cfg)
+    assert report.leakage_per_wiretapper.shape == (1, 0)
+    assert report.leakage_per_secret.tolist() == [0.0]
 
 
 def test_secrecy_clamps_at_zero():
@@ -88,7 +85,7 @@ def test_secrecy_clamps_at_zero():
     f = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
     stack = f.reshape(-1, 2)
     report = rs.sum_secrecy_se(real, stack, cfg)
-    assert report.leakage_per_secret[0] > private_se(real, stack, cfg)[0]
+    assert report.leakage_per_secret[0] > report.private_per_user[0]
     assert report.secrecy_per_secret[0] == 0.0
 
 
@@ -104,8 +101,6 @@ def test_scoring_rejects_eavesdropper_count_mismatch(n_eves):
     other = dataclasses.replace(cfg, n_eves=n_eves)
     with pytest.raises(ValueError, match="eavesdropper"):
         rs.sum_secrecy_se(real, stack, other)
-    with pytest.raises(ValueError, match="eavesdropper"):
-        leakage_se(real, stack, other, 0)
 
 
 def test_report_totals_are_consistent(fig_config, scenario, unit_stack):
@@ -116,6 +111,78 @@ def test_report_totals_are_consistent(fig_config, scenario, unit_stack):
                + report.private_per_user[fig_config.n_secret:].sum())
     assert abs(report.sum_secrecy_se - rebuilt) < 1e-12
     assert report.common_min == report.common_per_user.min()
+
+
+def reference_report(real, cfg, stack):
+    """The score one receiver and one stream at a time.
+
+    The stream powers come from one matmul per receiver group and the sums
+    run left to right, as in the scorer: at 60 dB a wiretapping user's
+    denominator cancels down to the 1e-6 noise term, so a power or a sum
+    rounded another way would move a rate by far more than 1e-12.
+    """
+    k, n_s = cfg.n_users, cfg.n_secret
+    pu = np.abs(real.user_channels.conj() @ stack.T) ** 2
+    pe = np.abs(real.eve_channels.conj() @ stack.T) ** 2
+    noise_u, noise_e = cfg.noise_user_ratio, cfg.noise_eve_ratio
+
+    def row_sum(row):
+        total = row[0]
+        for x in row[1:]:
+            total = total + x
+        return total
+
+    common, private = np.empty(k), np.empty(k)
+    for u in range(k):
+        streams = row_sum(pu[u, 1:])
+        common[u] = math.log2(1.0 + pu[u, 0] / (streams + noise_u))
+        private[u] = math.log2(1.0 + pu[u, 1 + u] / (streams - pu[u, 1 + u] + noise_u))
+    wiretap = np.empty((n_s, cfg.n_eves + k - 1))
+    for s in range(n_s):
+        rates = []
+        for e in range(cfg.n_eves):
+            num = pe[e, 1 + s]
+            rates.append(math.log2(1.0 + num / (row_sum(pe[e]) - num + noise_e)))
+        for u in range(k):
+            if u != s:
+                num = pu[u, 1 + s]
+                den = row_sum(pu[u, 1:]) - pu[u, 1 + u] - num + noise_u
+                rates.append(math.log2(1.0 + num / den))
+        wiretap[s] = rates
+    leak = np.array([max(row, default=0.0) for row in wiretap.tolist()])
+    secrecy = np.maximum(private[:n_s] - leak, 0.0)
+    return dict(
+        common_per_user=common,
+        common_min=common.min(),
+        private_per_user=private,
+        leakage_per_wiretapper=wiretap,
+        leakage_per_secret=leak,
+        secrecy_per_secret=secrecy,
+        sum_secrecy_se=common.min() + secrecy.sum() + private[n_s:].sum(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    s=st.integers(0, 4),
+    m=st.integers(0, 2),
+    e=st.integers(0, 3),
+    snr_db=st.floats(-30, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_report_matches_per_term_reference(n, s, m, e, snr_db, seed):
+    assume(s + m >= 1)
+    cfg = rs.SystemConfig(n_antennas=n, n_secret=s, n_normal=m, n_eves=e).with_snr_db(snr_db)
+    rng = np.random.default_rng(seed)
+    real = rs.draw_scenario(cfg, rs.ScenarioLayout(quad_nodes=64), rng)
+    vec = rng.standard_normal(n * (s + m + 1)) + 1j * rng.standard_normal(n * (s + m + 1))
+    stack = (vec / np.linalg.norm(vec)).reshape(-1, n)
+    report = rs.sum_secrecy_se(real, stack, cfg)
+    assert report.leakage_per_wiretapper.shape == (s, e + s + m - 1)
+    for name, want in reference_report(real, cfg, stack).items():
+        np.testing.assert_allclose(getattr(report, name), want, rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_lse_constant_vectors_hit_identity():
