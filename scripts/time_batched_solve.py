@@ -5,10 +5,10 @@
 
 Draws every trial of the config's sweep in the harness's chunks, then solves
 the sets of each configured GPI method twice: one ``gpi_solve`` call per set,
-and one ``gpi_solve_batch`` call per chunk.  Draws, starts and scoring are
-outside the timed region.  Prints one JSON line with the best wall seconds of
-each over the repeats, the chunk sizes and the total iterations, and exits 1
-if the two disagree on any solution bit.
+and one ``gpi_solve_batch`` call per chunk.  Draws, starts, stacking each
+chunk's sets and scoring are outside the timed region.  Prints one JSON line
+with the best wall seconds of each over the repeats, the chunk sizes and the
+total iterations, and exits 1 if the two disagree on any solution bit.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from rsmasec.baselines import mrt_init
 from rsmasec.harness import _draw_chunk, _sweep_chunks, parse_config
+from rsmasec.quadforms import QuadFormSet
 from rsmasec.solver import gpi_solve, gpi_solve_batch
 
 
@@ -31,19 +32,19 @@ def main() -> int:
     args = parser.parse_args()
     config = parse_config(args.config)
 
-    jobs = []  # (system, sets, starts) per chunk and GPI method
+    jobs = []  # (system, sets, their stack, starts) per chunk and GPI method
     for _, value, axis_index, trials in _sweep_chunks(config, 1):
         system, _, _, draws = _draw_chunk(config, value, axis_index, trials)
         for rsma in [m == "gpi-rsma" for m in config.methods if m.startswith("gpi")]:
             sets = [qf if rsma else qf.without_common() for *_, qf in draws]
             starts = np.stack([mrt_init(k, common_stream=rsma) for _, k, _ in draws])
-            jobs.append((system, sets, starts))
+            jobs.append((system, sets, QuadFormSet.stack(sets), starts))
 
     def one_by_one():
-        return [gpi_solve(qf, s, system) for system, sets, starts in jobs for qf, s in zip(sets, starts)]
+        return [gpi_solve(qf, s, system) for system, sets, _, starts in jobs for qf, s in zip(sets, starts)]
 
     def batched():
-        return [r for system, sets, starts in jobs for r in gpi_solve_batch(sets, starts, system)]
+        return [r for system, _, stacked, starts in jobs for r in gpi_solve_batch(stacked, starts, system)]
 
     runs = {"one_by_one": one_by_one, "batched": batched}
     seconds = {name: [] for name in runs}
@@ -61,7 +62,7 @@ def main() -> int:
         "speedup": round(best["one_by_one_s"] / best["batched_s"], 2),
         "solves": len(single),
         "iterations": sum(trace.iterations_used for _, trace in single),
-        "chunk_sizes": sorted({len(sets) for _, sets, _ in jobs}),
+        "chunk_sizes": sorted({len(sets) for _, sets, _, _ in jobs}),
         "bit_identical": same,
     }))
     return 0 if same else 1

@@ -15,15 +15,24 @@ def mrt_init(estimates: np.ndarray, *, common_stream: bool = True) -> np.ndarray
     """Matched-filter initializer: f_k = estimate_k, f_c = their average.
 
     With ``common_stream=False`` the common block is zero (the private-only
-    SDMA start).  All-zero estimates are degenerate and raise ValueError.
+    SDMA start).  On a (T, K, N) stack of estimates it returns the (T, K+1, N)
+    stack of each trial's start.  All-zero estimates are degenerate and raise
+    ValueError.
     """
     est = np.asarray(estimates, dtype=complex)
-    if est.ndim != 2:
-        raise ValueError("estimates must be a (K, N) array")
-    common = est.mean(axis=0, keepdims=True) if common_stream else np.zeros((1, est.shape[1]))
-    blocks = np.concatenate([common, est], axis=0)
-    total = np.linalg.norm(blocks)
-    if total == 0:
+    if est.ndim not in (2, 3):
+        raise ValueError("estimates must be a (K, N) or (T, K, N) array")
+    if common_stream:
+        common = est.mean(axis=-2, keepdims=True)
+    else:
+        common = np.zeros((*est.shape[:-2], 1, est.shape[-1]))
+    blocks = np.concatenate([common, est], axis=-2)
+    # each stack's norm as np.linalg.norm takes it: the dot products of the
+    # real and of the imaginary parts of the flattened stack
+    flat = blocks.reshape(*blocks.shape[:-2], 1, -1)
+    total = np.sqrt(flat.real @ np.swapaxes(flat.real, -1, -2)
+                    + flat.imag @ np.swapaxes(flat.imag, -1, -2))
+    if np.any(total == 0):
         raise ValueError("all-zero estimates; the matched filter is degenerate")
     return blocks / total
 
@@ -33,19 +42,22 @@ def rzf_precoder(estimates: np.ndarray, config: SystemConfig) -> np.ndarray:
 
     Directions are the columns of (H H^H + reg I)^-1 H with H = estimates^T
     and reg = K * sigma^2 / P.  Columns carry equal power, the stack is
-    normalized to unit total power and its common block is zero.
+    normalized to unit total power and its common block is zero.  On a
+    (T, K, N) stack of estimates it returns the (T, K+1, N) stack of each
+    trial's precoder.
     """
     est = np.asarray(estimates, dtype=complex)
-    if est.ndim != 2:
-        raise ValueError("estimates must be a (K, N) array")
-    k, n = est.shape
-    h = est.T  # (N, K), columns are channels
-    w = np.linalg.solve(h @ h.conj().T + k * config.noise_user_ratio * np.eye(n), h)
-    col_norms = np.linalg.norm(w, axis=0)
+    if est.ndim not in (2, 3):
+        raise ValueError("estimates must be a (K, N) or (T, K, N) array")
+    k, n = est.shape[-2:]
+    h = np.swapaxes(est, -1, -2)  # (..., N, K), columns are channels
+    gram = h @ np.swapaxes(h.conj(), -1, -2)
+    w = np.linalg.solve(gram + k * config.noise_user_ratio * np.eye(n), h)
+    col_norms = np.linalg.norm(w, axis=-2, keepdims=True)
     if np.any(col_norms == 0):
         raise ValueError("zero precoding column; estimates are degenerate")
     w = w / col_norms / math.sqrt(k)
-    return np.concatenate([np.zeros((1, n)), w.T])
+    return np.concatenate([np.zeros((*est.shape[:-2], 1, n)), np.swapaxes(w, -1, -2)], axis=-2)
 
 
 def gpi_sdma_solve(

@@ -10,7 +10,8 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -18,31 +19,6 @@ import numpy as np
 from .config import SystemConfig
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class KlDecomposition:
-    """Retained eigenpairs of a covariance: R ~= U diag(eigvals) U^H."""
-
-    eigvecs: np.ndarray   # (dim, rank), orthonormal columns
-    eigvals: np.ndarray   # (rank,), positive, descending
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.eigvecs, dtype=complex)
-        lam = np.asarray(self.eigvals, dtype=float)
-        if u.ndim != 2 or lam.ndim != 1 or u.shape[1] != lam.shape[0]:
-            raise ValueError("inconsistent eigvecs/eigvals shapes")
-        if lam.size and (np.any(lam <= 0) or np.any(np.diff(lam) > 0)):
-            raise ValueError("eigvals must be positive and descending")
-        object.__setattr__(self, "eigvecs", u)
-        object.__setattr__(self, "eigvals", lam)
-
-    @property
-    def rank(self) -> int:
-        return self.eigvals.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.conj().T
 
 
 @lru_cache(maxsize=8)
@@ -79,27 +55,32 @@ def one_ring_covariance(
     return 0.5 * (r + r.conj().T)
 
 
-def kl_decompose(cov: np.ndarray, trunc_rel: float = 1e-10) -> KlDecomposition:
-    """Eigendecompose a Hermitian covariance and keep modes whose eigenvalue
-    exceeds trunc_rel * max."""
+def kl_decompose(cov: np.ndarray, trunc_rel: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Karhunen-Loeve factor ``(eigvecs, eigvals)`` of a Hermitian covariance,
+    R ~= U diag(eigvals) U^H: the (N, rank) orthonormal eigenvectors and the
+    (rank,) eigenvalues, descending, of the modes whose eigenvalue exceeds
+    trunc_rel * max.  No mode is kept when the largest eigenvalue is not
+    positive."""
     w, u = np.linalg.eigh(cov)
     w = w[::-1]
     u = u[:, ::-1]
     if w.size == 0 or w[0] <= 0:
-        return KlDecomposition(u[:, :0], w[:0])
+        return u[:, :0], w[:0]
     keep = w > trunc_rel * w[0]
-    return KlDecomposition(u[:, keep], w[keep])
+    return u[:, keep], w[keep]
 
 
-def sample_channel(kl: KlDecomposition, rng: np.random.Generator) -> np.ndarray:
-    """h = U diag(sqrt(eigvals)) zeta with zeta ~ CN(0, I)."""
-    zeta = _cn_vector(kl.rank, rng)
-    return kl.eigvecs @ (np.sqrt(kl.eigvals) * zeta)
+def sample_channel(kl: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> np.ndarray:
+    """h = U diag(sqrt(eigvals)) zeta with zeta ~ CN(0, I), for ``kl`` =
+    ``kl_decompose``'s (U, eigvals)."""
+    eigvecs, eigvals = kl
+    zeta = _cn_vector(eigvals.size, rng)
+    return eigvecs @ (np.sqrt(eigvals) * zeta)
 
 
 def fdd_estimate(
     h: np.ndarray,
-    kl: KlDecomposition,
+    kl: tuple[np.ndarray, np.ndarray],
     kappa: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,8 +93,9 @@ def fdd_estimate(
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must be in [0, 1]")
-    v = _cn_vector(kl.rank, rng)
-    estimate = math.sqrt(1.0 - kappa**2) * h + kappa * (kl.eigvecs @ (np.sqrt(kl.eigvals) * v))
+    eigvecs, eigvals = kl
+    v = _cn_vector(eigvals.size, rng)
+    estimate = math.sqrt(1.0 - kappa**2) * h + kappa * (eigvecs @ (np.sqrt(eigvals) * v))
     return estimate, h - estimate
 
 
@@ -189,6 +171,7 @@ class ChannelRealization:
     Under limited CSIT the transmitter sees ``user_estimates``, ``error_covs``
     and the covariances; ``user_channels``/``eve_channels`` are ground truth
     used only for scoring.  Every covariance is a Hermitian (N, N) array.
+    A realization made by ``stack`` puts a leading trial axis on every array.
     """
 
     user_channels: np.ndarray        # (K, N)
@@ -200,17 +183,27 @@ class ChannelRealization:
     user_aoas: np.ndarray = field(default=None)
     eve_aoas: np.ndarray = field(default=None)
 
+    @staticmethod
+    def stack(realizations: Sequence["ChannelRealization"]) -> "ChannelRealization":
+        """One realization with a leading trial axis over ``realizations``,
+        which must share their dimensions."""
+        first = realizations[0]
+        return ChannelRealization(**{
+            f.name: np.stack([getattr(r, f.name) for r in realizations])
+            for f in fields(first) if getattr(first, f.name) is not None
+        })
+
     @property
     def n_users(self) -> int:
-        return self.user_channels.shape[0]
+        return self.user_channels.shape[-2]
 
     @property
     def n_eves(self) -> int:
-        return self.eve_channels.shape[0]
+        return self.eve_channels.shape[-2]
 
     @property
     def n_antennas(self) -> int:
-        return self.user_channels.shape[1]
+        return self.user_channels.shape[-1]
 
 
 @lru_cache(maxsize=128)
@@ -221,7 +214,7 @@ def _user_statistics(
     antenna_spacing: float,
     n_nodes: int,
     trunc_rel: float,
-) -> tuple[np.ndarray, KlDecomposition]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Covariance and KL factor of a terminal at a layout-fixed azimuth.
 
     User azimuths depend only on the layout, so every trial of a sweep point
@@ -229,7 +222,7 @@ def _user_statistics(
     """
     cov = one_ring_covariance(aoa, spread, n_antennas, antenna_spacing, n_nodes)
     kl = kl_decompose(cov, trunc_rel)
-    for arr in (cov, kl.eigvecs, kl.eigvals):
+    for arr in (cov, *kl):
         arr.flags.writeable = False
     return cov, kl
 

@@ -5,8 +5,11 @@ comma-separated lists.  Every trial derives its own seed from
 (master_seed, axis_index, trial_index), draws one channel scenario, runs
 each configured method on that same scenario, and scores the resulting
 precoder against the true channels.  A sweep runs chunks of consecutive
-trials at one axis value, solving each GPI method for the whole chunk at
-once; a trial's rows do not depend on its chunk.
+trials at one axis value.  A chunk stacks its trials' quad-form sets,
+knowledge and true channels once, then handles each method in one pass
+over all of its trials: one batched GPI solve or one baseline call, one
+objective (read from the solver's trace for the GPI methods) and one
+``sum_secrecy_se`` call.  A trial's rows do not depend on its chunk.
 """
 from __future__ import annotations
 
@@ -21,9 +24,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import mrt_init, rzf_precoder
-from .channel import ScenarioLayout, draw_scenario
+from .channel import ChannelRealization, ScenarioLayout, draw_scenario
 from .config import SystemConfig
 from .quadforms import (
+    QuadFormSet,
     build_quadforms_limited,
     build_quadforms_perfect,
     smoothed_objective,
@@ -264,12 +268,13 @@ def _draw_chunk(config: ExperimentConfig, axis_value: float | None, axis_index: 
     return system, layout, seeds, [_draw(config, system, layout, seed) for seed in seeds]
 
 
-def _gpi_chunk(draws: list, system: SystemConfig, rsma: bool) -> list:
-    """``gpi_solve_batch`` over a chunk's draws from their MRT starts, on the
-    full sets (rate splitting) or their ``without_common()`` views (SDMA)."""
+def _gpi_chunk(quadforms: QuadFormSet, knowledge: np.ndarray, system: SystemConfig, rsma: bool) -> list:
+    """``gpi_solve_batch`` over a chunk's stacked set from the MRT starts of
+    its stacked knowledge, on the full set (rate splitting) or its
+    ``without_common()`` view (SDMA)."""
     return gpi_solve_batch(
-        [qf if rsma else qf.without_common() for _, _, qf in draws],
-        np.stack([mrt_init(knowledge, common_stream=rsma) for _, knowledge, _ in draws]),
+        quadforms if rsma else quadforms.without_common(),
+        mrt_init(knowledge, common_stream=rsma),
         system,
     )
 
@@ -282,42 +287,50 @@ def _run_chunk(
 ) -> list[TrialResult]:
     """Consecutive trials at one axis value, in (trial, method) order.
 
-    Each trial draws its scenario as ``run_trial`` would.  Then every method
-    runs over the whole chunk in config order; the GPI methods solve all
-    trials in one ``gpi_solve_batch`` call, whose time is split evenly over
-    the chunk's rows.  A trial's rows do not depend on the chunk it is in.
+    Each trial draws its scenario as ``run_trial`` would, and the chunk's
+    sets, knowledge and true channels are stacked once.  Then every method
+    runs over the whole chunk in config order: one ``gpi_solve_batch``, or
+    one baseline call, then one objective and one ``sum_secrecy_se`` over
+    all trials.  A GPI row's objective is its trace's.  A method's time is
+    split evenly over the chunk's rows.  A trial's rows do not depend on
+    the chunk it is in.
     """
     system, layout, seeds, draws = _draw_chunk(config, axis_value, axis_index, trials)
+    realizations, knowledge, sets = zip(*draws)
+    truth = ChannelRealization.stack(realizations)
+    knowledge = np.stack(knowledge)
+    quadforms = QuadFormSet.stack(sets)
+    n = len(draws)
     rows: list[list[TrialResult]] = [[] for _ in draws]
     for method in config.methods:
-        shared_s = 0.0
+        t0 = time.perf_counter()
+        iterations, converged = [0] * n, [True] * n
         if method in ("gpi-rsma", "gpi-sdma"):
-            t0 = time.perf_counter()
-            solved = _gpi_chunk(draws, system, rsma=method == "gpi-rsma")
-            shared_s = (time.perf_counter() - t0) / len(draws)
-        for i, (realization, knowledge, quadforms) in enumerate(draws):
-            t0 = time.perf_counter()
-            iterations, converged, stack = 0, True, None
-            if method == "rzf-sdma":
-                stack = rzf_precoder(knowledge, system)
-            elif method == "mrt":
-                stack = mrt_init(knowledge)
-            elif method not in ("gpi-rsma", "gpi-sdma"):
-                raise ConfigError(f"unknown method {method!r}")
-            elif isinstance(solved[i], NumericError):
-                log.warning("trial %d method %s failed numerically: %s",
-                            trials[i], method, solved[i])
-                converged = False
-            else:
-                stack, trace = solved[i]
-                iterations, converged = trace.iterations_used, trace.converged
-            objective = secrecy_se = common_min = math.nan
-            if stack is not None:
-                # private-only methods have no common family to score
-                qf = quadforms.without_common() if method in ("gpi-sdma", "rzf-sdma") else quadforms
-                objective = smoothed_objective(qf, stack, system)
-                report = sum_secrecy_se(realization, stack, system)
-                secrecy_se, common_min = report.sum_secrecy_se, report.common_min
+            solved = _gpi_chunk(quadforms, knowledge, system, rsma=method == "gpi-rsma")
+            # a failed trial scores a NaN precoder, so only its own row is NaN
+            precoders = np.full((n, *quadforms.shape), np.nan, dtype=complex)
+            objective = [math.nan] * n
+            for i, result in enumerate(solved):
+                if isinstance(result, NumericError):
+                    log.warning("trial %d method %s failed numerically: %s", trials[i], method, result)
+                    converged[i] = False
+                    continue
+                precoders[i], trace = result
+                iterations[i], converged[i] = trace.iterations_used, trace.converged
+                objective[i] = trace.objective
+        elif method == "rzf-sdma":
+            # private-only: no common family to score
+            precoders = rzf_precoder(knowledge, system)
+            objective = smoothed_objective(quadforms.without_common(), precoders, system).tolist()
+        elif method == "mrt":
+            precoders = mrt_init(knowledge)
+            objective = smoothed_objective(quadforms, precoders, system).tolist()
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+        report = sum_secrecy_se(truth, precoders, system)
+        runtime_ms = 1e3 * (time.perf_counter() - t0) / n
+        for i, (secrecy_se, common_min) in enumerate(
+                zip(report.sum_secrecy_se.tolist(), report.common_min.tolist())):
             rows[i].append(TrialResult(
                 method=method,
                 trial_index=trials[i],
@@ -331,12 +344,12 @@ def _run_chunk(
                 n_eves=system.n_eves,
                 kappa=layout.kappa,
                 alpha=system.smoothing,
-                iterations=iterations,
-                converged=converged,
-                smoothed_objective=objective,
+                iterations=iterations[i],
+                converged=converged[i],
+                smoothed_objective=objective[i],
                 sum_secrecy_se=secrecy_se,
                 common_min=common_min,
-                runtime_ms=1e3 * (shared_s + time.perf_counter() - t0),
+                runtime_ms=runtime_ms,
             ))
     return [r for trial_rows in rows for r in trial_rows]
 
@@ -483,7 +496,9 @@ def run_convergence(
         writer.writerow(CONVERGE_COLUMNS)
         for _, snr, si, trials in _sweep_chunks(config, 1):
             system, _, seeds, draws = _draw_chunk(config, snr, si, trials)
-            for trial, seed, solved in zip(trials, seeds, _gpi_chunk(draws, system, rsma=True)):
+            _, knowledge, sets = zip(*draws)
+            results = _gpi_chunk(QuadFormSet.stack(sets), np.stack(knowledge), system, rsma=True)
+            for trial, seed, solved in zip(trials, seeds, results):
                 if isinstance(solved, NumericError):
                     raise solved
                 for it, step, obj, lam in solved[1].iterates:

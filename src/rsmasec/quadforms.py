@@ -243,11 +243,16 @@ def smoothed_objective(
     quadforms: QuadFormSet,
     blocks: np.ndarray,
     config: SystemConfig,
-) -> float:
+) -> float | np.ndarray:
     """Smoothed sum secrecy SE (``QuadValues.objective``) evaluated through
-    the quad forms at a ``quadforms.shape`` precoder.  Scale-invariant."""
-    if np.shape(blocks) != quadforms.shape:
-        raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")
+    the quad forms at a ``quadforms.shape`` precoder.  Scale-invariant.
+
+    On a stacked set ``blocks`` is the (T, n_blocks, N) stack of one precoder
+    per trial, and the result holds one value per trial.
+    """
+    want = (*quadforms.bases.shape[:-3], *quadforms.shape)
+    if np.shape(blocks) != want:
+        raise ValueError(f"precoder shape {np.shape(blocks)} does not match {want}")
     return quadforms.evaluate(blocks).objective(config.smoothing)
 
 

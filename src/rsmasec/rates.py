@@ -11,6 +11,7 @@ receiver chain removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,15 +21,19 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-stream rates and the resulting sum secrecy spectral efficiency."""
+    """Per-stream rates and the resulting sum secrecy spectral efficiency.
 
-    common_per_user: np.ndarray         # (K,)
-    common_min: float
-    private_per_user: np.ndarray        # (K,)
-    leakage_per_wiretapper: np.ndarray  # (S, E+K-1) eavesdroppers, then other users
-    leakage_per_secret: np.ndarray      # (S,) max over each wiretap set
-    secrecy_per_secret: np.ndarray      # (S,) [private - leakage]^+
-    sum_secrecy_se: float
+    A report on a stacked realization puts a leading trial axis on every
+    field, the two totals included.
+    """
+
+    common_per_user: np.ndarray         # (..., K)
+    common_min: float | np.ndarray      # (...)
+    private_per_user: np.ndarray        # (..., K)
+    leakage_per_wiretapper: np.ndarray  # (..., S, E+K-1) eavesdroppers, then other users
+    leakage_per_secret: np.ndarray      # (..., S) max over each wiretap set
+    secrecy_per_secret: np.ndarray      # (..., S) [private - leakage]^+
+    sum_secrecy_se: float | np.ndarray  # (...)
 
 
 def sum_secrecy_se(
@@ -45,45 +50,75 @@ def sum_secrecy_se(
     cancelled.  Secret user s's stream leaks to each eavesdropper, which
     cancels nothing, and to each other user, which has removed the common
     stream and its own private stream.  An empty wiretap set leaks 0 bits.
+    Each denominator sums the powers of the streams that interfere there,
+    never a total less the wanted ones, so no rate loses bits to
+    cancellation when the noise term is small.
+
+    On a realization made by ``ChannelRealization.stack`` (channels of shape
+    (T, K, N) and (T, E, N)), ``blocks`` is the (T, K+1, N) stack of one
+    precoder per trial, and every field of the report gains the trial axis.
     """
     k, n_s = config.n_users, config.n_secret
-    want = (k + 1, config.n_antennas)
+    h, g = realization.user_channels, realization.eve_channels
+    want = (*h.shape[:-2], k + 1, config.n_antennas)
     if np.shape(blocks) != want:
-        raise ValueError(f"precoder shape {np.shape(blocks)} is not (K+1, N) = {want}")
+        raise ValueError(f"precoder shape {np.shape(blocks)} is not (..., K+1, N) = {want}")
     if realization.n_users != k or realization.n_antennas != config.n_antennas:
         raise ValueError("realization/config dimension mismatch")
     if realization.n_eves != config.n_eves:
         raise ValueError("realization/config eavesdropper mismatch")
-    pu = np.abs(realization.user_channels.conj() @ blocks.T) ** 2  # (K, K+1)
-    pe = np.abs(realization.eve_channels.conj() @ blocks.T) ** 2   # (E, K+1)
+    f = np.swapaxes(blocks, -1, -2)
+    pu = np.abs(h.conj() @ f) ** 2   # (..., K, K+1) user u, stream j
+    pe = np.abs(g.conj() @ f) ** 2   # (..., E, K+1)
     noise_u = config.noise_user_ratio
+    at_user, at_eve, taps, at_tap = _interferers(k, n_s)
 
-    private_total = pu[:, 1:].sum(axis=1)
-    signal = np.diag(pu[:, 1:])
-    interference = private_total - signal
-    common = np.log2(1.0 + pu[:, 0] / (private_total + noise_u))
-    private = np.log2(1.0 + signal / (interference + noise_u))
+    common = np.log2(1.0 + pu[..., 0] / (pu[..., 1:].sum(axis=-1) + noise_u))
+    signal = np.diagonal(pu[..., 1:], axis1=-2, axis2=-1)
+    private = np.log2(1.0 + signal / ((pu * at_user).sum(axis=-1) + noise_u))
 
-    eve_num = pe[:, 1 : n_s + 1].T                                  # (S, E)
-    eve_ratio = eve_num / (pe.sum(axis=1) - eve_num + config.noise_eve_ratio)
-    user_num = pu[:, 1 : n_s + 1].T                                 # (S, K)
-    user_den = interference - user_num + noise_u
-    others = ~np.eye(n_s, k, dtype=bool)                            # user u != s
-    user_ratio = (user_num[others] / user_den[others]).reshape(n_s, k - 1)
-    wiretap = np.log2(1.0 + np.concatenate([eve_ratio, user_ratio], axis=1))
+    eve_num = np.swapaxes(pe[..., 1 : n_s + 1], -1, -2)                  # (..., S, E)
+    eve_den = (pe[..., None, :, :] * at_eve).sum(axis=-1) + config.noise_eve_ratio
+    user_num = pu[..., taps, 1 + np.arange(n_s)[:, None]]               # (..., S, K-1)
+    user_den = (pu[..., taps, :] * at_tap).sum(axis=-1) + noise_u
+    wiretap = np.log2(1.0 + np.concatenate([eve_num / eve_den, user_num / user_den], axis=-1))
 
-    leak = wiretap.max(axis=1, initial=0.0)
-    secrecy = np.maximum(private[:n_s] - leak, 0.0)
-    total = float(common.min()) + float(secrecy.sum()) + float(private[n_s:].sum())
+    leak = wiretap.max(axis=-1, initial=0.0)
+    secrecy = np.maximum(private[..., :n_s] - leak, 0.0)
+    common_min = common.min(axis=-1)
     return RateReport(
         common_per_user=common,
-        common_min=float(common.min()),
+        common_min=common_min,
         private_per_user=private,
         leakage_per_wiretapper=wiretap,
         leakage_per_secret=leak,
         secrecy_per_secret=secrecy,
-        sum_secrecy_se=total,
+        sum_secrecy_se=common_min + secrecy.sum(axis=-1) + private[..., n_s:].sum(axis=-1),
     )
+
+
+@lru_cache(maxsize=16)
+def _interferers(k: int, n_s: int) -> tuple[np.ndarray, ...]:
+    """0/1 masks over the K+1 streams of the powers each denominator sums,
+    for K users of which the first n_s are secret, plus the wiretapping users:
+      - at_user (K, K+1): at user u, every private stream but u's own;
+      - at_eve (S, 1, K+1): at an eavesdropper of secret user s, every stream
+        but s's;
+      - taps (S, K-1): the users wiretapping s, every other user in index order;
+      - at_tap (S, K-1, K+1): at wiretapping user taps[s, i], every private
+        stream but its own and s's.
+    Read-only, because every call with the same dimensions shares them."""
+    streams = np.arange(k + 1)
+    secrets = np.arange(n_s)[:, None]
+    at_user = (streams >= 1) & (streams != 1 + np.arange(k)[:, None])
+    not_secret = streams != 1 + secrets
+    slots = np.arange(k - 1)
+    taps = slots + (slots >= secrets)
+    masks = (at_user.astype(float), not_secret[:, None].astype(float), taps,
+             (at_user[taps] & not_secret[:, None]).astype(float))
+    for arr in masks:
+        arr.flags.writeable = False
+    return masks
 
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:

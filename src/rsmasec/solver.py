@@ -13,7 +13,6 @@ fixed to one, which leaves the iterates unchanged.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +31,9 @@ class SolveTrace:
     """Per-iteration records: (iteration, step_norm, objective).
 
     Row 0 holds the initializer (step_norm is NaN there).  ``converged``
-    reports whether the step-norm test fired before ``t_max``.  ``history``
+    reports whether the step-norm test fired before ``t_max``.  ``objective``
+    is the smoothed objective at the returned iterate: the last row's when
+    converged, else the best row's (the first of equal ones).  ``history``
     keeps, per iterate, the chunk's stacked quadratic forms and this trial's
     position in them, so that ``values`` and ``iterates`` (which adds the
     lambda diagnostic) can be cut out when read; equality ignores it.
@@ -42,6 +43,7 @@ class SolveTrace:
     converged: bool
     iterations_used: int
     alpha: float
+    objective: float
     history: tuple[tuple[QuadValues, int], ...] = field(compare=False, repr=False)
 
     @property
@@ -198,13 +200,13 @@ _ORBIT_MEMORY = 5
 
 
 def gpi_solve_batch(
-    quadforms: Sequence[QuadFormSet],
+    quadforms: QuadFormSet,
     starts: np.ndarray,
     config: SystemConfig,
 ) -> list[tuple[np.ndarray, SolveTrace] | NumericError]:
     """Power-iterate every set of a chunk from its start, all trials at once.
 
-    ``quadforms`` are T sets of one shape and kind and ``starts`` the
+    ``quadforms`` is the ``QuadFormSet.stack`` of T sets and ``starts`` the
     (T, n_blocks, N) stack of nonzero, finite starting precoders.  On a set
     without a common family the start's common block must be zero; the
     block-diagonal operators then keep it exactly zero.  Returns, per trial,
@@ -224,11 +226,12 @@ def gpi_solve_batch(
     iterate; the damped map has exactly the same fixed points, and
     contracting runs never trigger it.
     """
-    qf = QuadFormSet.stack(quadforms)
-    n_trials = len(quadforms)
+    qf = quadforms
     vec = np.asarray(starts, dtype=complex)
-    if vec.shape != (n_trials, *qf.shape):
-        raise ValueError(f"start stack shape {vec.shape} does not match {(n_trials, *qf.shape)}")
+    if qf.bases.ndim != 4 or vec.shape != (len(qf.bases), *qf.shape):
+        raise ValueError(f"start stack shape {vec.shape} does not match the stacked set's "
+                         f"{(*qf.bases.shape[:-3], *qf.shape)}")
+    n_trials = len(vec)
     nrm = _norms(vec)
     if not (np.isfinite(nrm).all() and (nrm > 0).all()):
         raise ValueError("start vector must be nonzero and finite")
@@ -288,7 +291,8 @@ def gpi_solve_batch(
                 history[i].append((vals, j))
                 if stop or t == config.t_max:
                     out[i] = ((vec[j] if stop else best_vec[j]).copy(),
-                              SolveTrace(tuple(rows[i]), stop, t, alpha, tuple(history[i])))
+                              SolveTrace(tuple(rows[i]), stop, t, alpha,
+                                         ob if stop else float(best_obj[j]), tuple(history[i])))
             if not all(keep):
                 if not any(keep):
                     break
@@ -308,7 +312,7 @@ def gpi_solve_vector(
     vec = np.asarray(start, dtype=complex)
     if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
-    result = gpi_solve_batch([quadforms], vec.reshape(1, *quadforms.shape), config)[0]
+    result = gpi_solve_batch(QuadFormSet.stack([quadforms]), vec.reshape(1, *quadforms.shape), config)[0]
     if isinstance(result, NumericError):
         raise result
     solution, trace = result

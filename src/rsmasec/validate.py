@@ -245,7 +245,7 @@ def _check_fixed_point_residual() -> tuple[bool, str]:
         starts.append(mrt_init(realization.user_channels if i < 100 else realization.user_estimates))
     residuals = []
     for part in (slice(0, 100), slice(100, 200)):   # one batch per CSIT mode
-        solved = gpi_solve_batch(sets[part], np.stack(starts[part]), config)
+        solved = gpi_solve_batch(QuadFormSet.stack(sets[part]), np.stack(starts[part]), config)
         residuals += [_residual(qf, result, config) for qf, result in zip(sets[part], solved)]
     passed = sum(res <= 1e-3 for res in residuals)
     return passed >= 190, f"{passed}/200 residuals <= 1e-3 (need 190); max = {max(residuals):.3e}"
@@ -360,12 +360,12 @@ def _check_collusion_bound() -> tuple[bool, str]:
     for w in range(n_taps):
         aoa = 2.0 * np.pi * w / n_taps + rng.uniform(-0.1, 0.1)
         cov = one_ring_covariance(aoa, np.pi / 6.0, n)
-        kl = kl_decompose(cov)
+        eigvecs, eigvals = kl_decompose(cov)
 
         quads = np.einsum("si,ij,sj->s", fb.conj(), cov, fb).real
         approx_sum += quads[secret_col] / (quads.sum() - quads[secret_col] + noise)
 
-        root = kl.eigvecs * np.sqrt(kl.eigvals)
+        root = eigvecs * np.sqrt(eigvals)
         zeta = (rng.standard_normal((draws, root.shape[1]))
                 + 1j * rng.standard_normal((draws, root.shape[1]))) / math.sqrt(2.0)
         g = zeta @ root.T

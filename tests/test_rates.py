@@ -116,38 +116,43 @@ def test_report_totals_are_consistent(fig_config, scenario, unit_stack):
 def reference_report(real, cfg, stack):
     """The score one receiver and one stream at a time.
 
-    The stream powers come from one matmul per receiver group and the sums
-    run left to right, as in the scorer: at 60 dB a wiretapping user's
-    denominator cancels down to the 1e-6 noise term, so a power or a sum
-    rounded another way would move a rate by far more than 1e-12.
+    Each stream power is one inner product, and each denominator is a left
+    to right sum of the powers of the streams that interfere there, so no
+    denominator is a total less the wanted streams: at 60 dB such a
+    difference cancels down to the 1e-6 noise term and loses far more than
+    1e-12 bits.
     """
     k, n_s = cfg.n_users, cfg.n_secret
-    pu = np.abs(real.user_channels.conj() @ stack.T) ** 2
-    pe = np.abs(real.eve_channels.conj() @ stack.T) ** 2
     noise_u, noise_e = cfg.noise_user_ratio, cfg.noise_eve_ratio
 
-    def row_sum(row):
-        total = row[0]
-        for x in row[1:]:
-            total = total + x
+    def powers(channel):
+        return [abs(np.vdot(channel, f)) ** 2 for f in stack]
+
+    def power_sum(p, streams):
+        total = 0.0
+        for j in streams:
+            total = total + p[j]
         return total
 
+    pu = [powers(h) for h in real.user_channels]
+    pe = [powers(g) for g in real.eve_channels]
+    private_streams = range(1, k + 1)
     common, private = np.empty(k), np.empty(k)
     for u in range(k):
-        streams = row_sum(pu[u, 1:])
-        common[u] = math.log2(1.0 + pu[u, 0] / (streams + noise_u))
-        private[u] = math.log2(1.0 + pu[u, 1 + u] / (streams - pu[u, 1 + u] + noise_u))
+        others = [j for j in private_streams if j != 1 + u]
+        common[u] = math.log2(1.0 + pu[u][0] / (power_sum(pu[u], private_streams) + noise_u))
+        private[u] = math.log2(1.0 + pu[u][1 + u] / (power_sum(pu[u], others) + noise_u))
     wiretap = np.empty((n_s, cfg.n_eves + k - 1))
     for s in range(n_s):
         rates = []
         for e in range(cfg.n_eves):
-            num = pe[e, 1 + s]
-            rates.append(math.log2(1.0 + num / (row_sum(pe[e]) - num + noise_e)))
+            den = power_sum(pe[e], [j for j in range(k + 1) if j != 1 + s]) + noise_e
+            rates.append(math.log2(1.0 + pe[e][1 + s] / den))
         for u in range(k):
             if u != s:
-                num = pu[u, 1 + s]
-                den = row_sum(pu[u, 1:]) - pu[u, 1 + u] - num + noise_u
-                rates.append(math.log2(1.0 + num / den))
+                interfering = [j for j in private_streams if j not in (1 + u, 1 + s)]
+                den = power_sum(pu[u], interfering) + noise_u
+                rates.append(math.log2(1.0 + pu[u][1 + s] / den))
         wiretap[s] = rates
     leak = np.array([max(row, default=0.0) for row in wiretap.tolist()])
     secrecy = np.maximum(private[:n_s] - leak, 0.0)
@@ -183,6 +188,26 @@ def test_report_matches_per_term_reference(n, s, m, e, snr_db, seed):
     for name, want in reference_report(real, cfg, stack).items():
         np.testing.assert_allclose(getattr(report, name), want, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+def test_wiretapping_user_leakage_loses_no_bits_at_high_snr():
+    # with K = 2 a user wiretapping the other's stream has removed every other
+    # stream, so the denominator of its rate is the noise term alone; formed
+    # as a total less the wanted streams it would miss that 1e-6 term by the
+    # rounding error of the total, about 1e-10 bits at 60 dB
+    cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=0, n_eves=0).with_snr_db(60.0)
+    worst = 0.0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        real = rs.draw_scenario(cfg, rs.ScenarioLayout(), rng)
+        vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        stack = (vec / np.linalg.norm(vec)).reshape(3, 4)
+        report = rs.sum_secrecy_se(real, stack, cfg)
+        for s in range(2):
+            p = abs(np.vdot(real.user_channels[1 - s], stack[1 + s])) ** 2
+            want = math.log2(1.0 + p / cfg.noise_user_ratio)
+            worst = max(worst, abs(report.leakage_per_wiretapper[s, 0] - want))
+    assert worst <= 1e-12
 
 
 def test_lse_constant_vectors_hit_identity():

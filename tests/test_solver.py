@@ -8,6 +8,7 @@ from scipy.special import softmax
 
 import rsmasec as rs
 from rsmasec import solver
+from rsmasec.quadforms import QuadFormSet
 from rsmasec.solver import (
     _matvec,
     _softmax,
@@ -262,7 +263,7 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
     assert not all(trace.converged for _, trace in alone)
     subset = np.random.default_rng(3).permutation(len(sets))[:5]
     for pick in (np.arange(len(sets)), subset):
-        batch = gpi_solve_batch([sets[i] for i in pick], starts[pick], cfg)
+        batch = gpi_solve_batch(QuadFormSet.stack([sets[i] for i in pick]), starts[pick], cfg)
         for i, (stack, trace) in zip(pick, batch):
             assert np.array_equal(stack, alone[i][0])
             assert trace == alone[i][1]
@@ -276,7 +277,7 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
     bases = sets[2].bases.copy()
     bases[1, 0, 0] = np.nan
     sets[2] = replace(sets[2], bases=bases)
-    batch = gpi_solve_batch(sets, starts, cfg)
+    batch = gpi_solve_batch(QuadFormSet.stack(sets), starts, cfg)
     assert isinstance(batch[2], rs.NumericError)
     with pytest.raises(rs.NumericError):
         rs.gpi_solve(sets[2], starts[2], cfg)
@@ -284,6 +285,18 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
         stack, trace = rs.gpi_solve(sets[i], starts[i], cfg)
         assert np.array_equal(batch[i][0], stack)
         assert batch[i][1] == trace
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_trace_objective_is_the_returned_iterates(build):
+    # the chunk mixes converged solves and solves stopped at t_max
+    cfg, sets, starts = chunk(build, 8)
+    batch = gpi_solve_batch(QuadFormSet.stack(sets), starts, cfg)
+    assert {trace.converged for _, trace in batch} == {True, False}
+    for qf, (stack, trace) in zip(sets, batch):
+        assert trace.objective == rs.smoothed_objective(qf, stack, cfg)
+        objectives = [row[2] for row in trace.rows]
+        assert trace.objective == (objectives[-1] if trace.converged else max(objectives))
 
 
 def test_block_solve_solves_a_stack_of_trials():
