@@ -3,10 +3,11 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/time_batched_solve.py CONFIG [--repeats R]
 
-Draws every trial of the config's sweep in the harness's chunks, then solves
-the sets of each configured GPI method twice: one ``gpi_solve`` call per set,
-and one ``gpi_solve_batch`` call per chunk.  Draws, starts, stacking each
-chunk's sets and scoring are outside the timed region.  Prints one JSON line
+Draws every trial of the config's sweep in the harness's chunks and builds
+each chunk's quad-form set, then solves the sets of each configured GPI
+method twice: one ``gpi_solve`` call per trial's set (``take`` of the
+chunk's), and one ``gpi_solve_batch`` call per chunk.  Draws, builds, starts
+and scoring are outside the timed region.  Prints one JSON line
 with the best wall seconds of each over the repeats, the chunk sizes and the
 total iterations, and exits 1 if the two disagree on any solution bit.
 """
@@ -20,31 +21,31 @@ import time
 import numpy as np
 
 from rsmasec.baselines import mrt_init
-from rsmasec.harness import _draw_chunk, _sweep_chunks, parse_config
-from rsmasec.quadforms import QuadFormSet
+from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
 from rsmasec.solver import gpi_solve, gpi_solve_batch
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("config")
     parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     config = parse_config(args.config)
 
-    jobs = []  # (system, sets, their stack, starts) per chunk and GPI method
+    jobs = []  # (system, each trial's set, the chunk's set, starts) per chunk and GPI method
     for _, value, axis_index, trials in _sweep_chunks(config, 1):
-        system, _, _, draws = _draw_chunk(config, value, axis_index, trials)
+        system, _, _, truth = _draw_chunk(config, value, axis_index, trials)
+        knowledge, quadforms = _known(config.csit_mode, truth, system)
         for rsma in [m == "gpi-rsma" for m in config.methods if m.startswith("gpi")]:
-            sets = [qf if rsma else qf.without_common() for *_, qf in draws]
-            starts = np.stack([mrt_init(k, common_stream=rsma) for _, k, _ in draws])
-            jobs.append((system, sets, QuadFormSet.stack(sets), starts))
+            chunk = quadforms if rsma else quadforms.without_common()
+            sets = [chunk.take(i) for i in range(len(trials))]
+            jobs.append((system, sets, chunk, mrt_init(knowledge, common_stream=rsma)))
 
     def one_by_one():
         return [gpi_solve(qf, s, system) for system, sets, _, starts in jobs for qf, s in zip(sets, starts)]
 
     def batched():
-        return [r for system, _, stacked, starts in jobs for r in gpi_solve_batch(stacked, starts, system)]
+        return [r for system, _, chunk, starts in jobs for r in gpi_solve_batch(chunk, starts, system)]
 
     runs = {"one_by_one": one_by_one, "batched": batched}
     seconds = {name: [] for name in runs}

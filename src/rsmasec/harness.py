@@ -5,10 +5,10 @@ comma-separated lists.  Every trial derives its own seed from
 (master_seed, axis_index, trial_index), draws one channel scenario, runs
 each configured method on that same scenario, and scores the resulting
 precoder against the true channels.  A sweep runs chunks of consecutive
-trials at one axis value.  A chunk stacks its trials' quad-form sets,
-knowledge and true channels once, then handles each method in one pass
-over all of its trials: one batched GPI solve or one baseline call, one
-objective (read from the solver's trace for the GPI methods) and one
+trials at one axis value.  A chunk stacks its trials' draws once and builds
+one quad-form set from them, then handles each method in one pass over all
+of its trials: one batched GPI solve or one baseline call, one objective
+(read from the solver's trace for the GPI methods) and one
 ``sum_secrecy_se`` call.  A trial's rows do not depend on its chunk.
 """
 from __future__ import annotations
@@ -239,16 +239,6 @@ def derive_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw(config: ExperimentConfig, system: SystemConfig, layout: ScenarioLayout, seed: int):
-    """Seeded scenario draw plus what the transmitter knows under the CSIT mode:
-    ``(realization, knowledge, quadforms)``.  The generator ends here, so every
-    method is a function of the drawn scenario alone."""
-    realization = draw_scenario(system, layout, np.random.default_rng(seed))
-    if config.csit_mode == "limited":
-        return realization, realization.user_estimates, build_quadforms_limited(realization, system)
-    return realization, realization.user_channels, build_quadforms_perfect(realization, system)
-
-
 def run_trial(
     config: ExperimentConfig,
     axis_value: float | None,
@@ -261,11 +251,23 @@ def run_trial(
 
 
 def _draw_chunk(config: ExperimentConfig, axis_value: float | None, axis_index: int, trials: range):
-    """``(system, layout, seeds, draws)`` of consecutive trials at one axis
-    value; each draw is ``_draw``'s tuple for that trial's seed."""
+    """``(system, layout, seeds, truth)`` of consecutive trials at one axis
+    value: ``truth`` stacks each trial's scenario, drawn from its own seed.
+    The generators end here, so every method is a function of the drawn
+    scenarios alone."""
     system, layout = effective_scenario(config, axis_value)
     seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
-    return system, layout, seeds, [_draw(config, system, layout, seed) for seed in seeds]
+    draws = [draw_scenario(system, layout, np.random.default_rng(seed)) for seed in seeds]
+    return system, layout, seeds, ChannelRealization.stack(draws)
+
+
+def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig):
+    """What the transmitter knows of a chunk's stacked draws under
+    ``csit_mode``: ``(knowledge, quadforms)``, the stacked channels it sees
+    and the chunk's one quad-form set."""
+    if csit_mode == "limited":
+        return truth.user_estimates, build_quadforms_limited(truth, system)
+    return truth.user_channels, build_quadforms_perfect(truth, system)
 
 
 def _gpi_chunk(quadforms: QuadFormSet, knowledge: np.ndarray, system: SystemConfig, rsma: bool) -> list:
@@ -287,21 +289,18 @@ def _run_chunk(
 ) -> list[TrialResult]:
     """Consecutive trials at one axis value, in (trial, method) order.
 
-    Each trial draws its scenario as ``run_trial`` would, and the chunk's
-    sets, knowledge and true channels are stacked once.  Then every method
+    Each trial draws its scenario as ``run_trial`` would; the draws are
+    stacked and one quad-form set is built for the chunk.  Then every method
     runs over the whole chunk in config order: one ``gpi_solve_batch``, or
     one baseline call, then one objective and one ``sum_secrecy_se`` over
     all trials.  A GPI row's objective is its trace's.  A method's time is
     split evenly over the chunk's rows.  A trial's rows do not depend on
     the chunk it is in.
     """
-    system, layout, seeds, draws = _draw_chunk(config, axis_value, axis_index, trials)
-    realizations, knowledge, sets = zip(*draws)
-    truth = ChannelRealization.stack(realizations)
-    knowledge = np.stack(knowledge)
-    quadforms = QuadFormSet.stack(sets)
-    n = len(draws)
-    rows: list[list[TrialResult]] = [[] for _ in draws]
+    system, layout, seeds, truth = _draw_chunk(config, axis_value, axis_index, trials)
+    knowledge, quadforms = _known(config.csit_mode, truth, system)
+    n = len(seeds)
+    rows: list[list[TrialResult]] = [[] for _ in seeds]
     for method in config.methods:
         t0 = time.perf_counter()
         iterations, converged = [0] * n, [True] * n
@@ -384,12 +383,12 @@ CHUNK_BYTES = 4 * 2**20
 
 
 def _trial_bytes(system: SystemConfig, csit_mode: str) -> int:
-    """Bytes of one trial's solver arrays: its quad-form set (complex base
-    matrices plus real coefficient tables) and the (A, B) block stacks."""
-    n, k, s, e = system.n_antennas, system.n_users, system.n_secret, system.n_eves
+    """Bytes of the solver arrays a trial adds to its chunk: its complex base
+    matrices and its (A, B) block stacks.  The coefficient tables are shared
+    by the whole chunk, so they are not counted."""
+    n, k, e = system.n_antennas, system.n_users, system.n_eves
     n_bases = 1 + k + e + (2 * k if csit_mode == "limited" else 0)
-    n_forms = 2 * (2 * k + s * e + s * (k - 1))
-    return 16 * (n_bases + 2 * (k + 1)) * n * n + 8 * n_forms * n_bases * (k + 1)
+    return 16 * (n_bases + 2 * (k + 1)) * n * n
 
 
 def _sweep_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
@@ -495,9 +494,9 @@ def run_convergence(
         writer = csv.writer(fh)
         writer.writerow(CONVERGE_COLUMNS)
         for _, snr, si, trials in _sweep_chunks(config, 1):
-            system, _, seeds, draws = _draw_chunk(config, snr, si, trials)
-            _, knowledge, sets = zip(*draws)
-            results = _gpi_chunk(QuadFormSet.stack(sets), np.stack(knowledge), system, rsma=True)
+            system, _, seeds, truth = _draw_chunk(config, snr, si, trials)
+            knowledge, quadforms = _known(config.csit_mode, truth, system)
+            results = _gpi_chunk(quadforms, knowledge, system, rsma=True)
             for trial, seed, solved in zip(trials, seeds, results):
                 if isinstance(solved, NumericError):
                     raise solved

@@ -21,7 +21,6 @@ Two variants exist:
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,11 +34,6 @@ _TABLES = ("common_num", "common_den", "private_num", "private_den",
            "eve_num", "eve_den", "user_num", "user_den")
 
 
-def _take(obj, index, names):
-    """``obj`` with every named array field indexed by ``index``."""
-    return replace(obj, **{n: getattr(obj, n)[index] for n in names if getattr(obj, n) is not None})
-
-
 def _complex(x: np.ndarray) -> np.ndarray:
     """``x`` as a C-contiguous complex array, whose (re, im) pairs a float view reads."""
     return np.ascontiguousarray(x, dtype=complex)
@@ -49,17 +43,18 @@ def _complex(x: np.ndarray) -> np.ndarray:
 class QuadFormSet:
     """All quadratic-form pairs for one scenario, or for a chunk of trials.
 
-    ``bases`` is the (n_bases, N, N) stack of base matrices.  Each table has
-    shape (..., n_bases, n_blocks) and real entries in {0, +-1, ridge}:
+    ``bases`` is the (n_bases, N, N) stack of base matrices, or (T, n_bases,
+    N, N) for a chunk of T trials.  The tables depend only on the dimensions,
+    the CSIT mode and the noise ratios, never on the drawn channels, so a
+    chunk shares one of each; ``evaluate`` and ``weighted_blocks`` then work
+    per trial.  Each table has shape (..., n_bases, n_blocks) and real
+    entries in {0, +-1, ridge}:
     ``common_*`` (K, ...), ``private_*`` (K, ...), ``eve_*`` (S, E, ...) and
     ``user_*`` (S, K-1, ...), where secret user s's wiretapping users run over
     every other user in index order.  The stack always has K+1 blocks, block 0
     carrying the common stream.  ``common_*`` is None only on a
     ``without_common()`` view, which scores private-only (SDMA) stacks whose
     common block is zero.
-
-    A set made by ``stack`` puts a leading trial axis on ``bases`` and on
-    every table; ``evaluate`` and ``weighted_blocks`` then work per trial.
     """
 
     bases: np.ndarray
@@ -77,22 +72,10 @@ class QuadFormSet:
         if self.variant not in ("perfect", "limited"):
             raise ValueError("variant must be 'perfect' or 'limited'")
 
-    @staticmethod
-    def stack(sets: Sequence["QuadFormSet"]) -> "QuadFormSet":
-        """One set with a leading trial axis over ``sets``, which must share
-        variant, shape and common family."""
-        first = sets[0]
-        if any((s.variant, s.has_common, s.bases.shape) != (first.variant, first.has_common, first.bases.shape)
-               for s in sets):
-            raise ValueError("stacked sets must share variant, shape and common family")
-        return replace(first, bases=np.stack([s.bases for s in sets]), **{
-            n: np.stack([getattr(s, n) for s in sets])
-            for n in _TABLES if getattr(first, n) is not None
-        })
-
     def take(self, index) -> "QuadFormSet":
-        """The trials ``index`` (an index array) of a stacked set."""
-        return _take(self, index, ("bases", *_TABLES))
+        """The trials ``index`` of a chunk's set: a chunk for an index array,
+        one trial's set for an integer.  Shares the tables."""
+        return replace(self, bases=self.bases[index])
 
     @property
     def has_common(self) -> bool:
@@ -126,9 +109,10 @@ class QuadFormSet:
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
         """All quadratic forms at one point, grouped by rate family.
 
-        On a stacked set ``blocks`` is (T, n_blocks, N), one precoder per
+        On a chunk's set ``blocks`` is (T, n_blocks, N), one precoder per
         trial, and every value gains the leading trial axis.
         """
+        lead = self.bases.shape[:-3]
         bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
         t, m, n, _ = bases.shape
         f = _complex(blocks).reshape(t, -1, n)
@@ -141,7 +125,8 @@ class QuadFormSet:
         def ev(table):
             if table is None:
                 return None
-            return (table.reshape(t, -1, gram.shape[1]) @ gram).reshape(table.shape[:-2])
+            # the shared table against every trial's gram
+            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, *table.shape[:-2])
 
         return QuadValues(
             **{name: ev(getattr(self, name)) for name in _TABLES},
@@ -156,13 +141,13 @@ class QuadFormSet:
         real weight per form, shaped like that table's leading axes.  The
         weights are contracted with the tables first, so each base matrix is
         touched once.  Returns the (n_blocks, N, N) block stack, with a
-        leading trial axis on a stacked set.
+        leading trial axis (and one weight per trial) on a chunk's set.
         """
         bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
         t, m, n, _ = bases.shape
         nb = self.n_blocks
         coef = sum(
-            w.reshape(t, 1, -1) @ getattr(self, name).reshape(t, -1, m * nb)
+            w.reshape(t, 1, -1) @ getattr(self, name).reshape(-1, m * nb)
             for name, w in weights.items()
         )
         # real coefficients times the interleaved (re, im) entries of the bases
@@ -174,7 +159,7 @@ class QuadFormSet:
 class QuadValues:
     """Numerator/denominator quadratic forms per rate family at one iterate.
 
-    Values of a stacked set carry a leading trial axis on every array; the
+    Values of a chunk's set carry a leading trial axis on every array; the
     methods then return one value per trial.
     """
 
@@ -190,8 +175,8 @@ class QuadValues:
     n_secret: int
 
     def take(self, index) -> "QuadValues":
-        """The trials ``index`` of stacked values (one trial for an integer)."""
-        return _take(self, index, _TABLES)
+        """The trials ``index`` of a chunk's values (one trial for an integer)."""
+        return replace(self, **{n: getattr(self, n)[index] for n in _TABLES if getattr(self, n) is not None})
 
     def common_rates(self) -> np.ndarray | None:
         if self.common_num is None:
@@ -226,7 +211,7 @@ class QuadValues:
         The smoothed min over common rates replaces the hard min, each secret
         user's leakage enters through ``smoothed_leakages``, and the
         positive-part clamp on secrecy rates is relaxed.  A float, or one
-        value per trial for stacked values.
+        value per trial for a chunk's values.
         """
         private = self.private_rates()
         leak = self.smoothed_leakages(alpha)
@@ -247,7 +232,7 @@ def smoothed_objective(
     """Smoothed sum secrecy SE (``QuadValues.objective``) evaluated through
     the quad forms at a ``quadforms.shape`` precoder.  Scale-invariant.
 
-    On a stacked set ``blocks`` is the (T, n_blocks, N) stack of one precoder
+    On a chunk's set ``blocks`` is the (T, n_blocks, N) stack of one precoder
     per trial, and the result holds one value per trial.
     """
     want = (*quadforms.bases.shape[:-3], *quadforms.shape)
@@ -260,7 +245,11 @@ def build_quadforms_perfect(
     realization: ChannelRealization,
     config: SystemConfig,
 ) -> QuadFormSet:
-    """Pairs over true channels; rates are exact SINR-plus-one quotients."""
+    """Pairs over true channels; rates are exact SINR-plus-one quotients.
+
+    On a ``ChannelRealization.stack`` of T draws the set is a chunk's:
+    (T, n_bases, N, N) bases and one shared copy of each table.
+    """
     return _build(realization, config, limited=False)
 
 
@@ -270,12 +259,13 @@ def build_quadforms_limited(
 ) -> QuadFormSet:
     """Pairs over the transmitter's knowledge: channel estimates plus error
     covariances for rate lower bounds, wiretapper covariances for the
-    collusion leakage upper bound.  True channels are not read."""
+    collusion leakage upper bound.  True channels are not read.  Takes a
+    stacked realization as ``build_quadforms_perfect`` does."""
     return _build(realization, config, limited=True)
 
 
 def _outer(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("ki,kj->kij", rows, rows.conj())
+    return np.einsum("...ki,...kj->...kij", rows, rows.conj())
 
 
 def _build(
@@ -300,7 +290,6 @@ def _build(
     # Under perfect CSIT a wiretapping user sees its own signal matrix.
     if limited:
         parts = [
-            np.eye(n, dtype=complex)[None],
             _outer(realization.user_estimates),
             realization.error_covs,
             realization.eve_covs,
@@ -309,13 +298,13 @@ def _build(
         sig, err, eve, wire = 1, 1 + k, 1 + 2 * k, 1 + 2 * k + e_cnt
     else:
         parts = [
-            np.eye(n, dtype=complex)[None],
             _outer(realization.user_channels),
             _outer(realization.eve_channels),
         ]
         sig, err, eve, wire = 1, None, 1 + k, 1
-    bases = np.concatenate(parts)
-    m = bases.shape[0]
+    lead = realization.user_channels.shape[:-2]
+    bases = np.concatenate([np.broadcast_to(np.eye(n, dtype=complex), (*lead, 1, n, n)), *parts], axis=-3)
+    m = bases.shape[-3]
     users = np.arange(k)
 
     def rate_tables(blocks: slice, signal_block):

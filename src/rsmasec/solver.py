@@ -34,7 +34,7 @@ class SolveTrace:
     reports whether the step-norm test fired before ``t_max``.  ``objective``
     is the smoothed objective at the returned iterate: the last row's when
     converged, else the best row's (the first of equal ones).  ``history``
-    keeps, per iterate, the chunk's stacked quadratic forms and this trial's
+    keeps, per iterate, the chunk's quadratic forms and this trial's
     position in them, so that ``values`` and ``iterates`` (which adds the
     lambda diagnostic) can be cut out when read; equality ignores it.
     """
@@ -93,7 +93,7 @@ def assemble_kkt(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B) block stacks of the stationarity condition at the iterate
     whose quadratic forms are ``vals``, each of shape (n_blocks, N, N), with
-    a leading trial axis on a stacked set.
+    a leading trial axis on a chunk's set.
 
     Normalized weights are computed in log space (softmax over rates divided
     by alpha), which is algebraically identical to the raw-weight form but
@@ -206,11 +206,12 @@ def gpi_solve_batch(
 ) -> list[tuple[np.ndarray, SolveTrace] | NumericError]:
     """Power-iterate every set of a chunk from its start, all trials at once.
 
-    ``quadforms`` is the ``QuadFormSet.stack`` of T sets and ``starts`` the
-    (T, n_blocks, N) stack of nonzero, finite starting precoders.  On a set
-    without a common family the start's common block must be zero; the
-    block-diagonal operators then keep it exactly zero.  Returns, per trial,
-    the solution and its trace, or the NumericError that stopped it.
+    ``quadforms`` is a chunk's set (its ``bases`` carry the T trials; the
+    tables are shared) and ``starts`` the (T, n_blocks, N) stack of nonzero,
+    finite starting precoders.  On a set without a common family the start's
+    common block must be zero; the block-diagonal operators then keep it
+    exactly zero.  Returns, per trial, the solution and its trace, or the
+    NumericError that stopped it.
 
     Each trial stops when its phase-aligned step norm drops to
     config.epsilon, or after config.t_max steps, when its best-objective
@@ -229,7 +230,7 @@ def gpi_solve_batch(
     qf = quadforms
     vec = np.asarray(starts, dtype=complex)
     if qf.bases.ndim != 4 or vec.shape != (len(qf.bases), *qf.shape):
-        raise ValueError(f"start stack shape {vec.shape} does not match the stacked set's "
+        raise ValueError(f"start stack shape {vec.shape} does not match the chunk's set's "
                          f"{(*qf.bases.shape[:-3], *qf.shape)}")
     n_trials = len(vec)
     nrm = _norms(vec)
@@ -312,7 +313,8 @@ def gpi_solve_vector(
     vec = np.asarray(start, dtype=complex)
     if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
-    result = gpi_solve_batch(QuadFormSet.stack([quadforms]), vec.reshape(1, *quadforms.shape), config)[0]
+    chunk = replace(quadforms, bases=quadforms.bases[None])
+    result = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config)[0]
     if isinstance(result, NumericError):
         raise result
     solution, trace = result

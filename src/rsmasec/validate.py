@@ -25,6 +25,7 @@ import numpy as np
 
 from .baselines import mrt_init
 from .channel import (
+    ChannelRealization,
     ScenarioLayout,
     draw_scenario,
     error_covariance,
@@ -36,6 +37,7 @@ from .channel import (
 from .config import SystemConfig
 from .harness import (
     ExperimentConfig,
+    _known,
     _sweep_rows,
     aggregate,
     parse_config_text,
@@ -236,17 +238,15 @@ def _residual(qf: QuadFormSet, solved, config: SystemConfig) -> float:
 def _check_fixed_point_residual() -> tuple[bool, str]:
     """Residual of the returned precoder under the iteration map."""
     config = _fig_shape_config(epsilon=1e-4, t_max=500).with_snr_db(20.0)
-    sets, starts = [], []
+    draws = []
     for i in range(200):
         rng = np.random.default_rng(1000 + i)
-        realization = draw_scenario(config, _random_layout(rng), rng)
-        build = build_quadforms_perfect if i < 100 else build_quadforms_limited
-        sets.append(build(realization, config))
-        starts.append(mrt_init(realization.user_channels if i < 100 else realization.user_estimates))
+        draws.append(draw_scenario(config, _random_layout(rng), rng))
     residuals = []
-    for part in (slice(0, 100), slice(100, 200)):   # one batch per CSIT mode
-        solved = gpi_solve_batch(QuadFormSet.stack(sets[part]), np.stack(starts[part]), config)
-        residuals += [_residual(qf, result, config) for qf, result in zip(sets[part], solved)]
+    for mode, half in (("perfect", draws[:100]), ("limited", draws[100:])):   # one batch per CSIT mode
+        knowledge, qf = _known(mode, ChannelRealization.stack(half), config)
+        solved = gpi_solve_batch(qf, mrt_init(knowledge), config)
+        residuals += [_residual(qf.take(i), result, config) for i, result in enumerate(solved)]
     passed = sum(res <= 1e-3 for res in residuals)
     return passed >= 190, f"{passed}/200 residuals <= 1e-3 (need 190); max = {max(residuals):.3e}"
 

@@ -1,5 +1,6 @@
-"""A sweep chunk is scored in one call per method: each scorer and baseline
-takes a leading trial axis, and its (T, ...) call equals T single calls."""
+"""A sweep chunk is built and scored in one call per method: each builder,
+scorer and baseline takes a leading trial axis, and its (T, ...) call equals
+T single calls."""
 import dataclasses
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import rsmasec as rs
 from rsmasec import harness
-from rsmasec.quadforms import QuadFormSet
+from rsmasec.quadforms import _TABLES
 
 
 def draws(cfg, n_trials, seed):
@@ -40,8 +41,9 @@ def test_trial_axis_calls_equal_per_trial_calls(n, s, m, e, n_trials, snr_db, se
     assume(s + m >= 1)
     cfg = rs.SystemConfig(n_antennas=n, n_secret=s, n_normal=m, n_eves=e).with_snr_db(snr_db)
     reals, stacks = draws(cfg, n_trials, seed)
+    truth = rs.ChannelRealization.stack(reals)
 
-    report = rs.sum_secrecy_se(rs.ChannelRealization.stack(reals), stacks, cfg)
+    report = rs.sum_secrecy_se(truth, stacks, cfg)
     for field in dataclasses.fields(report):
         batched = np.asarray(getattr(report, field.name))
         assert batched.shape[0] == n_trials, field.name
@@ -54,10 +56,16 @@ def test_trial_axis_calls_equal_per_trial_calls(n, s, m, e, n_trials, snr_db, se
                          lambda t: rs.mrt_init(est[t], common_stream=common_stream), n_trials)
     assert_per_trial(rs.rzf_precoder(est, cfg), lambda t: rs.rzf_precoder(est[t], cfg), n_trials)
 
-    sets = [rs.build_quadforms_limited(r, cfg) for r in reals]
-    stacked = QuadFormSet.stack(sets)
-    assert_per_trial(rs.smoothed_objective(stacked, stacks, cfg),
-                     lambda t: rs.smoothed_objective(sets[t], stacks[t], cfg), n_trials)
+    for build in (rs.build_quadforms_perfect, rs.build_quadforms_limited):
+        sets = [build(r, cfg) for r in reals]
+        chunk = build(truth, cfg)
+        assert chunk.bases.shape == (n_trials, *sets[0].bases.shape)
+        for t in range(n_trials):
+            assert np.array_equal(chunk.bases[t], sets[t].bases)
+            for name in _TABLES:
+                assert np.array_equal(getattr(chunk, name), getattr(sets[t], name)), name
+        assert rs.smoothed_objective(chunk, stacks, cfg).tolist() == [
+            rs.smoothed_objective(sets[t], stacks[t], cfg) for t in range(n_trials)]
 
 
 def test_stacked_realization_keeps_the_dimensions():

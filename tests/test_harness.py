@@ -238,36 +238,39 @@ def cells(row):
 
 
 def test_chunk_size_follows_the_byte_budget():
-    paper = rs.parse_config_text("trials = 500")
-    large = rs.parse_config_text(
-        "n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 3")
-    sizes = [len(it[3]) for it in harness._sweep_chunks(paper, 1)]
-    assert sizes[0] == harness.CHUNK_BYTES // harness._trial_bytes(paper.system, "limited")
-    assert sum(sizes) == 500 and len(sizes) > 1
-    assert [len(it[3]) for it in harness._sweep_chunks(large, 1)] == [1, 1, 1]
+    def sizes(text):
+        return [len(it[3]) for it in harness._sweep_chunks(rs.parse_config_text(text), 1)]
+
+    # only the bases and block stacks grow with the chunk; the tables are shared
+    size = harness.CHUNK_BYTES // harness._trial_bytes(rs.parse_config_text("").system, "limited")
+    assert size == 655
+    assert sizes(f"trials = {size}") == [size]
+    assert sizes(f"trials = {size + 45}") == [size, 45]
+    assert sizes("n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 3") == [2, 1]
 
 
-def poison_trial(monkeypatch, seed):
-    """Make the quad-form set drawn for ``seed`` nonfinite, so that trial's
-    GPI solves fail and nothing else changes."""
-    draw = harness._draw
+def poison_trial(monkeypatch, cfg, seed):
+    """Make the slice of its chunk's quad-form set that belongs to the draw
+    for ``seed`` nonfinite, so that trial's GPI solves fail and nothing else
+    changes."""
+    system, layout = harness.effective_scenario(cfg, None)
+    target = rs.draw_scenario(system, layout, np.random.default_rng(seed)).user_channels
+    build = harness.build_quadforms_limited
 
-    def poisoned(config, system, layout, trial_seed):
-        realization, knowledge, qf = draw(config, system, layout, trial_seed)
-        if trial_seed == seed:
-            bases = qf.bases.copy()
-            bases[1, 0, 0] = np.inf
-            qf = replace(qf, bases=bases)
-        return realization, knowledge, qf
+    def poisoned(truth, system):
+        qf = build(truth, system)
+        bases = qf.bases.copy()
+        bases[(truth.user_channels == target).all(axis=(1, 2)), 1, 0, 0] = np.inf
+        return replace(qf, bases=bases)
 
-    monkeypatch.setattr(harness, "_draw", poisoned)
+    monkeypatch.setattr(harness, "build_quadforms_limited", poisoned)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scoring the poisoned trial's mrt row
 def test_failed_solve_gives_only_its_own_trial_a_failed_row(monkeypatch):
     cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
     clean = [rs.run_trial(cfg, None, t) for t in range(3)]
-    poison_trial(monkeypatch, clean[1][0].seed)
+    poison_trial(monkeypatch, cfg, clean[1][0].seed)
     rows = harness._sweep_rows(cfg, workers=1)
     for r in rows[3:5]:
         assert r.trial_index == 1 and r.method.startswith("gpi")
@@ -280,7 +283,7 @@ def test_failed_solve_gives_only_its_own_trial_a_failed_row(monkeypatch):
 def test_failed_row_is_left_out_of_its_aggregate(monkeypatch):
     cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
     clean = [rs.run_trial(cfg, None, t) for t in range(3)]
-    poison_trial(monkeypatch, clean[1][0].seed)
+    poison_trial(monkeypatch, cfg, clean[1][0].seed)
     agg = harness.aggregate(harness._sweep_rows(cfg, workers=1))
     for j, method in enumerate(("gpi-rsma", "gpi-sdma")):
         mean, stderr, n = agg[None, method]

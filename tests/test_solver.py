@@ -8,7 +8,6 @@ from scipy.special import softmax
 
 import rsmasec as rs
 from rsmasec import solver
-from rsmasec.quadforms import QuadFormSet
 from rsmasec.solver import (
     _matvec,
     _softmax,
@@ -240,30 +239,30 @@ def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
 
 
 def chunk(build, count, t_max=60):
-    """Sets and MRT starts of ``count`` perfect-or-limited draws at a tight
-    tolerance, so the chunk mixes fast, slow, damped and exhausted solves;
-    draw 1001 two-cycles under the plain map."""
+    """The chunk's set, each draw's own set and the MRT starts of ``count``
+    perfect-or-limited draws at a tight tolerance, so the chunk mixes fast,
+    slow, damped and exhausted solves; draw 1001 two-cycles under the plain
+    map."""
     cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
                           epsilon=1e-4, t_max=t_max).with_snr_db(20.0)
-    sets, starts = [], []
+    reals = []
     for seed in [1001, *range(2000, 2000 + count - 1)]:
         rng = np.random.default_rng(seed)
         layout = rs.ScenarioLayout(user_center=float(rng.uniform(0, 2 * np.pi)))
-        real = rs.draw_scenario(cfg, layout, rng)
-        sets.append(build(real, cfg))
-        starts.append(rs.mrt_init(real.user_channels))
-    return cfg, sets, np.stack(starts)
+        reals.append(rs.draw_scenario(cfg, layout, rng))
+    starts = np.stack([rs.mrt_init(real.user_channels) for real in reals])
+    return cfg, build(rs.ChannelRealization.stack(reals), cfg), [build(r, cfg) for r in reals], starts
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_batched_solve_matches_single_solves_bit_for_bit(build):
-    cfg, sets, starts = chunk(build, 8)
+    cfg, stacked, sets, starts = chunk(build, 8)
     alone = [rs.gpi_solve(qf, start, cfg) for qf, start in zip(sets, starts)]
     assert len({trace.iterations_used for _, trace in alone}) > 2
     assert not all(trace.converged for _, trace in alone)
     subset = np.random.default_rng(3).permutation(len(sets))[:5]
     for pick in (np.arange(len(sets)), subset):
-        batch = gpi_solve_batch(QuadFormSet.stack([sets[i] for i in pick]), starts[pick], cfg)
+        batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg)
         for i, (stack, trace) in zip(pick, batch):
             assert np.array_equal(stack, alone[i][0])
             assert trace == alone[i][1]
@@ -273,14 +272,14 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
-    cfg, sets, starts = chunk(build, 4)
-    bases = sets[2].bases.copy()
-    bases[1, 0, 0] = np.nan
-    sets[2] = replace(sets[2], bases=bases)
-    batch = gpi_solve_batch(QuadFormSet.stack(sets), starts, cfg)
+    cfg, stacked, sets, starts = chunk(build, 4)
+    bases = stacked.bases.copy()
+    bases[2, 1, 0, 0] = np.nan
+    stacked = replace(stacked, bases=bases)
+    batch = gpi_solve_batch(stacked, starts, cfg)
     assert isinstance(batch[2], rs.NumericError)
     with pytest.raises(rs.NumericError):
-        rs.gpi_solve(sets[2], starts[2], cfg)
+        rs.gpi_solve(stacked.take(2), starts[2], cfg)
     for i in (0, 1, 3):
         stack, trace = rs.gpi_solve(sets[i], starts[i], cfg)
         assert np.array_equal(batch[i][0], stack)
@@ -290,8 +289,8 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_trace_objective_is_the_returned_iterates(build):
     # the chunk mixes converged solves and solves stopped at t_max
-    cfg, sets, starts = chunk(build, 8)
-    batch = gpi_solve_batch(QuadFormSet.stack(sets), starts, cfg)
+    cfg, stacked, sets, starts = chunk(build, 8)
+    batch = gpi_solve_batch(stacked, starts, cfg)
     assert {trace.converged for _, trace in batch} == {True, False}
     for qf, (stack, trace) in zip(sets, batch):
         assert trace.objective == rs.smoothed_objective(qf, stack, cfg)

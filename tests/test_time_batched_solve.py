@@ -1,0 +1,19 @@
+import importlib.util
+import json
+import pathlib
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "time_batched_solve.py"
+_spec = importlib.util.spec_from_file_location("time_batched_solve", SCRIPT)
+time_batched_solve = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(time_batched_solve)
+
+
+def test_batched_and_single_solves_agree_on_a_small_sweep(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("trials = 2\nmethods = gpi-rsma, gpi-sdma\n"
+                      "sweep_axis = snr_db\nsweep_values = 0, 20\n")
+    assert time_batched_solve.main([str(config), "--repeats", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bit_identical"] is True
+    assert report["solves"] == 8
+    assert report["chunk_sizes"] == [2]
