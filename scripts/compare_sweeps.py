@@ -6,8 +6,10 @@
 Rows are matched in file order and named by (axis, trial, method).  Lists
 every row whose ``iterations`` or ``converged`` changed and every row whose
 ``sum_secrecy_se`` moved by more than 1e-9, counts rows that differ in any
-other column (``runtime_ms`` is ignored), and diffs the ``.agg.csv`` files
-next to the two CSVs.  Exits 0 when the rows without ``runtime_ms`` and the
+other column (``runtime_ms`` is ignored), prints the largest
+|delta ``sum_secrecy_se``| and |delta ``objective``| over the matched rows
+where both values are finite, and diffs the ``.agg.csv`` files next to the
+two CSVs.  Exits 0 when the rows without ``runtime_ms`` and the
 aggregates are identical, 1 on any difference, 2 when a file cannot be read.
 """
 from __future__ import annotations
@@ -21,6 +23,7 @@ from rsmasec.harness import aggregate_path
 
 SE_TOL = 1e-9
 IGNORED = ("runtime_ms",)
+DELTA_COLUMNS = ("sum_secrecy_se", "objective")
 
 
 def read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
@@ -64,6 +67,21 @@ def compare_rows(parent: list[dict], change: list[dict]) -> tuple[list[str], int
     return report, differing
 
 
+def largest_deltas(parent: list[dict], change: list[dict]) -> dict[str, float]:
+    """Largest |change - parent| of each of DELTA_COLUMNS over the rows
+    matched by (axis, trial, method) whose two values are finite; 0 when
+    there are none."""
+    out = dict.fromkeys(DELTA_COLUMNS, 0.0)
+    for p, c in zip(parent, change):
+        if (p["axis"], p["trial"], p["method"]) != (c["axis"], c["trial"], c["method"]):
+            continue
+        for col in DELTA_COLUMNS:
+            delta = abs(float(c[col]) - float(p[col]))
+            if math.isfinite(delta):
+                out[col] = max(out[col], delta)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="row CSV from the reference run")
@@ -88,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(f"rows: {min(len(p_rows), len(c_rows))} compared, {differing} differ "
           f"outside {', '.join(IGNORED)}")
+    deltas = largest_deltas(p_rows, c_rows)
+    print("largest |delta| over matched rows: "
+          + ", ".join(f"{col} {value:.3g}" for col, value in deltas.items()))
     rows_same = differing == 0 and len(p_rows) == len(c_rows)
 
     agg_diff = [

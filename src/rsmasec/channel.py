@@ -193,6 +193,13 @@ class ChannelRealization:
             for f in fields(first) if getattr(first, f.name) is not None
         })
 
+    def take(self, index) -> "ChannelRealization":
+        """The trials ``index`` of a stacked realization (views for a slice)."""
+        return ChannelRealization(**{
+            f.name: getattr(self, f.name)[index]
+            for f in fields(self) if getattr(self, f.name) is not None
+        })
+
     @property
     def n_users(self) -> int:
         return self.user_channels.shape[-2]

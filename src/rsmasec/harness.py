@@ -5,15 +5,19 @@ comma-separated lists.  Every trial derives its own seed from
 (master_seed, axis_index, trial_index), draws one channel scenario, runs
 each configured method on that same scenario, and scores the resulting
 precoder against the true channels.  A sweep runs chunks of consecutive
-trials at one axis value.  A chunk stacks its trials' draws once and builds
-one quad-form set from them, then handles each method in one pass over all
-of its trials: one batched GPI solve or one baseline call, one objective
-(read from the solver's trace for the GPI methods) and one
-``sum_secrecy_se`` call.  A trial's rows do not depend on its chunk.
+trials, which may span consecutive axis values whose systems differ only in
+SNR (``_pool_key``).  A chunk stacks its trials' draws once and builds one
+quad-form set from them, whose bases carry each trial's noise ridge, then
+handles each method in one pass over all of its trials: one batched GPI
+solve, one MRT start and one objective (read from the solver's trace for
+the GPI methods) over the chunk, and one ``rzf_precoder`` and
+``sum_secrecy_se`` call per axis value, whose noise terms they read.  A
+trial's rows do not depend on its chunk.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import os
@@ -27,7 +31,6 @@ from .baselines import mrt_init, rzf_precoder
 from .channel import ChannelRealization, ScenarioLayout, draw_scenario
 from .config import SystemConfig
 from .quadforms import (
-    QuadFormSet,
     build_quadforms_limited,
     build_quadforms_perfect,
     smoothed_objective,
@@ -247,71 +250,73 @@ def run_trial(
 ) -> list[TrialResult]:
     """One scenario draw, every configured method solved and scored on it:
     a chunk of one trial, so its rows equal the sweep's rows."""
-    return _run_chunk(config, axis_value, axis_index, range(trial_index, trial_index + 1))
+    return _run_chunk(config, [(axis_value, axis_index, range(trial_index, trial_index + 1))])
 
 
-def _draw_chunk(config: ExperimentConfig, axis_value: float | None, axis_index: int, trials: range):
-    """``(system, layout, seeds, truth)`` of consecutive trials at one axis
-    value: ``truth`` stacks each trial's scenario, drawn from its own seed.
-    The generators end here, so every method is a function of the drawn
-    scenarios alone."""
-    system, layout = effective_scenario(config, axis_value)
-    seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
-    draws = [draw_scenario(system, layout, np.random.default_rng(seed)) for seed in seeds]
-    return system, layout, seeds, ChannelRealization.stack(draws)
+def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
+    """``(parts, truth, ridge)`` of a work item's ``(axis_value, axis_index,
+    trials)`` pieces.  ``parts`` holds per piece ``(system, layout, seeds,
+    at)``: its effective scenario, each trial's seed and the slice ``at`` of
+    the chunk's stack that holds its trials.  ``truth`` stacks every trial's
+    scenario, drawn from its own seed, and ``ridge`` is each trial's
+    sigma_u^2 / P.  The generators end here, so every method is a function
+    of the drawn scenarios alone."""
+    parts, draws, ridge = [], [], []
+    for axis_value, axis_index, trials in pieces:
+        system, layout = effective_scenario(config, axis_value)
+        seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
+        parts.append((system, layout, seeds, slice(len(draws), len(draws) + len(seeds))))
+        draws += [draw_scenario(system, layout, np.random.default_rng(seed)) for seed in seeds]
+        ridge += [system.noise_user_ratio] * len(seeds)
+    return parts, ChannelRealization.stack(draws), np.array(ridge)
 
 
-def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig):
+def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig, ridge=None):
     """What the transmitter knows of a chunk's stacked draws under
     ``csit_mode``: ``(knowledge, quadforms)``, the stacked channels it sees
-    and the chunk's one quad-form set."""
+    and the chunk's one quad-form set, with each trial's ``ridge`` (default:
+    the system's)."""
     if csit_mode == "limited":
-        return truth.user_estimates, build_quadforms_limited(truth, system)
-    return truth.user_channels, build_quadforms_perfect(truth, system)
+        return truth.user_estimates, build_quadforms_limited(truth, system, ridge=ridge)
+    return truth.user_channels, build_quadforms_perfect(truth, system, ridge=ridge)
 
 
-def _gpi_chunk(quadforms: QuadFormSet, knowledge: np.ndarray, system: SystemConfig, rsma: bool) -> list:
-    """``gpi_solve_batch`` over a chunk's stacked set from the MRT starts of
-    its stacked knowledge, on the full set (rate splitting) or its
-    ``without_common()`` view (SDMA)."""
-    return gpi_solve_batch(
-        quadforms if rsma else quadforms.without_common(),
-        mrt_init(knowledge, common_stream=rsma),
-        system,
-    )
-
-
-def _run_chunk(
-    config: ExperimentConfig,
-    axis_value: float | None,
-    axis_index: int,
-    trials: range,
-) -> list[TrialResult]:
-    """Consecutive trials at one axis value, in (trial, method) order.
+def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResult]:
+    """The trials of a work item's ``(axis_value, axis_index, trials)``
+    pieces, in (piece, trial, method) order.
 
     Each trial draws its scenario as ``run_trial`` would; the draws are
-    stacked and one quad-form set is built for the chunk.  Then every method
-    runs over the whole chunk in config order: one ``gpi_solve_batch``, or
-    one baseline call, then one objective and one ``sum_secrecy_se`` over
-    all trials.  A GPI row's objective is its trace's.  A method's time is
-    split evenly over the chunk's rows.  A trial's rows do not depend on
-    the chunk it is in.
+    stacked and one quad-form set is built for the chunk, with each trial's
+    noise ridge in its bases.  Then every method runs over the whole chunk
+    in config order: one ``gpi_solve_batch``, or one ``mrt_init`` call, and
+    one objective over all trials.  ``rzf_precoder`` and ``sum_secrecy_se``
+    read the noise powers, so they run once per piece with its system.  A
+    GPI row's objective is its trace's.  A method's time is split evenly
+    over the chunk's rows, whatever their axis value.  A trial's rows do not
+    depend on the chunk it is in.
     """
-    system, layout, seeds, truth = _draw_chunk(config, axis_value, axis_index, trials)
-    knowledge, quadforms = _known(config.csit_mode, truth, system)
-    n = len(seeds)
-    rows: list[list[TrialResult]] = [[] for _ in seeds]
+    parts, truth, ridge = _draw_chunk(config, pieces)
+    system = parts[0][0]   # every piece shares the set's shape and the solver's settings
+    knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
+    n = len(ridge)
+    # (axis value, system, layout, trial, seed) of each trial of the chunk
+    where = [(value, s, layout, t, seed)
+             for (value, _, trials), (s, layout, seeds, _) in zip(pieces, parts)
+             for t, seed in zip(trials, seeds)]
+    rows: list[list[TrialResult]] = [[] for _ in range(n)]
     for method in config.methods:
         t0 = time.perf_counter()
         iterations, converged = [0] * n, [True] * n
         if method in ("gpi-rsma", "gpi-sdma"):
-            solved = _gpi_chunk(quadforms, knowledge, system, rsma=method == "gpi-rsma")
+            rsma = method == "gpi-rsma"
+            solved = gpi_solve_batch(quadforms if rsma else quadforms.without_common(),
+                                     mrt_init(knowledge, common_stream=rsma), system)
             # a failed trial scores a NaN precoder, so only its own row is NaN
             precoders = np.full((n, *quadforms.shape), np.nan, dtype=complex)
             objective = [math.nan] * n
             for i, result in enumerate(solved):
                 if isinstance(result, NumericError):
-                    log.warning("trial %d method %s failed numerically: %s", trials[i], method, result)
+                    log.warning("trial %d method %s failed numerically: %s", where[i][3], method, result)
                     converged[i] = False
                     continue
                 precoders[i], trace = result
@@ -319,35 +324,36 @@ def _run_chunk(
                 objective[i] = trace.objective
         elif method == "rzf-sdma":
             # private-only: no common family to score
-            precoders = rzf_precoder(knowledge, system)
+            precoders = np.concatenate([rzf_precoder(knowledge[at], s) for s, _, _, at in parts])
             objective = smoothed_objective(quadforms.without_common(), precoders, system).tolist()
         elif method == "mrt":
             precoders = mrt_init(knowledge)
             objective = smoothed_objective(quadforms, precoders, system).tolist()
         else:
             raise ConfigError(f"unknown method {method!r}")
-        report = sum_secrecy_se(truth, precoders, system)
+        reports = [sum_secrecy_se(truth.take(at), precoders[at], s) for s, _, _, at in parts]
         runtime_ms = 1e3 * (time.perf_counter() - t0) / n
-        for i, (secrecy_se, common_min) in enumerate(
-                zip(report.sum_secrecy_se.tolist(), report.common_min.tolist())):
+        secrecy_se = np.concatenate([r.sum_secrecy_se for r in reports]).tolist()
+        common_min = np.concatenate([r.common_min for r in reports]).tolist()
+        for i, (axis_value, s, layout, trial, seed) in enumerate(where):
             rows[i].append(TrialResult(
                 method=method,
-                trial_index=trials[i],
-                seed=seeds[i],
+                trial_index=trial,
+                seed=seed,
                 axis_value=axis_value,
-                snr_db=system.snr_db,
-                n_antennas=system.n_antennas,
-                n_users=system.n_users,
-                n_secret=system.n_secret,
-                n_normal=system.n_normal,
-                n_eves=system.n_eves,
+                snr_db=s.snr_db,
+                n_antennas=s.n_antennas,
+                n_users=s.n_users,
+                n_secret=s.n_secret,
+                n_normal=s.n_normal,
+                n_eves=s.n_eves,
                 kappa=layout.kappa,
-                alpha=system.smoothing,
+                alpha=s.smoothing,
                 iterations=iterations[i],
                 converged=converged[i],
                 smoothed_objective=objective[i],
-                sum_secrecy_se=secrecy_se,
-                common_min=common_min,
+                sum_secrecy_se=secrecy_se[i],
+                common_min=common_min[i],
                 runtime_ms=runtime_ms,
             ))
     return [r for trial_rows in rows for r in trial_rows]
@@ -391,23 +397,42 @@ def _trial_bytes(system: SystemConfig, csit_mode: str) -> int:
     return 16 * (n_bases + 2 * (k + 1)) * n * n
 
 
-def _sweep_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
-    """The sweep's work items: runs of consecutive trials at one axis value.
+def _pool_key(system: SystemConfig) -> SystemConfig:
+    """``system`` with its SNR factored out: what is left fixes the shape of
+    a chunk's quad-form set and its tables (the dimensions and sigma_e^2 /
+    sigma_u^2) and the solver's settings (smoothing, epsilon, t_max).  Trials
+    whose systems have equal keys can share a chunk."""
+    return replace(system, symbol_power=1.0, noise_user=1.0,
+                   noise_eve=system.noise_eve / system.noise_user)
 
-    A chunk holds as many trials as fit in CHUNK_BYTES (at least one), and
-    with several workers at most an even share of all trials, so that every
-    worker gets work.
+
+def _sweep_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
+    """The sweep's work items ``(config, pieces)``: runs of consecutive
+    trials, each piece an ``(axis_value, axis_index, trials)`` run at one
+    value.
+
+    Consecutive axis values whose effective systems have equal ``_pool_key``s
+    (in practice every value of an ``snr_db``, ``kappa`` or
+    ``angular_separation`` sweep, never two of ``n_secret`` or ``n_eves``)
+    form one run of trials, which a chunk may cross.  A chunk holds as many
+    trials as fit in CHUNK_BYTES (at least one), and with several workers at
+    most an even share of all trials, so that every worker gets work.
     """
     values: list[float | None] = list(config.sweep_values) if config.sweep_axis != "none" else [None]
-    share = -(-len(values) * config.trials // workers)
+    n = config.trials
+    share = -(-len(values) * n // workers)
+    systems = [(v, ai, effective_scenario(config, v)[0]) for ai, v in enumerate(values)]
     items = []
-    for ai, v in enumerate(values):
-        system, _ = effective_scenario(config, v)
-        size = min(max(1, CHUNK_BYTES // _trial_bytes(system, config.csit_mode)), share)
-        items += [
-            (config, v, ai, range(t, min(t + size, config.trials)))
-            for t in range(0, config.trials, size)
-        ]
+    for _, run in itertools.groupby(systems, key=lambda member: _pool_key(member[2])):
+        run = list(run)
+        size = min(max(1, CHUNK_BYTES // _trial_bytes(run[0][2], config.csit_mode)), share)
+        for lo in range(0, len(run) * n, size):
+            hi = min(lo + size, len(run) * n)
+            # the run's trials [lo, hi), cut at its values' boundaries
+            items.append((config, [
+                (v, ai, range(max(lo - j * n, 0), min(hi - j * n, n)))
+                for j, (v, ai, _) in enumerate(run) if lo < (j + 1) * n and j * n < hi
+            ]))
     return items
 
 
@@ -493,17 +518,19 @@ def run_convergence(
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CONVERGE_COLUMNS)
-        for _, snr, si, trials in _sweep_chunks(config, 1):
-            system, _, seeds, truth = _draw_chunk(config, snr, si, trials)
-            knowledge, quadforms = _known(config.csit_mode, truth, system)
-            results = _gpi_chunk(quadforms, knowledge, system, rsma=True)
-            for trial, seed, solved in zip(trials, seeds, results):
-                if isinstance(solved, NumericError):
-                    raise solved
-                for it, step, obj, lam in solved[1].iterates:
-                    writer.writerow([
-                        _fmt(snr), str(trial), str(seed), str(it),
-                        "" if math.isnan(step) else _fmt(step),
-                        _fmt(obj), _fmt(lam),
-                    ])
+        for _, pieces in _sweep_chunks(config, 1):
+            parts, truth, ridge = _draw_chunk(config, pieces)
+            system = parts[0][0]
+            knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
+            results = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
+            for (snr, _, trials), (_, _, seeds, at) in zip(pieces, parts):
+                for trial, seed, solved in zip(trials, seeds, results[at]):
+                    if isinstance(solved, NumericError):
+                        raise solved
+                    for it, step, obj, lam in solved[1].iterates:
+                        writer.writerow([
+                            _fmt(snr), str(trial), str(seed), str(it),
+                            "" if math.isnan(step) else _fmt(step),
+                            _fmt(obj), _fmt(lam),
+                        ])
     return out_path

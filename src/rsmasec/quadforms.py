@@ -3,9 +3,9 @@
 With a unit-norm stacked precoder f, each spectral efficiency becomes
 log2(f^H A f / f^H B f) for a pair (A, B) of block-diagonal Hermitian
 matrices (one N x N block per stream).  Every block of every A and B is a
-combination of a few base matrices: the identity (which carries the noise
-ridge), the K signal outer products, the E eavesdropper matrices and, under
-limited CSIT, the K error covariances and K user covariances.  A set stores
+combination of a few base matrices: the noise ridge (sigma_u^2 / P) * I, the
+K signal outer products, the E eavesdropper matrices and, under limited CSIT,
+the K error covariances and K user covariances.  A set stores
 each base matrix once plus one real coefficient table per rate family, with
 entry [..., m, b] the weight of base matrix m in block b of one form.  No
 block is ever assembled into the full N*(K+1) x N*(K+1) matrix, which is what
@@ -44,11 +44,13 @@ class QuadFormSet:
     """All quadratic-form pairs for one scenario, or for a chunk of trials.
 
     ``bases`` is the (n_bases, N, N) stack of base matrices, or (T, n_bases,
-    N, N) for a chunk of T trials.  The tables depend only on the dimensions,
-    the CSIT mode and the noise ratios, never on the drawn channels, so a
-    chunk shares one of each; ``evaluate`` and ``weighted_blocks`` then work
-    per trial.  Each table has shape (..., n_bases, n_blocks) and real
-    entries in {0, +-1, ridge}:
+    N, N) for a chunk of T trials; base 0 is each trial's noise ridge
+    (sigma_u^2 / P) * I.  The tables depend only on the dimensions, the CSIT
+    mode and sigma_e^2 / sigma_u^2, never on the SNR or the drawn channels,
+    so a chunk shares one of each, also across trials at different SNRs;
+    ``evaluate`` and ``weighted_blocks`` then work per trial.  Each table has
+    shape (..., n_bases, n_blocks) and real entries in {0, +-1,
+    sigma_e^2 / sigma_u^2}:
     ``common_*`` (K, ...), ``private_*`` (K, ...), ``eve_*`` (S, E, ...) and
     ``user_*`` (S, K-1, ...), where secret user s's wiretapping users run over
     every other user in index order.  The stack always has K+1 blocks, block 0
@@ -244,24 +246,30 @@ def smoothed_objective(
 def build_quadforms_perfect(
     realization: ChannelRealization,
     config: SystemConfig,
+    *,
+    ridge: float | np.ndarray | None = None,
 ) -> QuadFormSet:
     """Pairs over true channels; rates are exact SINR-plus-one quotients.
 
     On a ``ChannelRealization.stack`` of T draws the set is a chunk's:
-    (T, n_bases, N, N) bases and one shared copy of each table.
+    (T, n_bases, N, N) bases and one shared copy of each table.  ``ridge``
+    is sigma_u^2 / P, one value or one per trial of the stack, so that one
+    chunk can hold trials at several SNRs; it defaults to the config's.
     """
-    return _build(realization, config, limited=False)
+    return _build(realization, config, ridge, limited=False)
 
 
 def build_quadforms_limited(
     realization: ChannelRealization,
     config: SystemConfig,
+    *,
+    ridge: float | np.ndarray | None = None,
 ) -> QuadFormSet:
     """Pairs over the transmitter's knowledge: channel estimates plus error
     covariances for rate lower bounds, wiretapper covariances for the
     collusion leakage upper bound.  True channels are not read.  Takes a
-    stacked realization as ``build_quadforms_perfect`` does."""
-    return _build(realization, config, limited=True)
+    stacked realization and ``ridge`` as ``build_quadforms_perfect`` does."""
+    return _build(realization, config, ridge, limited=True)
 
 
 def _outer(rows: np.ndarray) -> np.ndarray:
@@ -271,6 +279,7 @@ def _outer(rows: np.ndarray) -> np.ndarray:
 def _build(
     realization: ChannelRealization,
     config: SystemConfig,
+    ridge: float | np.ndarray | None,
     limited: bool,
 ) -> QuadFormSet:
     n = config.n_antennas
@@ -283,11 +292,11 @@ def _build(
         raise ValueError("realization/config eavesdropper mismatch")
 
     nb = k + 1
-    ridge_u = config.noise_user_ratio
-    ridge_e = config.noise_eve_ratio
+    # the eavesdroppers' ridge sigma_e^2 / P, in units of base 0's sigma_u^2 / P
+    eve_ridge = config.noise_eve / config.noise_user
 
-    # Base matrices: identity, signals, [error covs], eavesdroppers, [user covs].
-    # Under perfect CSIT a wiretapping user sees its own signal matrix.
+    # Base matrices: noise ridge, signals, [error covs], eavesdroppers, [user
+    # covs].  Under perfect CSIT a wiretapping user sees its own signal matrix.
     if limited:
         parts = [
             _outer(realization.user_estimates),
@@ -303,7 +312,9 @@ def _build(
         ]
         sig, err, eve, wire = 1, None, 1 + k, 1
     lead = realization.user_channels.shape[:-2]
-    bases = np.concatenate([np.broadcast_to(np.eye(n, dtype=complex), (*lead, 1, n, n)), *parts], axis=-3)
+    ridge = np.broadcast_to(config.noise_user_ratio if ridge is None else ridge, lead)
+    noise = ridge[..., None, None, None] * np.eye(n, dtype=complex)
+    bases = np.concatenate([noise, *parts], axis=-3)
     m = bases.shape[-3]
     users = np.arange(k)
 
@@ -311,7 +322,7 @@ def _build(
         # user i: ridge + signal_i (+ error_i) on ``blocks``; the denominator
         # drops signal_i from the block carrying i's wanted stream
         num = np.zeros((k, m, nb))
-        num[:, 0, :] = ridge_u
+        num[:, 0, :] = 1.0
         num[users, sig + users, blocks] = 1.0
         if limited:
             num[users, err + users, blocks] = 1.0
@@ -323,21 +334,21 @@ def _build(
     private_num, private_den = rate_tables(slice(1, None), 1 + users)
 
     # Leakage of secret user s at eavesdropper e, perfect-CSIT form:
-    # num = ridge_e + M_e on every block, den = num without M_e on s's block.
+    # num = eve ridge + M_e on every block, den = num without M_e on s's block.
     secrets = np.arange(s_cnt)[:, None]
     eves = np.arange(e_cnt)
     eve_num = np.zeros((s_cnt, e_cnt, m, nb))
-    eve_num[:, :, 0, :] = ridge_e
+    eve_num[:, :, 0, :] = eve_ridge
     eve_num[:, eves, eve + eves, :] = 1.0
     eve_den = eve_num.copy()
     eve_den[secrets, eves, eve + eves, 1 + secrets] = 0.0
 
-    # Leakage at wiretapping user u (every user but s): num = ridge_u + M_u on
+    # Leakage at wiretapping user u (every user but s): num = ridge + M_u on
     # the private blocks other than u's own, den = num without M_u on s's block.
     slots = np.arange(k - 1)[None, :]
     taps = slots + (slots >= secrets)
     user_num = np.zeros((s_cnt, k - 1, m, nb))
-    user_num[:, :, 0, :] = ridge_u
+    user_num[:, :, 0, :] = 1.0
     user_num[secrets, slots, wire + taps, 1:] = 1.0
     user_num[secrets, slots, wire + taps, 1 + taps] = 0.0
     user_den = user_num.copy()

@@ -37,6 +37,8 @@ class SolveTrace:
     keeps, per iterate, the chunk's quadratic forms and this trial's
     position in them, so that ``values`` and ``iterates`` (which adds the
     lambda diagnostic) can be cut out when read; equality ignores it.
+    A solve run without ``keep_iterates`` leaves ``rows`` and ``history``
+    empty.
     """
 
     rows: tuple[tuple[int, float, float], ...]
@@ -203,6 +205,8 @@ def gpi_solve_batch(
     quadforms: QuadFormSet,
     starts: np.ndarray,
     config: SystemConfig,
+    *,
+    keep_iterates: bool = False,
 ) -> list[tuple[np.ndarray, SolveTrace] | NumericError]:
     """Power-iterate every set of a chunk from its start, all trials at once.
 
@@ -217,7 +221,14 @@ def gpi_solve_batch(
     config.epsilon, or after config.t_max steps, when its best-objective
     iterate is returned with converged=False.  Stopped and failed trials
     leave the active set; every operation acts on each trial alone, so a
-    trial's result does not depend on the others in its chunk.
+    trial's result does not depend on the others in its chunk.  The chunk's
+    trials may sit at different SNRs: the set's bases carry each trial's
+    noise ridge, and config supplies only the smoothing, epsilon and t_max.
+
+    Only with ``keep_iterates`` does a trace keep its per-iterate ``rows``
+    and ``history`` (which ``SolveTrace.iterates`` reads); without it the
+    trace holds ``iterations_used``, ``converged`` and ``objective``, and a
+    sweep keeps no quadratic forms of past iterates alive.
 
     The plain map f -> normalize(B^-1 A f) can settle into a short periodic
     orbit when its linearization has an eigenvalue outside the unit disk with
@@ -245,8 +256,8 @@ def gpi_solve_batch(
     idx = np.arange(n_trials)      # chunk index of each active trial
     vals = qf.evaluate(vec)
     obj = vals.objective(alpha)
-    rows = [[(0, math.nan, float(o))] for o in obj]
-    history = [[(vals, i)] for i in range(n_trials)]
+    rows = [[(0, math.nan, float(o))] if keep_iterates else [] for o in obj]
+    history = [[(vals, i)] if keep_iterates else [] for i in range(n_trials)]
     best_obj, best_vec = obj, vec
     gamma = np.ones(n_trials)
     damped = False                 # whether any trial's steps are damped
@@ -288,8 +299,9 @@ def gpi_solve_batch(
                     out[i] = NumericError("iteration produced nonfinite operator blocks, "
                                           "a singular block or a zero or nonfinite stack")
                     continue
-                rows[i].append((t, st, ob))
-                history[i].append((vals, j))
+                if keep_iterates:
+                    rows[i].append((t, st, ob))
+                    history[i].append((vals, j))
                 if stop or t == config.t_max:
                     out[i] = ((vec[j] if stop else best_vec[j]).copy(),
                               SolveTrace(tuple(rows[i]), stop, t, alpha,
@@ -309,12 +321,13 @@ def gpi_solve_vector(
     config: SystemConfig,
 ) -> tuple[np.ndarray, SolveTrace]:
     """``gpi_solve_batch`` on one set from a flat start of matching length;
-    returns the flat solution and raises the NumericError that stopped it."""
+    returns the flat solution with its full trace (``keep_iterates``) and
+    raises the NumericError that stopped it."""
     vec = np.asarray(start, dtype=complex)
     if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
     chunk = replace(quadforms, bases=quadforms.bases[None])
-    result = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config)[0]
+    result = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config, keep_iterates=True)[0]
     if isinstance(result, NumericError):
         raise result
     solution, trace = result

@@ -62,6 +62,22 @@ def test_se_tolerance(tmp_path, capsys, se, listed):
     assert ("method=mrt: sum_secrecy_se" in out) is listed
 
 
+def test_largest_deltas_over_matched_finite_rows(tmp_path, capsys):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    rows = [
+        "gpi-rsma,0,0,7,true,1.2500003,1.80623286922,7.8",   # SE +1e-8, objective +3e-7
+        "mrt,0,0,0,true,0.49,0.75,0.1",                      # objective -0.01
+        "gpi-rsma,1,0,12,false,1.5,2.0,9.1",                 # NaN became a number: no delta
+    ]
+    change = write_sweep(tmp_path / "c", rows, AGG)
+    assert compare_sweeps.main([parent, change]) == 1
+    out = capsys.readouterr().out
+    assert "largest |delta| over matched rows: sum_secrecy_se 1e-08, objective 0.01" in out
+    assert compare_sweeps.main([parent, parent]) == 0
+    assert ("largest |delta| over matched rows: sum_secrecy_se 0, objective 0"
+            in capsys.readouterr().out)
+
+
 def test_row_count_and_missing_file(tmp_path, capsys):
     parent = write_sweep(tmp_path / "p", ROWS, AGG)
     change = write_sweep(tmp_path / "c", ROWS[:2], AGG)

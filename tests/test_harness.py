@@ -212,24 +212,52 @@ def test_sweep_axis_none_leaves_axis_column_empty(tmp_path):
 
 
 def test_sweep_worker_counts_agree(tmp_path):
-    # three workers split each axis value's trials into chunks of 2 and 1,
-    # one worker solves them as one chunk of 3; the GPI methods must not care
+    # one worker solves both axis values' trials as one chunk of 6, two
+    # workers as one chunk per value, and three in chunks of 2 whose middle
+    # one spans both values; no method may care
     def body_without_runtime(path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         drop = rows[0].index("runtime_ms")
         return [r[:drop] + r[drop + 1:] for r in rows]
 
-    for methods in ("mrt", ", ".join(harness.METHODS)):
+    sweeps = [(methods, "snr_db", "0, 20") for methods in ("mrt", ", ".join(harness.METHODS))]
+    sweeps += [(", ".join(harness.METHODS), "kappa", "0.1, 0.6"),
+               (", ".join(harness.METHODS), "angular_separation", "0.2, 0.5")]
+    for methods, axis, values in sweeps:
         cfg = rs.parse_config_text(
-            f"methods = {methods}\nsweep_axis = snr_db\nsweep_values = 0, 20\ntrials = 3"
+            f"methods = {methods}\nsweep_axis = {axis}\nsweep_values = {values}\ntrials = 3"
         )
-        assert [len(it[3]) for it in harness._sweep_chunks(cfg, 3)] == [2, 1, 2, 1]
+        layouts = {w: [[len(trials) for _, _, trials in pieces]
+                       for _, pieces in harness._sweep_chunks(cfg, w)] for w in (1, 2, 3)}
+        assert layouts == {1: [[3, 3]], 2: [[3], [3]], 3: [[2], [1, 1], [2]]}
         a, agg_a = rs.run_sweep(cfg, str(tmp_path / "a.csv"), workers=1)
-        b, agg_b = rs.run_sweep(cfg, str(tmp_path / "b.csv"), workers=3)
-        assert body_without_runtime(a) == body_without_runtime(b)
-        with open(agg_a) as fa, open(agg_b) as fb:
-            assert fa.read() == fb.read()
+        for workers in (2, 3):
+            b, agg_b = rs.run_sweep(cfg, str(tmp_path / "b.csv"), workers=workers)
+            assert body_without_runtime(a) == body_without_runtime(b)
+            with open(agg_a) as fa, open(agg_b) as fb:
+                assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("axis, values, pooled", [
+    ("snr_db", "0, 10, 20", True),
+    ("kappa", "0.1, 0.4, 0.8", True),
+    ("angular_separation", "0.2, 0.4, 0.6", True),
+    ("n_eves", "0, 2, 4", False),
+    ("n_secret", "1, 2, 3", False),
+])
+def test_chunks_pool_the_values_that_share_a_set_shape(axis, values, pooled):
+    # a noise_eve unlike noise_user changes the tables, not the pooling:
+    # every value of a sweep shares sigma_e^2 / sigma_u^2
+    cfg = rs.parse_config_text(
+        f"noise_eve = 3\nsweep_axis = {axis}\nsweep_values = {values}\ntrials = 4")
+    chunks = [pieces for _, pieces in harness._sweep_chunks(cfg, 1)]
+    each = [(v, ai, range(4)) for ai, v in enumerate(cfg.sweep_values)]
+    assert chunks == ([each] if pooled else [[piece] for piece in each])
+    # the chunk's trials follow the sweep order, so its rows do too
+    rows = harness._run_chunk(cfg, chunks[0])
+    assert [(r.axis_value, r.trial_index) for r in rows] == [
+        (v, t) for v, _, trials in chunks[0] for t in trials]
 
 
 def cells(row):
@@ -239,7 +267,8 @@ def cells(row):
 
 def test_chunk_size_follows_the_byte_budget():
     def sizes(text):
-        return [len(it[3]) for it in harness._sweep_chunks(rs.parse_config_text(text), 1)]
+        return [sum(len(trials) for _, _, trials in pieces)
+                for _, pieces in harness._sweep_chunks(rs.parse_config_text(text), 1)]
 
     # only the bases and block stacks grow with the chunk; the tables are shared
     size = harness.CHUNK_BYTES // harness._trial_bytes(rs.parse_config_text("").system, "limited")
@@ -257,8 +286,8 @@ def poison_trial(monkeypatch, cfg, seed):
     target = rs.draw_scenario(system, layout, np.random.default_rng(seed)).user_channels
     build = harness.build_quadforms_limited
 
-    def poisoned(truth, system):
-        qf = build(truth, system)
+    def poisoned(truth, system, **kwargs):
+        qf = build(truth, system, **kwargs)
         bases = qf.bases.copy()
         bases[(truth.user_channels == target).all(axis=(1, 2)), 1, 0, 0] = np.inf
         return replace(qf, bases=bases)

@@ -217,6 +217,37 @@ def test_precoder_must_be_k_plus_one_by_n(fig_config, scenario, score, shape):
         score(scenario, qf, f, fig_config)
 
 
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_snr_moves_only_the_noise_ridge_base(fig_config, scenario, build):
+    # the tables hold no SNR, so sets at two SNRs share them, and their
+    # bases differ only in base 0, the ridge (sigma_u^2 / P) * I
+    cfg = dataclasses.replace(fig_config, noise_eve=2.5)
+    low, high = build(scenario, cfg.with_snr_db(0.0)), build(scenario, cfg.with_snr_db(30.0))
+    for f in dataclasses.fields(low):
+        if f.name != "bases":
+            assert np.array_equal(getattr(low, f.name), getattr(high, f.name)), f.name
+    assert np.array_equal(low.bases[1:], high.bases[1:])
+    for qf, c in ((low, cfg.with_snr_db(0.0)), (high, cfg.with_snr_db(30.0))):
+        assert np.array_equal(qf.bases[0], c.noise_user_ratio * np.eye(4))
+    assert set(np.unique(low.eve_num)) | set(np.unique(low.eve_den)) <= {-1.0, 0.0, 1.0, 2.5}
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_chunk_takes_one_ridge_per_trial(fig_config, build):
+    # a chunk's set over trials at several SNRs equals each trial's own set
+    rng = np.random.default_rng(21)
+    reals = [rs.draw_scenario(fig_config, rs.ScenarioLayout(quad_nodes=64), rng) for _ in range(3)]
+    configs = [fig_config.with_snr_db(snr) for snr in (0.0, 15.0, 40.0)]
+    chunk = build(rs.ChannelRealization.stack(reals), fig_config,
+                  ridge=np.array([c.noise_user_ratio for c in configs]))
+    f = np.stack([random_unit(rng, 20).reshape(5, 4) for _ in range(3)])
+    got = rs.smoothed_objective(chunk, f, fig_config)
+    for t, (real, c) in enumerate(zip(reals, configs)):
+        alone = build(real, c)
+        assert np.array_equal(chunk.bases[t], alone.bases)
+        assert got[t] == rs.smoothed_objective(alone, f[t], c)
+
+
 def test_dimension_mismatch_raises(fig_config, scenario):
     small = rs.SystemConfig(n_antennas=4, n_secret=1, n_normal=1, n_eves=2)
     with pytest.raises(ValueError):

@@ -262,7 +262,7 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
     assert not all(trace.converged for _, trace in alone)
     subset = np.random.default_rng(3).permutation(len(sets))[:5]
     for pick in (np.arange(len(sets)), subset):
-        batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg)
+        batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
         for i, (stack, trace) in zip(pick, batch):
             assert np.array_equal(stack, alone[i][0])
             assert trace == alone[i][1]
@@ -276,7 +276,7 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
     bases = stacked.bases.copy()
     bases[2, 1, 0, 0] = np.nan
     stacked = replace(stacked, bases=bases)
-    batch = gpi_solve_batch(stacked, starts, cfg)
+    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
     assert isinstance(batch[2], rs.NumericError)
     with pytest.raises(rs.NumericError):
         rs.gpi_solve(stacked.take(2), starts[2], cfg)
@@ -287,10 +287,23 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_sweep_solve_keeps_no_iterates_and_the_same_outcome(build):
+    cfg, stacked, _, starts = chunk(build, 8)
+    kept = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    lean = gpi_solve_batch(stacked, starts, cfg)
+    for (stack, trace), (want, full) in zip(lean, kept):
+        assert np.array_equal(stack, want)
+        assert (trace.iterations_used, trace.converged, trace.objective) == (
+            full.iterations_used, full.converged, full.objective)
+        assert trace.rows == () and trace.history == () and trace.iterates == ()
+        assert len(full.rows) == full.iterations_used + 1
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_trace_objective_is_the_returned_iterates(build):
     # the chunk mixes converged solves and solves stopped at t_max
     cfg, stacked, sets, starts = chunk(build, 8)
-    batch = gpi_solve_batch(stacked, starts, cfg)
+    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
     assert {trace.converged for _, trace in batch} == {True, False}
     for qf, (stack, trace) in zip(sets, batch):
         assert trace.objective == rs.smoothed_objective(qf, stack, cfg)
