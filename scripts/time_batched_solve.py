@@ -11,7 +11,8 @@ per chunk, as a sweep makes it.  Draws, builds, starts and scoring are
 outside the timed region.  Prints one JSON line with the best wall seconds
 of each over the repeats, the chunk sizes, the total iterations and
 ``loop_iterations``, the sum over the batched solves of each one's longest
-trial (the iterations the batched loop runs), and exits 1 if the two
+trial (the iterations the batched loop runs), the total ``restarts`` (the
+accelerated candidates the solver rejected), and exits 1 if the two
 disagree on any solution bit, iteration count, stop flag or objective.
 """
 from __future__ import annotations
@@ -75,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         "solves": len(single),
         "iterations": sum(trace.iterations_used for _, trace in single),
         "loop_iterations": sum(max(trace.iterations_used for _, trace in solve) for solve in solves),
+        "restarts": sum(trace.restarts for _, trace in batch),
         "chunk_sizes": sorted({len(sets) for _, sets, _, _ in jobs}),
         "bit_identical": same,
     }))

@@ -180,6 +180,14 @@ class QuadValues:
         """The trials ``index`` of a chunk's values (one trial for an integer)."""
         return replace(self, **{n: getattr(self, n)[index] for n in _TABLES if getattr(self, n) is not None})
 
+    def put(self, index, other: "QuadValues") -> "QuadValues":
+        """These values with the trials ``index`` replaced by ``other``'s."""
+        def merged(name):
+            out = getattr(self, name).copy()
+            out[index] = getattr(other, name)
+            return out
+        return replace(self, **{n: merged(n) for n in _TABLES if getattr(self, n) is not None})
+
     def common_rates(self) -> np.ndarray | None:
         if self.common_num is None:
             return None

@@ -7,8 +7,9 @@ every Rayleigh-quotient term contributes its numerator matrix (scaled by one
 over its own quadratic form) to the operator on the side the term helps, and
 its denominator matrix to the other side.  Leakage terms enter with the roles
 swapped because they are subtracted.  The iteration repeatedly applies
-B^-1 A and renormalizes; the arbitrary positive prefactors of A and B are
-fixed to one, which leaves the iterates unchanged.
+B^-1 A and renormalizes, Anderson accelerated after a warm-up; the
+arbitrary positive prefactors of A and B are fixed to one, which leaves the
+iterates unchanged.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ class SolveTrace:
     Row 0 holds the initializer (step_norm is NaN there).  ``converged``
     reports whether the step-norm test fired before ``t_max``.  ``objective``
     is the smoothed objective at the returned iterate: the last row's when
-    converged, else the best row's (the first of equal ones).  ``history``
+    converged, else the best row's (the first of equal ones).  ``restarts``
+    counts the accelerated candidates the safeguard rejected.  ``history``
     keeps, per iterate, the chunk's quadratic forms and this trial's
     position in them, so that ``values`` and ``iterates`` (which adds the
     lambda diagnostic) can be cut out when read; equality ignores it.
@@ -46,6 +48,7 @@ class SolveTrace:
     iterations_used: int
     alpha: float
     objective: float
+    restarts: int
     history: tuple[tuple[QuadValues, int], ...] = field(compare=False, repr=False)
 
     @property
@@ -197,8 +200,29 @@ def _align_phase(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return vec * turn[:, None, None]
 
 
-# Past iterates searched for a return to a recently visited point.
-_ORBIT_MEMORY = 5
+# Plain steps before the first accelerated one: a solve with t_max at most
+# this runs the plain map alone.
+_WARMUP = 10
+# Anderson depth: the past residual differences mixed into each step.
+_DEPTH = 3
+# Tikhonov weight of the mixing normal equations, relative to their trace.
+_MIX_RIDGE = 1e-10
+
+
+def _anderson(img: np.ndarray, d_img: np.ndarray, d_res: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Type-II Anderson points img - dG gamma, one per trial, where the
+    columns of dG are the trial's stored image differences ``d_img`` and the
+    real weights gamma minimize ||res - dF gamma|| over its residual
+    differences dF, ``d_res`` (each (T, m, n_blocks, N); a cleared slot is
+    zero and gets weight zero).  The regularized m x m normal equations of
+    every trial are one stacked solve."""
+    t, m = d_res.shape[:2]
+    d_res = d_res.reshape(t, m, -1)
+    gram = (d_res.conj() @ d_res.transpose(0, 2, 1)).real
+    rhs = (d_res.conj() @ res.reshape(t, -1, 1)).real
+    ridge = _MIX_RIDGE * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
+    weights = np.linalg.solve(gram + ridge[:, None, None] * np.eye(m), rhs)
+    return img - (d_img.reshape(t, m, -1).transpose(0, 2, 1) @ weights).reshape(img.shape)
 
 
 def gpi_solve_batch(
@@ -217,26 +241,32 @@ def gpi_solve_batch(
     exactly zero.  Returns, per trial, the solution and its trace, or the
     NumericError that stopped it.
 
-    Each trial stops when its phase-aligned step norm drops to
-    config.epsilon, or after config.t_max steps, when its best-objective
-    iterate is returned with converged=False.  Stopped and failed trials
-    leave the active set; every operation acts on each trial alone, so a
-    trial's result does not depend on the others in its chunk.  The chunk's
-    trials may sit at different SNRs: the set's bases carry each trial's
-    noise ridge, and config supplies only the smoothing, epsilon and t_max.
+    Each step maps a trial's iterate x to its plain image
+    g(x) = align(normalize(B^-1 A x), x).  The trial stops when the step norm
+    ||g(x) - x|| drops to config.epsilon, returning g(x), or after
+    config.t_max steps, when its best-objective iterate is returned with
+    converged=False.  Stopped and failed trials leave the active set; every
+    operation acts on each trial alone, so a trial's result does not depend
+    on the others in its chunk.  The chunk's trials may sit at different
+    SNRs: the set's bases carry each trial's noise ridge, and config supplies
+    only the smoothing, epsilon and t_max.
+
+    The first ``_WARMUP`` steps move to g(x).  Later steps are Anderson
+    accelerated (type II, depth ``_DEPTH``; Walker & Ni, SIAM J. Numer.
+    Anal. 2011): the candidate g(x) - dG gamma mixes the trial's last
+    differences of images dG and of residuals dF, with gamma the
+    least-squares fit of the residual g(x) - x by dF.  The plain map can
+    circle in a short periodic orbit at tight tolerances; the mixing breaks
+    such orbits.  Safeguard: the step moves to the normalized candidate only
+    if its smoothed objective is at least g(x)'s; otherwise it moves to g(x)
+    and clears the trial's differences, and the trace counts a restart.
 
     Only with ``keep_iterates`` does a trace keep its per-iterate ``rows``
     and ``history`` (which ``SolveTrace.iterates`` reads); without it the
-    trace holds ``iterations_used``, ``converged`` and ``objective``, and a
-    sweep keeps no quadratic forms of past iterates alive.
-
-    The plain map f -> normalize(B^-1 A f) can settle into a short periodic
-    orbit when its linearization has an eigenvalue outside the unit disk with
-    negative or complex phase (sharp softmax weights do this at tight
-    tolerances).  When an iterate lands back near a recently visited point,
-    that trial's later steps are damped by blending with its previous
-    iterate; the damped map has exactly the same fixed points, and
-    contracting runs never trigger it.
+    trace holds ``iterations_used``, ``converged``, ``restarts`` and
+    ``objective``, and a sweep keeps no quadratic forms of past iterates
+    alive.  A row's step norm is ||g(x) - x|| and its objective that of the
+    iterate the step moved to.
     """
     qf = quadforms
     vec = np.asarray(starts, dtype=complex)
@@ -259,36 +289,49 @@ def gpi_solve_batch(
     rows = [[(0, math.nan, float(o))] if keep_iterates else [] for o in obj]
     history = [[(vals, i)] if keep_iterates else [] for i in range(n_trials)]
     best_obj, best_vec = obj, vec
-    gamma = np.ones(n_trials)
-    damped = False                 # whether any trial's steps are damped
-    past = np.empty((n_trials, _ORBIT_MEMORY, *qf.shape), dtype=complex)
+    # per-trial rings of the last _DEPTH image and residual differences
+    d_img = np.zeros((n_trials, _DEPTH, *qf.shape), dtype=complex)
+    d_res = np.zeros_like(d_img)
+    restarts = np.zeros(n_trials, dtype=int)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in range(1, config.t_max + 1):
             a_op, b_op = assemble_kkt(qf, vals, alpha)
-            nxt = _solve_each(b_op, _matvec(a_op, vec))
-            nrm = _norms(nxt)
+            img = _solve_each(b_op, _matvec(a_op, vec))
+            nrm = _norms(img)
             ok = (nrm > 0) & (nrm < np.inf) & _finite(a_op) & _finite(b_op)
-            nxt = _align_phase(nxt / nrm[:, None, None], vec)
-            if damped and (d := gamma < 1.0).any():
-                blend = vec[d] + gamma[d, None, None] * (nxt[d] - vec[d])
-                nxt[d] = _align_phase(blend / _norms(blend)[:, None, None], vec[d])
-
-            step = _norms(nxt - vec)
-            seen = min(t - 1, _ORBIT_MEMORY)
-            if seen:
-                # returned near a point visited a few steps ago: periodic orbit
-                near = (_norms(nxt[:, None] - past[:, :seen]) < 0.5 * step[:, None]).any(axis=1)
-                orbit = near & (step > eps)
-                if orbit.any():
-                    gamma[orbit] = np.maximum(0.5 * gamma[orbit], 0.0625)
-                    damped = True
-            vals = qf.evaluate(nxt)
+            img = _align_phase(img / nrm[:, None, None], vec)
+            res = img - vec
+            step = _norms(res)
+            vals = qf.evaluate(img)
             obj = vals.objective(alpha)
+            nxt = img
+
+            # record from the steps whose differences the first accelerated
+            # step mixes; every active trial fills the same ring slot
+            if t > _WARMUP - _DEPTH:
+                d_img[:, t % _DEPTH] = img - prev_img
+                d_res[:, t % _DEPTH] = res - prev_res
+            acc = np.flatnonzero(ok & (step > eps)) if t > _WARMUP else []
+            if len(acc):
+                cand = _anderson(img[acc], d_img[acc], d_res[acc], res[acc])
+                cand = cand / _norms(cand)[:, None, None]
+                cand_vals = qf.take(acc).evaluate(cand)
+                cand_obj = cand_vals.objective(alpha)
+                up = cand_obj >= obj[acc]      # the safeguard: no worse than g(x)
+                win, lost = acc[up], acc[~up]
+                nxt = img.copy()
+                nxt[win] = cand[up]
+                vals = vals.put(win, cand_vals.take(up))
+                obj[win] = cand_obj[up]
+                d_img[lost] = 0.0
+                d_res[lost] = 0.0
+                restarts[lost] += 1
+            prev_img, prev_res = img, res
+
             better = obj > best_obj
             best_obj = np.where(better, obj, best_obj)
             best_vec = np.where(better[:, None, None], nxt, best_vec)
-            past[:, (t - 1) % _ORBIT_MEMORY] = vec
             vec = nxt
 
             keep = []
@@ -305,13 +348,15 @@ def gpi_solve_batch(
                 if stop or t == config.t_max:
                     out[i] = ((vec[j] if stop else best_vec[j]).copy(),
                               SolveTrace(tuple(rows[i]), stop, t, alpha,
-                                         ob if stop else float(best_obj[j]), tuple(history[i])))
+                                         ob if stop else float(best_obj[j]), int(restarts[j]),
+                                         tuple(history[i])))
             if not all(keep):
                 if not any(keep):
                     break
                 keep = np.array(keep)
                 idx, vec, vals, qf = idx[keep], vec[keep], vals.take(keep), qf.take(keep)
-                best_obj, best_vec, gamma, past = best_obj[keep], best_vec[keep], gamma[keep], past[keep]
+                best_obj, best_vec, restarts = best_obj[keep], best_vec[keep], restarts[keep]
+                d_img, d_res, prev_img, prev_res = d_img[keep], d_res[keep], prev_img[keep], prev_res[keep]
     return out
 
 
@@ -360,7 +405,7 @@ def kkt_residual(
 
     Zero exactly at a fixed point of the iteration map; the convergence
     tolerance epsilon bounds it loosely at a converged solve.  This is the
-    step norm of one undamped iteration from f.
+    step norm of one plain iteration from f.
     """
     if np.shape(blocks) != quadforms.shape:
         raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")

@@ -9,6 +9,7 @@ from scipy.special import softmax
 import rsmasec as rs
 from rsmasec import solver
 from rsmasec.solver import (
+    _align_phase,
     _matvec,
     _softmax,
     assemble_kkt,
@@ -153,7 +154,7 @@ def test_gpi_exhaustion_returns_best_iterate(fig_config):
 
 def test_gpi_breaks_periodic_orbits(fig_config):
     # this draw two-cycles under the plain iteration map at tight tolerance;
-    # the damped steps must still reach a genuine fixed point
+    # the accelerated steps must break the cycle and reach a genuine fixed point
     cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
                           epsilon=1e-4, t_max=500).with_snr_db(20.0)
     rng = np.random.default_rng(1001)
@@ -161,6 +162,21 @@ def test_gpi_breaks_periodic_orbits(fig_config):
     real = rs.draw_scenario(cfg, layout, rng)
     qf = rs.build_quadforms_perfect(real, cfg)
     stack, trace = rs.gpi_solve(qf, rs.mrt_init(real.user_channels), cfg)
+    assert trace.converged
+    assert kkt_residual(qf, stack, cfg) <= 1e-3
+
+
+def test_gpi_holds_a_slow_limited_draw_to_its_fixed_point():
+    # fixed-point-residual's draw 1107 under limited CSIT: the plain map
+    # converges, and accepting a candidate merely because it beats the current
+    # iterate stalls this solve at t_max; comparing with the plain image must not
+    cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
+                          epsilon=1e-4, t_max=500).with_snr_db(20.0)
+    rng = np.random.default_rng(1107)
+    layout = rs.ScenarioLayout(user_center=float(rng.uniform(0, 2 * np.pi)))
+    real = rs.draw_scenario(cfg, layout, rng)
+    qf = rs.build_quadforms_limited(real, cfg)
+    stack, trace = rs.gpi_solve(qf, rs.mrt_init(real.user_estimates), cfg)
     assert trace.converged
     assert kkt_residual(qf, stack, cfg) <= 1e-3
 
@@ -238,11 +254,11 @@ def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
     assert [row[3] for row in first] == lam
 
 
-def chunk(build, count, t_max=60):
+def chunk(build, count, t_max=30):
     """The chunk's set, each draw's own set and the MRT starts of ``count``
     perfect-or-limited draws at a tight tolerance, so the chunk mixes fast,
-    slow, damped and exhausted solves; draw 1001 two-cycles under the plain
-    map."""
+    slow, accelerated and exhausted solves; draw 1001 two-cycles under the
+    plain map."""
     cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
                           epsilon=1e-4, t_max=t_max).with_snr_db(20.0)
     reals = []
@@ -320,3 +336,27 @@ def test_block_solve_solves_a_stack_of_trials():
     assert x.shape == rhs.shape
     for t in range(3):
         assert np.array_equal(x[t], block_solve(blocks[t], rhs[t]))
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
+    cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP)
+    cfg = replace(cfg, epsilon=1e-15)
+    x = starts / np.linalg.norm(starts, axis=(-2, -1))[:, None, None]
+    iterates, steps = [x], [None]
+    objectives = [stacked.evaluate(x).objective(cfg.smoothing)]
+    for _ in range(cfg.t_max):
+        a_op, b_op = assemble_kkt(stacked, stacked.evaluate(x), cfg.smoothing)
+        img = block_solve(b_op, _matvec(a_op, x))
+        img = _align_phase(img / np.linalg.norm(img, axis=(-2, -1))[:, None, None], x)
+        steps.append(np.linalg.norm(img - x, axis=(-2, -1)))
+        x = img
+        iterates.append(x)
+        objectives.append(stacked.evaluate(x).objective(cfg.smoothing))
+    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    for i, (stack, trace) in enumerate(batch):
+        assert not trace.converged and trace.restarts == 0
+        assert [row[2] for row in trace.rows] == [float(o[i]) for o in objectives]
+        assert [row[1] for row in trace.rows[1:]] == [float(s[i]) for s in steps[1:]]
+        best = int(np.argmax([o[i] for o in objectives]))
+        assert np.array_equal(stack, iterates[best][i])
