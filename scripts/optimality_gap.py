@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired optimality gap of a sweep's GPI solves: stopping tolerance and start.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/optimality_gap.py CONFIG [--starts R]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/optimality_gap.py CONFIG
 
 Draws every trial of the config's sweep in the harness's chunks and, per
 configured GPI method and scenario, scores three solves on the true
@@ -10,10 +10,10 @@ channels with ``sum_secrecy_se``:
 - ``config``: the sweep's own solve, from the MRT start at the config's
   epsilon and t_max;
 - ``reference``: the MRT start at epsilon 1e-4 and t_max 500;
-- ``best_start``: of the MRT start and R random starts (drawn from the
-  config's master seed), each solved at the reference tolerance, the one
-  whose smoothed objective is highest (the transmitter knows the objective;
-  the true SE does not pick).
+- ``best_start``: of the MRT start and ``STARTS`` random starts (drawn
+  from the config's master seed), each solved at the reference tolerance,
+  the one whose smoothed objective is highest (the transmitter knows the
+  objective; the true SE does not pick).
 
 Prints, per axis value and method, the mean and standard error of the
 paired SE gains reference - config (what stopping at the config's epsilon
@@ -39,6 +39,7 @@ from rsmasec.rates import sum_secrecy_se
 from rsmasec.solver import NumericError, gpi_solve_batch
 
 REFERENCE = {"epsilon": 1e-4, "t_max": 500}
+STARTS = 16      # random starts per scenario
 
 
 def _solve(quadforms, starts, system, truth, parts):
@@ -84,7 +85,6 @@ def _line(label: str, s: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("config")
-    parser.add_argument("--starts", type=int, default=16, help="random starts per scenario (R)")
     args = parser.parse_args(argv)
     config = parse_config(args.config)
     methods = [m for m in config.methods if m in ("gpi-rsma", "gpi-sdma")]
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             _, se_config, it_config = _solve(chunk, mrt, system, truth, parts)
             best_obj, se_ref, it_ref = _solve(chunk, mrt, reference, truth, parts)
             se_best = se_ref.copy()
-            for _ in range(args.starts):
+            for _ in range(STARTS):
                 starts = rng.standard_normal((len(ridge), *chunk.shape, 2)) @ [1.0, 1j]
                 if not rsma:
                     starts[:, 0] = 0.0
@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             print(_line(label, _summary(group)))
     print(json.dumps({
         "config": args.config, "epsilon": config.system.epsilon, "t_max": config.system.t_max,
-        "reference": REFERENCE, "starts": args.starts,
+        "reference": REFERENCE, "starts": STARTS,
         "methods": {m: _summary([r for r in rows if r["method"] == m]) for m in methods},
     }))
     return 0

@@ -289,9 +289,11 @@ def gpi_solve_batch(
     rows = [[(0, math.nan, float(o))] if keep_iterates else [] for o in obj]
     history = [[(vals, i)] if keep_iterates else [] for i in range(n_trials)]
     best_obj, best_vec = obj, vec
-    # per-trial rings of the last _DEPTH image and residual differences
-    d_img = np.zeros((n_trials, _DEPTH, *qf.shape), dtype=complex)
-    d_res = np.zeros_like(d_img)
+    # per-trial rings of the last _DEPTH image and residual differences,
+    # made at the step of the oldest difference the first accelerated step
+    # mixes; a solve with no accelerated step makes none and keeps no
+    # previous image or residual
+    first_record = _WARMUP - _DEPTH + 2 if config.t_max > _WARMUP else math.inf
     restarts = np.zeros(n_trials, dtype=int)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -307,9 +309,11 @@ def gpi_solve_batch(
             obj = vals.objective(alpha)
             nxt = img
 
-            # record from the steps whose differences the first accelerated
-            # step mixes; every active trial fills the same ring slot
-            if t > _WARMUP - _DEPTH:
+            # every active trial fills the same ring slot
+            if t >= first_record:
+                if t == first_record:
+                    d_img = np.zeros((len(vec), _DEPTH, *qf.shape), dtype=complex)
+                    d_res = np.zeros_like(d_img)
                 d_img[:, t % _DEPTH] = img - prev_img
                 d_res[:, t % _DEPTH] = res - prev_res
             acc = np.flatnonzero(ok & (step > eps)) if t > _WARMUP else []
@@ -327,7 +331,8 @@ def gpi_solve_batch(
                 d_img[lost] = 0.0
                 d_res[lost] = 0.0
                 restarts[lost] += 1
-            prev_img, prev_res = img, res
+            if t >= first_record - 1:
+                prev_img, prev_res = img, res
 
             better = obj > best_obj
             best_obj = np.where(better, obj, best_obj)
@@ -356,7 +361,10 @@ def gpi_solve_batch(
                 keep = np.array(keep)
                 idx, vec, vals, qf = idx[keep], vec[keep], vals.take(keep), qf.take(keep)
                 best_obj, best_vec, restarts = best_obj[keep], best_vec[keep], restarts[keep]
-                d_img, d_res, prev_img, prev_res = d_img[keep], d_res[keep], prev_img[keep], prev_res[keep]
+                if t >= first_record - 1:
+                    prev_img, prev_res = prev_img[keep], prev_res[keep]
+                if t >= first_record:
+                    d_img, d_res = d_img[keep], d_res[keep]
     return out
 
 

@@ -168,8 +168,7 @@ def test_gpi_breaks_periodic_orbits(fig_config):
 
 def test_gpi_holds_a_slow_limited_draw_to_its_fixed_point():
     # fixed-point-residual's draw 1107 under limited CSIT: the plain map
-    # converges, and accepting a candidate merely because it beats the current
-    # iterate stalls this solve at t_max; comparing with the plain image must not
+    # converges in 49 steps, and the accelerated solve must converge as well
     cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
                           epsilon=1e-4, t_max=500).with_snr_db(20.0)
     rng = np.random.default_rng(1107)
@@ -338,10 +337,10 @@ def test_block_solve_solves_a_stack_of_trials():
         assert np.array_equal(x[t], block_solve(blocks[t], rhs[t]))
 
 
-@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
-def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
-    cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP)
-    cfg = replace(cfg, epsilon=1e-15)
+def plain_map(stacked, starts, cfg):
+    """Iterates, step norms and objectives of cfg.t_max plain steps on every
+    trial of ``stacked``, written from assemble_kkt, block_solve and
+    _align_phase."""
     x = starts / np.linalg.norm(starts, axis=(-2, -1))[:, None, None]
     iterates, steps = [x], [None]
     objectives = [stacked.evaluate(x).objective(cfg.smoothing)]
@@ -353,10 +352,45 @@ def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
         x = img
         iterates.append(x)
         objectives.append(stacked.evaluate(x).objective(cfg.smoothing))
+    return iterates, steps, objectives
+
+
+def assert_plain_map(stack, trace, plain, i):
+    """The solve of trial i of plain_map's stack followed the plain map bit
+    for bit and returned its best iterate."""
+    iterates, steps, objectives = plain
+    assert not trace.converged
+    assert [row[2] for row in trace.rows] == [float(o[i]) for o in objectives]
+    assert [row[1] for row in trace.rows[1:]] == [float(s[i]) for s in steps[1:]]
+    best = int(np.argmax([o[i] for o in objectives]))
+    assert np.array_equal(stack, iterates[best][i])
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
+    cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP)
+    cfg = replace(cfg, epsilon=1e-15)
+    plain = plain_map(stacked, starts, cfg)
     batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
     for i, (stack, trace) in enumerate(batch):
-        assert not trace.converged and trace.restarts == 0
-        assert [row[2] for row in trace.rows] == [float(o[i]) for o in objectives]
-        assert [row[1] for row in trace.rows[1:]] == [float(s[i]) for s in steps[1:]]
-        best = int(np.argmax([o[i] for o in objectives]))
-        assert np.array_equal(stack, iterates[best][i])
+        assert trace.restarts == 0
+        assert_plain_map(stack, trace, plain, i)
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_candidate_no_better_than_the_plain_image_is_rejected(build, monkeypatch):
+    # every candidate is made the current iterate x; where the plain map
+    # climbs at every step, x's objective is below g(x)'s, so the safeguard
+    # must reject each candidate and leave the plain map bit for bit.  A
+    # safeguard that compared the candidate with x would take x and stall
+    cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP + 10)
+    cfg = replace(cfg, epsilon=1e-15)
+    plain = plain_map(stacked, starts, cfg)
+    climbs = (np.diff(plain[2], axis=0)[solver._WARMUP:] > 1e-9).all(axis=0)
+    pick = np.flatnonzero(climbs)
+    assert len(pick) >= 2
+    monkeypatch.setattr(solver, "_anderson", lambda img, d_img, d_res, res: img - res)
+    batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
+    for i, (stack, trace) in zip(pick.tolist(), batch):
+        assert trace.restarts == cfg.t_max - solver._WARMUP
+        assert_plain_map(stack, trace, plain, i)
