@@ -5,7 +5,8 @@ covariance of its channel is an average of steering outer products over a
 narrow angular interval around the terminal's azimuth.  Channels are drawn
 through the Karhunen-Loeve factorization of that covariance, and limited
 CSIT is modeled as a quantized estimate whose error covariance is known in
-closed form.
+closed form.  ``draw_scenario`` draws a whole set of trials in one pass,
+each from its own generator.
 """
 from __future__ import annotations
 
@@ -21,82 +22,115 @@ from .config import SystemConfig
 TWO_PI = 2.0 * math.pi
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_{n-1}(x)) by the three-term recurrence
+    P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1)."""
+    prev, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(1, n):
+        np.multiply(x, p, out=nxt)
+        nxt *= (2 * j + 1) / (j + 1)
+        prev *= j / (j + 1)
+        nxt -= prev
+        prev, p, nxt = p, nxt, prev
+    return p, prev
+
+
 @lru_cache(maxsize=8)
 def _gauss_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n_nodes)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence, started from Tricomi's
+    asymptotic estimates of the nonnegative nodes (Hale & Townsend, SIAM J.
+    Sci. Comput. 2013); the rest follow by symmetry.  O(n^2) work, against
+    the dense n x n companion eigenproblem of ``numpy``'s ``leggauss``.  The
+    weight 2 / ((1 - x^2) P_n'(x)^2) uses P_n'(x) = n (x P_n - P_{n-1}) /
+    (x^2 - 1), evaluated at the converged node.
+    """
+    n = n_nodes
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0   # the middle node; P_n(0) = 0 exactly for odd n
+    for _ in range(20):   # converges quadratically; three or four steps in practice
+        p, prev = _legendre(n, x)
+        step = p * (x * x - 1.0) / (n * (x * p - prev))
+        x -= step
+        if np.abs(step).max() < 1e-14:
+            break
+    p, prev = _legendre(n, x)
+    w = 2.0 * (1.0 - x * x) / (n * (x * p - prev)) ** 2
+    half = n // 2   # the nodes that are strictly positive, descending
+    return (np.concatenate([-x[:half], x[half:], x[:half][::-1]]),
+            np.concatenate([w[:half], w[half:], w[:half][::-1]]))
+
+
+# Covariances per quadrature block of ``one_ring_covariance``: bounds the node
+# powers it holds at once, whatever the number of terminals.
+_COV_BLOCK = 32
 
 
 def one_ring_covariance(
-    aoa: float,
+    aoa,
     spread: float,
     n_antennas: int,
     antenna_spacing: float = 0.5,
     n_nodes: int = 512,
 ) -> np.ndarray:
-    """One-ring covariance of a uniform linear array for a terminal at ``aoa``.
+    """One-ring covariances of a uniform linear array for terminals at ``aoa``.
 
     [R]_{a,b} = (1/2*spread) * integral over x in [aoa-spread, aoa+spread]
     of exp(-j*2*pi*(cos x, sin x) . (r_a - r_b)), with element a at
-    (a * antenna_spacing, 0) in wavelengths.  Evaluated with fixed-node
-    Gauss-Legendre quadrature (deterministic, sub-1e-9 accurate for these
-    smooth oscillatory integrands).  Returns the Hermitian (N, N) matrix.
+    (a * antenna_spacing, 0) in wavelengths.  The entry depends on a - b
+    only, so R is the Hermitian Toeplitz matrix of its first column
+    c[m] = (1/2) sum_k w_k z_k^m, with z_k = exp(-j*2*pi*antenna_spacing*cos x_k)
+    at the Gauss-Legendre nodes x_k (weights w_k) of the interval: one
+    exponential per node, its powers by repeated multiplication
+    (deterministic, sub-1e-9 accurate for these smooth oscillatory
+    integrands).  ``aoa`` is a float or an array; returns the Hermitian
+    (*aoa.shape, N, N) stack.  Each covariance is a function of its own
+    azimuth alone, to the bit.
     """
     if spread <= 0:
         raise ValueError("angular spread must be positive")
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
     x, w = _gauss_nodes(n_nodes)
-    ang = aoa + spread * x
-    # the array lies on the x-axis, so only cos(angle) enters the phase
-    phase = TWO_PI * np.outer(antenna_spacing * np.arange(n_antennas), np.cos(ang))
-    steer = np.exp(-1j * phase)
-    # Interval substitution cancels the 1/(2*spread) prefactor down to 1/2.
-    r = 0.5 * (steer * w) @ steer.conj().T
-    return 0.5 * (r + r.conj().T)
+    aoa = np.asarray(aoa, dtype=float)
+    flat = aoa.reshape(-1, 1)
+    # interval substitution cancels the 1/(2*spread) prefactor down to 1/2
+    half_w = 0.5 * w
+    col = np.empty((flat.shape[0], n_antennas), dtype=complex)
+    col[:, 0] = half_w.sum()
+    for lo in range(0, flat.shape[0], _COV_BLOCK):
+        z = np.exp(-1j * TWO_PI * antenna_spacing * np.cos(flat[lo:lo + _COV_BLOCK] + spread * x))
+        power = half_w * z   # C order: each row sums over its own contiguous nodes
+        for m in range(1, n_antennas):
+            col[lo:lo + _COV_BLOCK, m] = power.sum(axis=-1)
+            if m + 1 < n_antennas:
+                power *= z
+    lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
+    below = col[:, np.abs(lag)]
+    r = np.where(lag >= 0, below, below.conj())
+    return r.reshape(*aoa.shape, n_antennas, n_antennas)
 
 
 def kl_decompose(cov: np.ndarray, trunc_rel: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Karhunen-Loeve factor ``(eigvecs, eigvals)`` of a Hermitian covariance,
-    R ~= U diag(eigvals) U^H: the (N, rank) orthonormal eigenvectors and the
-    (rank,) eigenvalues, descending, of the modes whose eigenvalue exceeds
-    trunc_rel * max.  No mode is kept when the largest eigenvalue is not
-    positive."""
+    """Karhunen-Loeve factor ``(eigvecs, eigvals)`` of Hermitian covariances,
+    R ~= U diag(eigvals) U^H, eigenvalues descending.  A mode is kept when
+    its eigenvalue exceeds trunc_rel * max, and none is when the largest
+    eigenvalue is not positive.  For one (N, N) covariance: the (N, rank)
+    orthonormal eigenvectors and the (rank,) kept eigenvalues.  For a stack
+    (..., N, N), whose ranks may differ: all (..., N, N) eigenvectors and
+    (..., N) eigenvalues, with each dropped mode's eigenvalue set to 0, so a
+    kept eigenvalue is positive and the rank is their count."""
     w, u = np.linalg.eigh(cov)
-    w = w[::-1]
-    u = u[:, ::-1]
-    if w.size == 0 or w[0] <= 0:
-        return u[:, :0], w[:0]
-    keep = w > trunc_rel * w[0]
-    return u[:, keep], w[keep]
-
-
-def sample_channel(kl: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """h = U diag(sqrt(eigvals)) zeta with zeta ~ CN(0, I), for ``kl`` =
-    ``kl_decompose``'s (U, eigvals)."""
-    eigvecs, eigvals = kl
-    zeta = _cn_vector(eigvals.size, rng)
-    return eigvecs @ (np.sqrt(eigvals) * zeta)
-
-
-def fdd_estimate(
-    h: np.ndarray,
-    kl: tuple[np.ndarray, np.ndarray],
-    kappa: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantized estimate of ``h`` plus its error.
-
-    estimate = sqrt(1-kappa^2)*h + kappa*U diag(sqrt(eigvals)) v, v ~ CN(0, I);
-    returns (estimate, h - estimate).  The perturbation v is drawn even at
-    kappa = 0 so that seed-matched runs across kappa values share channel
-    draws.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must be in [0, 1]")
-    eigvecs, eigvals = kl
-    v = _cn_vector(eigvals.size, rng)
-    estimate = math.sqrt(1.0 - kappa**2) * h + kappa * (eigvecs @ (np.sqrt(eigvals) * v))
-    return estimate, h - estimate
+    w = w[..., ::-1]
+    u = u[..., ::-1]
+    top = w[..., :1]
+    keep = (w > trunc_rel * top) & (top > 0)
+    if cov.ndim == 2:
+        return u[:, keep], w[keep]
+    return u, np.where(keep, w, 0.0)
 
 
 def error_covariance(cov: np.ndarray, kappa: float) -> np.ndarray:
@@ -105,10 +139,6 @@ def error_covariance(cov: np.ndarray, kappa: float) -> np.ndarray:
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must be in [0, 1]")
     return (2.0 - 2.0 * math.sqrt(1.0 - kappa**2)) * cov
-
-
-def _cn_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +201,9 @@ class ChannelRealization:
     Under limited CSIT the transmitter sees ``user_estimates``, ``error_covs``
     and the covariances; ``user_channels``/``eve_channels`` are ground truth
     used only for scoring.  Every covariance is a Hermitian (N, N) array.
-    A realization made by ``stack`` puts a leading trial axis on every array.
+    A realization drawn for T generators, or made by ``stack``, puts a
+    leading trial axis on every array.  A drawn realization's user
+    statistics are read-only arrays that every trial shares.
     """
 
     user_channels: np.ndarray        # (K, N)
@@ -184,12 +216,13 @@ class ChannelRealization:
     eve_aoas: np.ndarray = field(default=None)
 
     @staticmethod
-    def stack(realizations: Sequence["ChannelRealization"]) -> "ChannelRealization":
+    def stack(realizations: Sequence["ChannelRealization"], join=np.stack) -> "ChannelRealization":
         """One realization with a leading trial axis over ``realizations``,
-        which must share their dimensions."""
+        which must share their dimensions; ``join=np.concatenate`` joins
+        stacked realizations along their trial axis instead."""
         first = realizations[0]
         return ChannelRealization(**{
-            f.name: np.stack([getattr(r, f.name) for r in realizations])
+            f.name: join([getattr(r, f.name) for r in realizations])
             for f in fields(first) if getattr(first, f.name) is not None
         })
 
@@ -213,72 +246,107 @@ class ChannelRealization:
         return self.user_channels.shape[-1]
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=32)
 def _user_statistics(
-    aoa: float,
+    aoas: tuple[float, ...],
     spread: float,
     n_antennas: int,
     antenna_spacing: float,
     n_nodes: int,
     trunc_rel: float,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Covariance and KL factor of a terminal at a layout-fixed azimuth.
+    """Covariances (K, N, N) and stacked KL factor of the users at the
+    layout-fixed azimuths ``aoas``.
 
     User azimuths depend only on the layout, so every trial of a sweep point
     shares them; the arrays are read-only because every caller shares them.
     """
-    cov = one_ring_covariance(aoa, spread, n_antennas, antenna_spacing, n_nodes)
-    kl = kl_decompose(cov, trunc_rel)
-    for arr in (cov, *kl):
+    covs = one_ring_covariance(np.array(aoas), spread, n_antennas, antenna_spacing, n_nodes)
+    kl = kl_decompose(covs, trunc_rel)
+    for arr in (covs, *kl):
         arr.flags.writeable = False
-    return cov, kl
+    return covs, kl
+
+
+def _combine(eigvecs: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_j eigvecs[..., :, j] * coef[..., j]: an elementwise product, laid
+    out in C order, summed over its last axis, so each terminal's sum is the
+    same whatever the stack around it."""
+    return np.multiply(eigvecs, coef[..., None, :], order="C").sum(axis=-1)
+
+
+def _cn(normals: np.ndarray) -> np.ndarray:
+    """CN(0, I) coefficients from (..., 2, N) real and imaginary parts."""
+    return (normals[..., 0, :] + 1j * normals[..., 1, :]) / math.sqrt(2.0)
 
 
 def draw_scenario(
     config: SystemConfig,
     layout: ScenarioLayout,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> ChannelRealization:
-    """Place terminals, build their covariances, and draw one channel set.
+    """Place terminals, build their covariances, and draw channel sets.
 
-    User statistics come from a cache keyed by azimuth and geometry;
-    eavesdropper azimuths are drawn per trial, so theirs are rebuilt.
+    ``rng`` is one generator, or a sequence of T generators, one per trial;
+    then every field gets a leading trial axis, and trial i equals the draw
+    of ``rng[i]`` alone, to the bit.  Each generator makes two calls:
+    ``uniform(E)`` for its eavesdroppers' azimuths, then one
+    ``standard_normal`` whose numbers are cut terminal by terminal, users
+    first, into blocks of ``rank`` (the terminal's KL rank): for a user the
+    real and imaginary parts of its channel's CN(0, I) coefficients zeta
+    and then of its estimate's perturbation v, for an eavesdropper those of
+    zeta.  A channel is h = U diag(sqrt(eigvals)) zeta, and a user's
+    estimate sqrt(1-kappa^2) h + kappa U diag(sqrt(eigvals)) v, whose error
+    h - estimate has covariance ``error_covariance(R, kappa)``.  v is drawn
+    even at kappa = 0, so seed-matched draws across kappa values share
+    their channels.
+
+    User statistics come from a cache keyed by azimuths and geometry;
+    eavesdropper azimuths are drawn per trial, so theirs are built here, in
+    one ``one_ring_covariance`` and one ``kl_decompose`` call for all trials.
     """
-    n = config.n_antennas
-    k = config.n_users
-    e = config.n_eves
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    t, n, k, e = len(rngs), config.n_antennas, config.n_users, config.n_eves
 
     user_aoas = layout.user_aoas(k)
-    eve_aoas = (
-        layout.eve_center + layout.eve_sector * (rng.uniform(size=e) - 0.5)
-    ) % TWO_PI
+    user_covs, (user_vecs, user_vals) = _user_statistics(
+        tuple(user_aoas.tolist()), layout.angular_spread, n,
+        layout.antenna_spacing, layout.quad_nodes, layout.trunc_rel,
+    )
+    unit = np.array([gen.uniform(size=e) for gen in rngs]).reshape(t, e)
+    eve_aoas = (layout.eve_center + layout.eve_sector * (unit - 0.5)) % TWO_PI
+    eve_covs = one_ring_covariance(
+        eve_aoas, layout.angular_spread, n, layout.antenna_spacing, layout.quad_nodes,
+    )
+    eve_vecs, eve_vals = kl_decompose(eve_covs, layout.trunc_rel)
 
-    h = np.zeros((k, n), dtype=complex)
-    h_est = np.zeros((k, n), dtype=complex)
-    user_covs = np.zeros((k, n, n), dtype=complex)
-    for i in range(k):
-        user_covs[i], kl = _user_statistics(
-            float(user_aoas[i]), layout.angular_spread, n,
-            layout.antenna_spacing, layout.quad_nodes, layout.trunc_rel,
-        )
-        h[i] = sample_channel(kl, rng)
-        h_est[i], _ = fdd_estimate(h[i], kl, layout.kappa, rng)
+    # Each terminal's blocks padded to N numbers, of which the first ``rank``
+    # (its kept modes) are drawn: users (K, 4, N), then eavesdroppers (E, 2, N).
+    kept = np.concatenate([
+        np.broadcast_to(user_vals[:, None, :] > 0, (t, k, 4, n)).reshape(t, -1),
+        np.broadcast_to(eve_vals[:, :, None, :] > 0, (t, e, 2, n)).reshape(t, -1),
+    ], axis=1)
+    normals = np.zeros(kept.shape)
+    normals[kept] = np.concatenate([gen.standard_normal(c) for gen, c in zip(rngs, kept.sum(axis=1))])
+    user_normals = normals[:, :4 * k * n].reshape(t, k, 2, 2, n)
+    eve_normals = normals[:, 4 * k * n:].reshape(t, e, 2, n)
 
-    g = np.zeros((e, n), dtype=complex)
-    eve_covs = np.zeros((e, n, n), dtype=complex)
-    for i in range(e):
-        eve_covs[i] = one_ring_covariance(
-            eve_aoas[i], layout.angular_spread, n, layout.antenna_spacing, layout.quad_nodes,
-        )
-        g[i] = sample_channel(kl_decompose(eve_covs[i], layout.trunc_rel), rng)
+    user_roots = np.sqrt(user_vals)
+    h = _combine(user_vecs, user_roots * _cn(user_normals[:, :, 0]))
+    h_est = (math.sqrt(1.0 - layout.kappa**2) * h
+             + layout.kappa * _combine(user_vecs, user_roots * _cn(user_normals[:, :, 1])))
+    g = _combine(eve_vecs, np.sqrt(eve_vals) * _cn(eve_normals))
 
-    return ChannelRealization(
+    shared = (t, k, n, n)
+    realization = ChannelRealization(
         user_channels=h,
         eve_channels=g,
         user_estimates=h_est,
-        error_covs=error_covariance(user_covs, layout.kappa),
-        user_covs=user_covs,
+        error_covs=np.broadcast_to(error_covariance(user_covs, layout.kappa), shared),
+        user_covs=np.broadcast_to(user_covs, shared),
         eve_covs=eve_covs,
-        user_aoas=user_aoas,
+        user_aoas=np.broadcast_to(user_aoas, (t, k)),
         eve_aoas=eve_aoas,
     )
+    return realization.take(0) if single else realization

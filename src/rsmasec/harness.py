@@ -258,17 +258,18 @@ def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
     trials)`` pieces.  ``parts`` holds per piece ``(system, layout, seeds,
     at)``: its effective scenario, each trial's seed and the slice ``at`` of
     the chunk's stack that holds its trials.  ``truth`` stacks every trial's
-    scenario, drawn from its own seed, and ``ridge`` is each trial's
-    sigma_u^2 / P.  The generators end here, so every method is a function
-    of the drawn scenarios alone."""
+    scenario, drawn from its own seed in one ``draw_scenario`` call per
+    piece, and ``ridge`` is each trial's sigma_u^2 / P.  The generators end
+    here, so every method is a function of the drawn scenarios alone."""
     parts, draws, ridge = [], [], []
     for axis_value, axis_index, trials in pieces:
         system, layout = effective_scenario(config, axis_value)
         seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
-        parts.append((system, layout, seeds, slice(len(draws), len(draws) + len(seeds))))
-        draws += [draw_scenario(system, layout, np.random.default_rng(seed)) for seed in seeds]
+        parts.append((system, layout, seeds, slice(len(ridge), len(ridge) + len(seeds))))
+        draws.append(draw_scenario(system, layout, [np.random.default_rng(seed) for seed in seeds]))
         ridge += [system.noise_user_ratio] * len(seeds)
-    return parts, ChannelRealization.stack(draws), np.array(ridge)
+    truth = draws[0] if len(draws) == 1 else ChannelRealization.stack(draws, join=np.concatenate)
+    return parts, truth, np.array(ridge)
 
 
 def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig, ridge=None):

@@ -29,10 +29,8 @@ from .channel import (
     ScenarioLayout,
     draw_scenario,
     error_covariance,
-    fdd_estimate,
     kl_decompose,
     one_ring_covariance,
-    sample_channel,
 )
 from .config import SystemConfig
 from .harness import (
@@ -380,22 +378,26 @@ def _check_collusion_bound() -> tuple[bool, str]:
 
 
 def _check_channel_statistics() -> tuple[bool, str]:
-    """Sampled channels and estimation errors reproduce their covariances."""
-    n, draws, kappa = 4, 100_000, 0.4
-    rng = np.random.default_rng(91_000)
-    cov = one_ring_covariance(np.pi / 5.0, np.pi / 6.0, n)
-    kl = kl_decompose(cov)
+    """Drawn channels and estimation errors reproduce their covariances.
 
-    channels = np.empty((draws, n), dtype=complex)
-    errors = np.empty((draws, n), dtype=complex)
-    for i in range(draws):
-        h = sample_channel(kl, rng)
-        estimate, _ = fdd_estimate(h, kl, kappa, rng)
-        channels[i] = h
-        errors[i] = h - estimate
+    One user at pi/5 (N=4, kappa=0.4) drawn through ``draw_scenario``, the
+    path sweeps run: one generator per draw, in chunks of ``chunk`` draws."""
+    n, draws, kappa, chunk = 4, 100_000, 0.4, 10_000
+    system = SystemConfig(n_antennas=n, n_secret=1, n_normal=0, n_eves=0)
+    layout = ScenarioLayout(user_center=np.pi / 5.0, kappa=kappa)
+    seeds = np.random.SeedSequence(91_000).spawn(draws)
+    emp_h = np.zeros((n, n), dtype=complex)
+    emp_e = np.zeros((n, n), dtype=complex)
+    for lo in range(0, draws, chunk):
+        real = draw_scenario(system, layout, [np.random.default_rng(s) for s in seeds[lo:lo + chunk]])
+        channels = real.user_channels[:, 0]
+        errors = channels - real.user_estimates[:, 0]
+        emp_h += channels.T @ channels.conj()
+        emp_e += errors.T @ errors.conj()
+    emp_h /= draws
+    emp_e /= draws
 
-    emp_h = channels.T @ channels.conj() / draws
-    emp_e = errors.T @ errors.conj() / draws
+    cov = one_ring_covariance(np.pi / 5.0, layout.angular_spread, n)
     rel_h = float(np.linalg.norm(emp_h - cov) / np.linalg.norm(cov))
     target_e = error_covariance(cov, kappa)
     rel_e = float(np.linalg.norm(emp_e - target_e) / np.linalg.norm(target_e))

@@ -15,6 +15,8 @@ def test_batched_and_single_solves_agree_on_a_small_sweep(tmp_path, capsys):
                       "epsilon = 1e-4\nt_max = 500\n")
     assert time_batched_solve.main([str(config), "--repeats", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
+    # one draw per trial and one per chunk (here two SNR pieces) agree to the bit
+    assert report["draws_bit_identical"] is True
     assert report["bit_identical"] is True
     assert report["solves"] == 8
     assert report["chunk_sizes"] == [4]   # both SNR values share one chunk
