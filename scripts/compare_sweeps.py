@@ -3,20 +3,29 @@
 
     python scripts/compare_sweeps.py PARENT.csv CHANGE.csv
 
-Rows are matched in file order and named by (axis, trial, method).  Lists
-every row whose ``iterations`` or ``converged`` changed and every row whose
-``sum_secrecy_se`` moved by more than 1e-9, counts rows that differ in any
-other column (``runtime_ms`` is ignored), prints the largest
+Sweep CSVs: rows are matched in file order and named by (axis, trial,
+method).  Lists every row whose ``iterations`` or ``converged`` changed and
+every row whose ``sum_secrecy_se`` moved by more than 1e-9, counts rows that
+differ in any other column (``runtime_ms`` is ignored), prints the largest
 |delta ``sum_secrecy_se``| and |delta ``objective``| over the matched rows
 where both values are finite, and diffs the ``.agg.csv`` files next to the
-two CSVs.  Exits 0 when the rows without ``runtime_ms`` and the
-aggregates are identical, 1 on any difference, 2 when a file cannot be read.
+two CSVs.
+
+``rsmasec converge`` CSVs (they have an ``iteration`` column): rows are
+keyed by (snr_db, trial, iteration).  Lists every (snr_db, trial) whose
+iteration count changed and, for each of ``step_norm``, ``objective`` and
+``lam``, how many matched rows moved, the largest relative |delta| (and its
+row) and the median relative |delta| of the rows that moved.
+
+Exits 0 when the outputs are identical (sweep rows without ``runtime_ms``),
+1 on any difference, 2 when a file cannot be read.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import math
+import statistics
 import sys
 
 from rsmasec.harness import aggregate_path
@@ -24,6 +33,8 @@ from rsmasec.harness import aggregate_path
 SE_TOL = 1e-9
 IGNORED = ("runtime_ms",)
 DELTA_COLUMNS = ("sum_secrecy_se", "objective")
+TRACE_KEY = ("snr_db", "trial", "iteration")
+TRACE_COLUMNS = ("step_norm", "objective", "lam")
 
 
 def read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
@@ -82,6 +93,48 @@ def largest_deltas(parent: list[dict], change: list[dict]) -> dict[str, float]:
     return out
 
 
+def _relative(a: str, b: str) -> float:
+    """|b - a| / max(|a|, |b|) of two cells; infinite when just one is empty
+    or NaN."""
+    x, y = (float(v) if v else math.nan for v in (a, b))
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    scale = max(abs(x), abs(y))
+    return abs(y - x) / scale if scale else 0.0
+
+
+def compare_traces(parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
+    """Report lines for two ``converge`` outputs, and whether they are identical."""
+    keyed = [{tuple(r[k] for k in TRACE_KEY): r for r in rows} for rows in (parent, change)]
+    counts = [{}, {}]
+    for count, rows in zip(counts, keyed):
+        for snr, trial, it in rows:
+            count[snr, trial] = max(count.get((snr, trial), 0), int(it))
+    report = [
+        f"snr_db={snr} trial={trial}: iterations {counts[0].get((snr, trial))} -> "
+        f"{counts[1].get((snr, trial))}"
+        for snr, trial in sorted(counts[0].keys() | counts[1].keys(),
+                                 key=lambda st: (float(st[0]), int(st[1])))
+        if counts[0].get((snr, trial)) != counts[1].get((snr, trial))
+    ]
+    same = not report and len(parent) == len(change)
+    matched = keyed[0].keys() & keyed[1].keys()
+    report.append(f"rows: {len(matched)} matched by {', '.join(TRACE_KEY)}")
+    for col in TRACE_COLUMNS:
+        moved = sorted((_relative(keyed[0][key][col], keyed[1][key][col]), key)
+                       for key in matched if keyed[0][key][col] != keyed[1][key][col])
+        same = same and not moved
+        line = f"{col}: {len(moved)} rows moved"
+        if moved:
+            rel, key = moved[-1]
+            line += (f"; largest relative |delta| {rel:.3g} at "
+                     + " ".join(f"{k}={v}" for k, v in zip(TRACE_KEY, key))
+                     + f" ({keyed[0][key][col]} -> {keyed[1][key][col]})"
+                     + f"; median {statistics.median(r for r, _ in moved):.3g}")
+        report.append(line)
+    return report, same
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="row CSV from the reference run")
@@ -90,15 +143,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         p_cols, p_rows = read_rows(args.parent)
         c_cols, c_rows = read_rows(args.change)
+        if p_cols != c_cols:
+            print(f"columns differ: {p_cols} vs {c_cols}")
+            return 1
+        if "iteration" in p_cols:
+            report, same = compare_traces(p_rows, c_rows)
+            print("\n".join(report))
+            return 0 if same else 1
         p_agg = read_lines(aggregate_path(args.parent))
         c_agg = read_lines(aggregate_path(args.change))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
-    if p_cols != c_cols:
-        print(f"columns differ: {p_cols} vs {c_cols}")
-        return 1
     report, differing = compare_rows(p_rows, c_rows)
     if len(p_rows) != len(c_rows):
         report.append(f"row count differs: {len(p_rows)} vs {len(c_rows)}")

@@ -528,7 +528,7 @@ def run_convergence(
                 for trial, seed, solved in zip(trials, seeds, results[at]):
                     if isinstance(solved, NumericError):
                         raise solved
-                    for it, step, obj, lam in solved[1].iterates:
+                    for it, step, obj, lam in solved[1].rows:
                         writer.writerow([
                             _fmt(snr), str(trial), str(seed), str(it),
                             "" if math.isnan(step) else _fmt(step),

@@ -1,22 +1,27 @@
-"""Block-diagonal quadratic-form encoding of every rate expression.
+"""Block-diagonal quadratic-form encoding of every objective term.
 
-With a unit-norm stacked precoder f, each spectral efficiency becomes
-log2(f^H A f / f^H B f) for a pair (A, B) of block-diagonal Hermitian
-matrices (one N x N block per stream).  Every block of every A and B is a
-combination of a few base matrices: the noise ridge (sigma_u^2 / P) * I, the
-K signal outer products, the E eavesdropper matrices and, under limited CSIT,
-the K error covariances and K user covariances.  A set stores
-each base matrix once plus one real coefficient table per rate family, with
-entry [..., m, b] the weight of base matrix m in block b of one form.  No
-block is ever assembled into the full N*(K+1) x N*(K+1) matrix, which is what
-makes the solver's linear algebra cost scale with the number of blocks rather
-than its cube.
+With a unit-norm stacked precoder f, each term of the smoothed objective is
+a log-ratio log2(f^H G f / f^H L f) that the term raises, for a pair (G, L)
+of block-diagonal Hermitian matrices (one N x N block per stream): a form.
+A rate's gain G is its numerator and its loss L its denominator; a leakage
+term is subtracted, so its gain is the leakage denominator and its loss the
+numerator.  The first-order condition B(f)^-1 A(f) f = lam f then collects
+every gain into A and every loss into B.
+
+Every block of every G and L is a combination of a few base matrices: the
+noise ridge (sigma_u^2 / P) * I, the K signal outer products, the E
+eavesdropper matrices and, under limited CSIT, the K error covariances and
+K user covariances.  A set stores each base matrix once plus two real
+coefficient tables, ``gain`` and ``loss``, with entry [p, m, b] the weight of
+base matrix m in block b of form p.  No block is ever assembled into the
+full N*(K+1) x N*(K+1) matrix, which is what makes the solver's linear
+algebra cost scale with the number of blocks rather than its cube.
 
 Two variants exist:
-  - "perfect": true channels, one pair per rate; the secrecy leakage is the
+  - "perfect": true channels, one form per rate; the secrecy leakage is the
     max over the wiretap set (smoothed with log-sum-exp).
-  - "limited": estimated channels with known error covariance; rate pairs
-    encode Jensen lower bounds, and leakage pairs encode the terms of a
+  - "limited": estimated channels with known error covariance; rate forms
+    encode Jensen lower bounds, and leakage forms encode the terms of a
     full-collusion upper bound log2(1 + sum of ratios), which needs no max.
 """
 from __future__ import annotations
@@ -30,10 +35,6 @@ from .config import SystemConfig
 from .rates import lse_max, lse_min
 
 
-_TABLES = ("common_num", "common_den", "private_num", "private_den",
-           "eve_num", "eve_den", "user_num", "user_den")
-
-
 def _complex(x: np.ndarray) -> np.ndarray:
     """``x`` as a C-contiguous complex array, whose (re, im) pairs a float view reads."""
     return np.ascontiguousarray(x, dtype=complex)
@@ -41,34 +42,31 @@ def _complex(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadFormSet:
-    """All quadratic-form pairs for one scenario, or for a chunk of trials.
+    """All forms for one scenario, or for a chunk of trials.
 
     ``bases`` is the (n_bases, N, N) stack of base matrices, or (T, n_bases,
     N, N) for a chunk of T trials; base 0 is each trial's noise ridge
-    (sigma_u^2 / P) * I.  The tables depend only on the dimensions, the CSIT
-    mode and sigma_e^2 / sigma_u^2, never on the SNR or the drawn channels,
-    so a chunk shares one of each, also across trials at different SNRs;
-    ``evaluate`` and ``weighted_blocks`` then work per trial.  Each table has
-    shape (..., n_bases, n_blocks) and real entries in {0, +-1,
-    sigma_e^2 / sigma_u^2}:
-    ``common_*`` (K, ...), ``private_*`` (K, ...), ``eve_*`` (S, E, ...) and
-    ``user_*`` (S, K-1, ...), where secret user s's wiretapping users run over
-    every other user in index order.  The stack always has K+1 blocks, block 0
-    carrying the common stream.  ``common_*`` is None only on a
-    ``without_common()`` view, which scores private-only (SDMA) stacks whose
-    common block is zero.
+    (sigma_u^2 / P) * I.  ``gain`` and ``loss`` are the (n_forms, n_bases,
+    n_blocks) coefficient tables, with real entries in {0, +-1,
+    sigma_e^2 / sigma_u^2}.  Forms come in the order: K common rates, K
+    private rates, then each of the ``n_secret`` secret users' wiretap sets
+    of ``width`` = E + K - 1 forms (eavesdroppers first, then every other
+    user in index order).  The tables depend only on the dimensions, the
+    CSIT mode and sigma_e^2 / sigma_u^2, never on the SNR or the drawn
+    channels, so a chunk shares one of each, also across trials at
+    different SNRs; ``evaluate`` and ``weighted_blocks`` then work per
+    trial.  The stack always has K+1 blocks, block 0 carrying the common
+    stream.  ``has_common`` is False only on a ``without_common()`` view,
+    which scores private-only (SDMA) stacks whose common block is zero.
     """
 
     bases: np.ndarray
-    common_num: np.ndarray | None
-    common_den: np.ndarray | None
-    private_num: np.ndarray
-    private_den: np.ndarray
-    eve_num: np.ndarray
-    eve_den: np.ndarray
-    user_num: np.ndarray
-    user_den: np.ndarray
+    gain: np.ndarray
+    loss: np.ndarray
     variant: str
+    n_secret: int
+    width: int
+    has_common: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in ("perfect", "limited"):
@@ -80,28 +78,24 @@ class QuadFormSet:
         return replace(self, bases=self.bases[index])
 
     @property
-    def has_common(self) -> bool:
-        return self.common_num is not None
-
-    @property
     def n_antennas(self) -> int:
         return self.bases.shape[-1]
 
     def without_common(self) -> "QuadFormSet":
-        """The same set with the common-rate family dropped (SDMA).
+        """The same set with the K common-rate forms dropped (SDMA).
 
-        Read with a zero common block, every remaining table equals the
-        private-only set, so no second build is needed.  Shares every array.
+        Read with a zero common block, every remaining form equals the
+        private-only set's, so no second build is needed.  The tables are
+        views of this set's.
         """
-        return replace(self, common_num=None, common_den=None)
-
-    @property
-    def n_secret(self) -> int:
-        return self.eve_num.shape[-4]
+        if not self.has_common:
+            return self
+        k = self.n_blocks - 1
+        return replace(self, gain=self.gain[k:], loss=self.loss[k:], has_common=False)
 
     @property
     def n_blocks(self) -> int:
-        return self.private_num.shape[-1]
+        return self.gain.shape[-1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,7 +103,7 @@ class QuadFormSet:
         return self.n_blocks, self.n_antennas
 
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
-        """All quadratic forms at one point, grouped by rate family.
+        """Both quadratic forms of every form at one point.
 
         On a chunk's set ``blocks`` is (T, n_blocks, N), one precoder per
         trial, and every value gains the leading trial axis.
@@ -125,33 +119,25 @@ class QuadFormSet:
         gram = (bases.view(float).reshape(t, m, -1) @ outer.transpose(0, 2, 1)).reshape(t, -1, 1)
 
         def ev(table):
-            if table is None:
-                return None
             # the shared table against every trial's gram
-            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, *table.shape[:-2])
+            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, len(table))
 
-        return QuadValues(
-            **{name: ev(getattr(self, name)) for name in _TABLES},
-            variant=self.variant,
-            n_secret=self.n_secret,
-        )
+        return QuadValues(ev(self.gain), ev(self.loss), self.variant,
+                          self.n_secret, self.width, self.has_common)
 
-    def weighted_blocks(self, weights: dict[str, np.ndarray]) -> np.ndarray:
-        """Weighted sum of the block matrices of the named forms.
+    def weighted_blocks(self, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Weighted sum of the block matrices that ``table`` (``gain`` or
+        ``loss``) holds, one real weight per form on the last axis.
 
-        ``weights`` maps a table name ("private_num", "eve_den", ...) to one
-        real weight per form, shaped like that table's leading axes.  The
-        weights are contracted with the tables first, so each base matrix is
-        touched once.  Returns the (n_blocks, N, N) block stack, with a
-        leading trial axis (and one weight per trial) on a chunk's set.
+        The weights are contracted with the table first, so each base matrix
+        is touched once.  Returns the (n_blocks, N, N) block stack, with a
+        leading trial axis (and one row of weights per trial) on a chunk's
+        set.
         """
         bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
         t, m, n, _ = bases.shape
         nb = self.n_blocks
-        coef = sum(
-            w.reshape(t, 1, -1) @ getattr(self, name).reshape(-1, m * nb)
-            for name, w in weights.items()
-        )
+        coef = weights.reshape(t, 1, -1) @ table.reshape(-1, m * nb)
         # real coefficients times the interleaved (re, im) entries of the bases
         out = coef.reshape(t, m, nb).transpose(0, 2, 1) @ bases.view(float).reshape(t, m, -1)
         return out.view(complex).reshape(*self.bases.shape[:-3], nb, n, n)
@@ -159,47 +145,54 @@ class QuadFormSet:
 
 @dataclass(frozen=True)
 class QuadValues:
-    """Numerator/denominator quadratic forms per rate family at one iterate.
+    """f^H G f and f^H L f of every form at one iterate, in the set's form
+    order on the last axis of ``gain`` and ``loss``.
 
-    Values of a chunk's set carry a leading trial axis on every array; the
+    Values of a chunk's set carry a leading trial axis on both arrays; the
     methods then return one value per trial.
     """
 
-    common_num: np.ndarray | None
-    common_den: np.ndarray | None
-    private_num: np.ndarray
-    private_den: np.ndarray
-    eve_num: np.ndarray      # (S, E)
-    eve_den: np.ndarray
-    user_num: np.ndarray     # (S, K-1)
-    user_den: np.ndarray
+    gain: np.ndarray
+    loss: np.ndarray
     variant: str
     n_secret: int
+    width: int
+    has_common: bool
+
+    @property
+    def n_rates(self) -> int:
+        """Forms before the first wiretap set: the common and private rates."""
+        return self.gain.shape[-1] - self.n_secret * self.width
+
+    @property
+    def n_users(self) -> int:
+        return self.n_rates // (2 if self.has_common else 1)
 
     def take(self, index) -> "QuadValues":
         """The trials ``index`` of a chunk's values (one trial for an integer)."""
-        return replace(self, **{n: getattr(self, n)[index] for n in _TABLES if getattr(self, n) is not None})
+        return replace(self, gain=self.gain[index], loss=self.loss[index])
 
     def put(self, index, other: "QuadValues") -> "QuadValues":
         """These values with the trials ``index`` replaced by ``other``'s."""
-        def merged(name):
-            out = getattr(self, name).copy()
-            out[index] = getattr(other, name)
-            return out
-        return replace(self, **{n: merged(n) for n in _TABLES if getattr(self, n) is not None})
+        gain, loss = self.gain.copy(), self.loss.copy()
+        gain[index], loss[index] = other.gain, other.loss
+        return replace(self, gain=gain, loss=loss)
 
     def common_rates(self) -> np.ndarray | None:
-        if self.common_num is None:
+        if not self.has_common:
             return None
-        return np.log2(self.common_num / self.common_den)
+        k = self.n_users
+        return np.log2(self.gain[..., :k] / self.loss[..., :k])
 
     def private_rates(self) -> np.ndarray:
-        return np.log2(self.private_num / self.private_den)
+        rates = slice(self.n_rates - self.n_users, self.n_rates)
+        return np.log2(self.gain[..., rates] / self.loss[..., rates])
 
     def leak_ratios(self) -> np.ndarray:
         """(..., S, E + K - 1) wiretap-set ratios, eavesdroppers first."""
-        return np.concatenate(
-            [self.eve_num / self.eve_den, self.user_num / self.user_den], axis=-1)
+        wire = slice(self.n_rates, None)
+        ratios = self.loss[..., wire] / self.gain[..., wire]
+        return ratios.reshape(*ratios.shape[:-1], self.n_secret, self.width)
 
     def smoothed_leakages(self, alpha: float) -> np.ndarray:
         """Leakage term of every secret user, in bits, on the last axis.
@@ -226,7 +219,7 @@ class QuadValues:
         private = self.private_rates()
         leak = self.smoothed_leakages(alpha)
         total = 0.0
-        if self.common_num is not None:
+        if self.has_common:
             total = total + lse_min(self.common_rates(), alpha)
         for s in range(self.n_secret):
             total = total + (private[..., s] - leak[..., s])
@@ -325,58 +318,60 @@ def _build(
     bases = np.concatenate([noise, *parts], axis=-3)
     m = bases.shape[-3]
     users = np.arange(k)
+    width = e_cnt + k - 1
+    gain = np.zeros((2 * k + s_cnt * width, m, nb))
+    loss = np.zeros_like(gain)
 
-    def rate_tables(blocks: slice, signal_block):
-        # user i: ridge + signal_i (+ error_i) on ``blocks``; the denominator
-        # drops signal_i from the block carrying i's wanted stream
-        num = np.zeros((k, m, nb))
+    def rate_forms(forms: slice, blocks, signal_block):
+        # user i: ridge + signal_i (+ error_i) on ``blocks``; the loss (the
+        # denominator) drops signal_i from the block carrying i's wanted stream
+        num, den = gain[forms], loss[forms]
         num[:, 0, :] = 1.0
         num[users, sig + users, blocks] = 1.0
         if limited:
             num[users, err + users, blocks] = 1.0
-        den = num.copy()
+        den[...] = num
         den[users, sig + users, signal_block] = 0.0
-        return num, den
 
-    common_num, common_den = rate_tables(slice(None), 0)
-    private_num, private_den = rate_tables(slice(1, None), 1 + users)
+    rate_forms(slice(0, k), slice(None), 0)
+    rate_forms(slice(k, 2 * k), slice(1, None), 1 + users)
+
+    # Wiretap sets: a leakage ratio num/den is subtracted, so its numerator
+    # is the form's loss and its denominator the form's gain.
+    leak_num = loss[2 * k:].reshape(s_cnt, width, m, nb)
+    leak_den = gain[2 * k:].reshape(s_cnt, width, m, nb)
 
     # Leakage of secret user s at eavesdropper e, perfect-CSIT form:
     # num = eve ridge + M_e on every block, den = num without M_e on s's block.
     secrets = np.arange(s_cnt)[:, None]
     eves = np.arange(e_cnt)
-    eve_num = np.zeros((s_cnt, e_cnt, m, nb))
-    eve_num[:, :, 0, :] = eve_ridge
-    eve_num[:, eves, eve + eves, :] = 1.0
-    eve_den = eve_num.copy()
-    eve_den[secrets, eves, eve + eves, 1 + secrets] = 0.0
+    num, den = leak_num[:, :e_cnt], leak_den[:, :e_cnt]
+    num[:, :, 0, :] = eve_ridge
+    num[:, eves, eve + eves, :] = 1.0
+    den[...] = num
+    den[secrets, eves, eve + eves, 1 + secrets] = 0.0
 
     # Leakage at wiretapping user u (every user but s): num = ridge + M_u on
     # the private blocks other than u's own, den = num without M_u on s's block.
     slots = np.arange(k - 1)[None, :]
     taps = slots + (slots >= secrets)
-    user_num = np.zeros((s_cnt, k - 1, m, nb))
-    user_num[:, :, 0, :] = 1.0
-    user_num[secrets, slots, wire + taps, 1:] = 1.0
-    user_num[secrets, slots, wire + taps, 1 + taps] = 0.0
-    user_den = user_num.copy()
-    user_den[secrets, slots, wire + taps, 1 + secrets] = 0.0
+    num, den = leak_num[:, e_cnt:], leak_den[:, e_cnt:]
+    num[:, :, 0, :] = 1.0
+    num[secrets, slots, wire + taps, 1:] = 1.0
+    num[secrets, slots, wire + taps, 1 + taps] = 0.0
+    den[...] = num
+    den[secrets, slots, wire + taps, 1 + secrets] = 0.0
 
     if limited:
         # Collusion terms are SINRs, not SINR + 1: the numerator keeps only
         # the wiretapper's matrix on s's block.
-        eve_num -= eve_den
-        user_num -= user_den
+        leak_num -= leak_den
 
     return QuadFormSet(
         bases=bases,
-        common_num=common_num,
-        common_den=common_den,
-        private_num=private_num,
-        private_den=private_den,
-        eve_num=eve_num,
-        eve_den=eve_den,
-        user_num=user_num,
-        user_den=user_den,
+        gain=gain,
+        loss=loss,
         variant="limited" if limited else "perfect",
+        n_secret=s_cnt,
+        width=width,
     )

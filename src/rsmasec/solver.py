@@ -2,19 +2,18 @@
 
 A first-order stationary point of the smoothed objective satisfies a
 nonlinear eigenvector equation B(f)^-1 A(f) f = lam(f) f, where A and B are
-block-diagonal positive-definite operators rebuilt from the current iterate:
-every Rayleigh-quotient term contributes its numerator matrix (scaled by one
-over its own quadratic form) to the operator on the side the term helps, and
-its denominator matrix to the other side.  Leakage terms enter with the roles
-swapped because they are subtracted.  The iteration repeatedly applies
-B^-1 A and renormalizes, Anderson accelerated after a warm-up; the
+block-diagonal positive-definite operators rebuilt from the current iterate.
+Each form (G, L) of the quad-form set, whose log-ratio a term raises,
+contributes its gain matrix G to A and its loss matrix L to B, each scaled
+by the term's weight over its own quadratic form.  The iteration repeatedly
+applies B^-1 A and renormalizes, Anderson accelerated after a warm-up; the
 arbitrary positive prefactors of A and B are fixed to one, which leaves the
 iterates unchanged.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,60 +28,41 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Per-iteration records: (iteration, step_norm, objective).
+    """How a solve ended, and its per-iteration rows when kept.
 
-    Row 0 holds the initializer (step_norm is NaN there).  ``converged``
-    reports whether the step-norm test fired before ``t_max``.  ``objective``
-    is the smoothed objective at the returned iterate: the last row's when
-    converged, else the best row's (the first of equal ones).  ``restarts``
-    counts the accelerated candidates the safeguard rejected.  ``history``
-    keeps, per iterate, the chunk's quadratic forms and this trial's
-    position in them, so that ``values`` and ``iterates`` (which adds the
-    lambda diagnostic) can be cut out when read; equality ignores it.
-    A solve run without ``keep_iterates`` leaves ``rows`` and ``history``
-    empty.
+    ``converged`` reports whether the step-norm test fired before ``t_max``.
+    ``objective`` is the smoothed objective at the returned iterate: the
+    last row's when converged, else the best row's (the first of equal
+    ones).  ``restarts`` counts the accelerated candidates the safeguard
+    rejected.  With ``keep_iterates`` each row is (iteration, step_norm,
+    objective, lam); row 0 holds the initializer (step_norm is NaN there).
+    A solve run without it leaves ``rows`` empty.
     """
 
-    rows: tuple[tuple[int, float, float], ...]
+    rows: tuple[tuple[int, float, float, float], ...]
     converged: bool
     iterations_used: int
-    alpha: float
     objective: float
     restarts: int
-    history: tuple[tuple[QuadValues, int], ...] = field(compare=False, repr=False)
-
-    @property
-    def values(self) -> tuple[QuadValues, ...]:
-        """Each iterate's quadratic forms."""
-        return tuple(vals.take(pos) for vals, pos in self.history)
-
-    @property
-    def iterates(self) -> tuple[tuple[int, float, float, float], ...]:
-        """(iteration, step_norm, objective, lam) per iterate; lam is
-        computed here from the stored values, never inside the solve."""
-        return tuple(
-            (*row, _lambda_from_values(vals, self.alpha))
-            for row, vals in zip(self.rows, self.values)
-        )
 
 
-def _lambda_from_values(vals: QuadValues, alpha: float) -> float:
-    """Objective-linked eigenvalue diagnostic.
+def _lambda_from_values(vals: QuadValues, alpha: float) -> np.ndarray:
+    """Objective-linked eigenvalue diagnostic, one per trial of ``vals``.
 
     exp(smoothed common + sum normal rates) * (exp(sum secret private rates)
     - exp(sum smoothed leakages)); negative when leakage exceeds the secret
-    rates at the current point.  Computed only when ``SolveTrace.iterates``
-    is read, never fed back.
+    rates at the current point.  Computed only for the rows of a solve that
+    keeps its iterates, never fed back.
     """
     private = vals.private_rates()
     s_cnt = vals.n_secret
-    base = float(private[s_cnt:].sum())
-    if vals.common_num is not None:
-        base += lse_min(vals.common_rates(), alpha)
-    leak = float(vals.smoothed_leakages(alpha).sum())
-    secret = float(private[:s_cnt].sum())
-    with np.errstate(over="ignore"):
-        return float(np.exp(base) * (np.exp(secret) - np.exp(leak)))
+    base = private[..., s_cnt:].sum(axis=-1)
+    if vals.has_common:
+        base = base + lse_min(vals.common_rates(), alpha)
+    leak = vals.smoothed_leakages(alpha).sum(axis=-1)
+    secret = private[..., :s_cnt].sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(base) * (np.exp(secret) - np.exp(leak))
 
 
 def _softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -100,43 +80,37 @@ def assemble_kkt(
     whose quadratic forms are ``vals``, each of shape (n_blocks, N, N), with
     a leading trial axis on a chunk's set.
 
-    Normalized weights are computed in log space (softmax over rates divided
-    by alpha), which is algebraically identical to the raw-weight form but
+    Each form p carries one weight w_p, the derivative of the objective in
+    its log-ratio: 1 for a private rate, the smoothed-min softmax over the
+    common rates and, under perfect CSIT, the smoothed-max softmax over
+    each wiretap set.  A sums the gain matrices with weights w/g and B the
+    loss matrices with weights w/l, g and l being the form's quadratic
+    forms.  The softmaxes are computed in log space (rates divided by
+    alpha), which is algebraically identical to the raw-weight form but
     immune to exponential overflow.  Nonfinite values are passed through;
     the solve loop drops the trials they reach.
     """
-    a_w = {"private_num": 1.0 / vals.private_num}
-    b_w = {"private_den": 1.0 / vals.private_den}
-    if quadforms.has_common:
-        w_c = _softmax(-vals.common_rates() / alpha, axis=-1)
-        a_w["common_num"] = w_c / vals.common_num
-        b_w["common_den"] = w_c / vals.common_den
-
-    e_cnt = vals.eve_num.shape[-1]
-    if e_cnt + vals.user_num.shape[-1]:  # an empty wiretap set leaks nothing
-        if quadforms.variant == "perfect":
-            # Pooled softmax over each wiretap set; split back per family.
-            pooled = _softmax(np.log2(np.concatenate(
-                [vals.eve_num / vals.eve_den, vals.user_num / vals.user_den], axis=-1,
-            )) / alpha, axis=-1)
-            w_eve, w_user = pooled[..., :e_cnt], pooled[..., e_cnt:]
-            a_w["eve_den"] = w_eve / vals.eve_den
-            b_w["eve_num"] = w_eve / vals.eve_num
-            a_w["user_den"] = w_user / vals.user_den
-            b_w["user_num"] = w_user / vals.user_num
-        else:
-            # Collusion bound: weights are the raw ratios and the normalizer
-            # carries the +1 from log2(1 + sum).  On the B side the ratio's
-            # numerator cancels, so the coefficient stays finite even when a
-            # collusion term's numerator quadratic form vanishes.
-            norm = (1.0 + (vals.eve_num / vals.eve_den).sum(axis=-1)
-                    + (vals.user_num / vals.user_den).sum(axis=-1))[..., None]
-            a_w["eve_den"] = vals.eve_num / (vals.eve_den**2 * norm)
-            b_w["eve_num"] = 1.0 / (vals.eve_den * norm)
-            a_w["user_den"] = vals.user_num / (vals.user_den**2 * norm)
-            b_w["user_num"] = 1.0 / (vals.user_den * norm)
-
-    return quadforms.weighted_blocks(a_w), quadforms.weighted_blocks(b_w)
+    gain, loss = vals.gain, vals.loss
+    wire = slice(vals.n_rates, None)   # the wiretap forms
+    ratios = vals.leak_ratios()
+    flat = gain[..., wire].shape
+    collusion = quadforms.variant == "limited"
+    weight = np.ones(gain.shape)
+    if vals.has_common:
+        weight[..., :vals.n_users] = _softmax(-vals.common_rates() / alpha, axis=-1)
+    if ratios.size and collusion:
+        # log2(1 + sum of ratios): a ratio's weight is ratio / (1 + sum of ratios)
+        norm = 1.0 + ratios.sum(axis=-1, keepdims=True)
+        weight[..., wire] = (ratios / norm).reshape(flat)
+    elif ratios.size:  # an empty wiretap set leaks nothing
+        weight[..., wire] = _softmax(np.log2(ratios) / alpha, axis=-1).reshape(flat)
+    a_w, b_w = weight / gain, weight / loss
+    if ratios.size and collusion:
+        # On the B side the ratio's numerator, the loss, cancels, so the
+        # weight stays finite even when a collusion numerator vanishes.
+        b_w[..., wire] = (1.0 / (gain[..., wire].reshape(ratios.shape) * norm)).reshape(flat)
+    return (quadforms.weighted_blocks(quadforms.gain, a_w),
+            quadforms.weighted_blocks(quadforms.loss, b_w))
 
 
 def block_solve(b_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,12 +235,12 @@ def gpi_solve_batch(
     if its smoothed objective is at least g(x)'s; otherwise it moves to g(x)
     and clears the trial's differences, and the trace counts a restart.
 
-    Only with ``keep_iterates`` does a trace keep its per-iterate ``rows``
-    and ``history`` (which ``SolveTrace.iterates`` reads); without it the
-    trace holds ``iterations_used``, ``converged``, ``restarts`` and
-    ``objective``, and a sweep keeps no quadratic forms of past iterates
-    alive.  A row's step norm is ||g(x) - x|| and its objective that of the
-    iterate the step moved to.
+    Only with ``keep_iterates`` does a trace keep its per-iterate ``rows``,
+    each with the lambda diagnostic of ``_lambda_from_values``; without it
+    the trace holds ``iterations_used``, ``converged``, ``restarts`` and
+    ``objective``, and lambda is never computed.  A row's step norm is
+    ||g(x) - x|| and its objective and lambda those of the iterate the step
+    moved to.
     """
     qf = quadforms
     vec = np.asarray(starts, dtype=complex)
@@ -286,8 +260,10 @@ def gpi_solve_batch(
     idx = np.arange(n_trials)      # chunk index of each active trial
     vals = qf.evaluate(vec)
     obj = vals.objective(alpha)
-    rows = [[(0, math.nan, float(o))] if keep_iterates else [] for o in obj]
-    history = [[(vals, i)] if keep_iterates else [] for i in range(n_trials)]
+    rows: list[list] = [[] for _ in range(n_trials)]
+    if keep_iterates:
+        for i, (o, lam) in enumerate(zip(obj.tolist(), _lambda_from_values(vals, alpha).tolist())):
+            rows[i].append((0, math.nan, o, lam))
     best_obj, best_vec = obj, vec
     # per-trial rings of the last _DEPTH image and residual differences,
     # made at the step of the oldest difference the first accelerated step
@@ -339,26 +315,27 @@ def gpi_solve_batch(
             best_vec = np.where(better[:, None, None], nxt, best_vec)
             vec = nxt
 
-            keep = []
-            for j, (i, fine, st, ob) in enumerate(zip(idx.tolist(), ok.tolist(), step.tolist(), obj.tolist())):
-                stop = st <= eps
-                keep.append(fine and not stop)
-                if not fine:
+            stop = ok & (step <= eps)
+            if keep_iterates:
+                lam = _lambda_from_values(vals, alpha)
+                for i, st, ob, la in zip(idx[ok].tolist(), step[ok].tolist(),
+                                         obj[ok].tolist(), lam[ok].tolist()):
+                    rows[i].append((t, st, ob, la))
+            keep = ok & ~stop
+            done = np.flatnonzero(~keep) if t < config.t_max else range(len(idx))
+            for j in done:
+                i = idx[j]
+                if not ok[j]:
                     out[i] = NumericError("iteration produced nonfinite operator blocks, "
                                           "a singular block or a zero or nonfinite stack")
                     continue
-                if keep_iterates:
-                    rows[i].append((t, st, ob))
-                    history[i].append((vals, j))
-                if stop or t == config.t_max:
-                    out[i] = ((vec[j] if stop else best_vec[j]).copy(),
-                              SolveTrace(tuple(rows[i]), stop, t, alpha,
-                                         ob if stop else float(best_obj[j]), int(restarts[j]),
-                                         tuple(history[i])))
-            if not all(keep):
-                if not any(keep):
+                hit = bool(stop[j])
+                out[i] = ((vec[j] if hit else best_vec[j]).copy(),
+                          SolveTrace(tuple(rows[i]), hit, t,
+                                     float(obj[j] if hit else best_obj[j]), int(restarts[j])))
+            if not keep.all():
+                if not keep.any():
                     break
-                keep = np.array(keep)
                 idx, vec, vals, qf = idx[keep], vec[keep], vals.take(keep), qf.take(keep)
                 best_obj, best_vec, restarts = best_obj[keep], best_vec[keep], restarts[keep]
                 if t >= first_record - 1:

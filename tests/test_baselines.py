@@ -83,7 +83,7 @@ def test_gpi_sdma_solves_and_improves(fig_config, scenario):
     assert stack.shape == (5, 4)
     assert np.all(stack[0] == 0)
     assert abs(np.linalg.norm(stack) - 1.0) < 1e-12
-    assert trace.iterates[-1][2] >= trace.iterates[0][2]
+    assert trace.rows[-1][2] >= trace.rows[0][2]
     # the same solve as the rate-splitting solver on the set without a common family
     qf = rs.build_quadforms_limited(scenario, fig_config).without_common()
     start = rs.mrt_init(scenario.user_estimates, common_stream=False)

@@ -84,3 +84,49 @@ def test_row_count_and_missing_file(tmp_path, capsys):
     assert compare_sweeps.main([parent, change]) == 1
     assert "row count differs: 3 vs 2" in capsys.readouterr().out
     assert compare_sweeps.main([parent, str(tmp_path / "none.csv")]) == 2
+
+
+TRACE_HEADER = "snr_db,trial,seed,iteration,step_norm,objective,lam"
+TRACE = [
+    "0,0,11,0,,1.5,-2.0",
+    "0,0,11,1,0.25,1.75,3.0",
+    "0,0,11,2,0.001,1.8,4.0",
+    "10,0,12,0,,2.5,-1e-13",
+    "10,0,12,1,0.5,2.75,5.0",
+]
+
+
+def write_trace(directory: pathlib.Path, rows: list[str]) -> str:
+    directory.mkdir()
+    path = directory / "converge.csv"
+    path.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    return str(path)
+
+
+def test_identical_traces(tmp_path, capsys):
+    parent = write_trace(tmp_path / "p", TRACE)
+    assert compare_sweeps.main([parent, write_trace(tmp_path / "c", TRACE)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["rows: 5 matched by snr_db, trial, iteration", "step_norm: 0 rows moved",
+                   "objective: 0 rows moved", "lam: 0 rows moved"]
+
+
+def test_trace_deltas_and_iteration_counts(tmp_path, capsys):
+    parent = write_trace(tmp_path / "p", TRACE)
+    rows = [
+        TRACE[0],
+        "0,0,11,1,0.2500000001,1.75,3.0000003",   # step_norm 4e-10, lam 1e-7 relative
+        TRACE[2],
+        "10,0,12,0,,2.5,0.0",                     # lam lost its cancellation residue
+        TRACE[4],
+        "10,0,12,2,0.01,2.8,6.0",                 # one more iteration
+    ]
+    assert compare_sweeps.main([parent, write_trace(tmp_path / "c", rows)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "snr_db=10 trial=0: iterations 1 -> 2"
+    assert out[1] == "rows: 5 matched by snr_db, trial, iteration"
+    assert out[2] == ("step_norm: 1 rows moved; largest relative |delta| 4e-10 at snr_db=0 "
+                      "trial=0 iteration=1 (0.25 -> 0.2500000001); median 4e-10")
+    assert out[3] == "objective: 0 rows moved"
+    assert out[4] == ("lam: 2 rows moved; largest relative |delta| 1 at snr_db=10 trial=0 "
+                      "iteration=0 (-1e-13 -> 0.0); median 0.5")

@@ -89,12 +89,12 @@ def test_equivalence_requires_unit_norm(fig_config, scenario):
 
 
 def test_sign_flip_mutation_is_caught(fig_config, scenario):
-    # flipping the sign of user 0's common-denominator table row must break
-    # the oracle match
+    # flipping the sign of user 0's common-denominator table row (the loss
+    # of form 0) must break the oracle match
     qf = rs.build_quadforms_perfect(scenario, fig_config)
-    common_den = qf.common_den.copy()
-    common_den[0] *= -1.0
-    bad = dataclasses.replace(qf, common_den=common_den)
+    loss = qf.loss.copy()
+    loss[0] *= -1.0
+    bad = dataclasses.replace(qf, loss=loss)
     stack = random_unit(np.random.default_rng(0), 20).reshape(qf.shape)
     with np.errstate(invalid="ignore"):
         rates = bad.evaluate(stack).common_rates()
@@ -132,13 +132,17 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     qf = rs.build_quadforms_perfect(scenario, fig_config)
     sdma = qf.without_common()
     assert qf.has_common and not sdma.has_common
-    # same K+1-block layout, every array shared
+    # same K+1-block layout and bases; the tables are views without the K
+    # common-rate forms
     assert sdma.shape == qf.shape == (5, 4)
-    assert all(getattr(sdma, f.name) is getattr(qf, f.name)
-               for f in dataclasses.fields(qf) if not f.name.startswith("common_"))
+    assert sdma.bases is qf.bases
+    for name in ("gain", "loss"):
+        full_table, table = getattr(qf, name), getattr(sdma, name)
+        assert np.shares_memory(table, full_table)
+        assert np.array_equal(table, full_table[4:])
     f = random_unit(np.random.default_rng(1), 20).reshape(qf.shape)
     vals, full = sdma.evaluate(f), qf.evaluate(f)
-    assert vals.common_num is None and vals.common_rates() is None
+    assert not vals.has_common and vals.common_rates() is None
     alpha = fig_config.smoothing
     assert abs(full.objective(alpha) - vals.objective(alpha)
                - lse_min(full.common_rates(), alpha)) < 1e-12
@@ -229,7 +233,7 @@ def test_snr_moves_only_the_noise_ridge_base(fig_config, scenario, build):
     assert np.array_equal(low.bases[1:], high.bases[1:])
     for qf, c in ((low, cfg.with_snr_db(0.0)), (high, cfg.with_snr_db(30.0))):
         assert np.array_equal(qf.bases[0], c.noise_user_ratio * np.eye(4))
-    assert set(np.unique(low.eve_num)) | set(np.unique(low.eve_den)) <= {-1.0, 0.0, 1.0, 2.5}
+    assert set(np.unique(low.gain)) | set(np.unique(low.loss)) <= {-1.0, 0.0, 1.0, 2.5}
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])

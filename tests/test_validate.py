@@ -44,15 +44,15 @@ def test_fast_checks_pass_and_report_timing():
 
 
 def test_sign_flip_mutation_fails_oracle_check(monkeypatch):
-    # an injected sign error in user 0's common-denominator table row must
-    # be caught
+    # an injected sign error in user 0's common-denominator table row (the
+    # loss of form 0) must be caught
     original = validate.build_quadforms_perfect
 
     def corrupted(realization, config):
         qf = original(realization, config)
-        common_den = qf.common_den.copy()
-        common_den[0] *= -1.0
-        return dataclasses.replace(qf, common_den=common_den)
+        loss = qf.loss.copy()
+        loss[0] *= -1.0
+        return dataclasses.replace(qf, loss=loss)
 
     monkeypatch.setattr(validate, "build_quadforms_perfect", corrupted)
     with np.errstate(invalid="ignore"):
