@@ -293,9 +293,12 @@ def test_sweeps_never_compute_lambda(monkeypatch):
         assert rows[0].iterations > 0
 
 
-def test_trace_rows_carry_lambda_of_their_iterate(fig_config):
+def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
     cfg, qf, start = solve_setup(fig_config)
     _, trace = rs.gpi_solve(qf, start, cfg)
+    _, again = rs.gpi_solve(qf, start, cfg)
+    assert again == trace
+    assert [row[3] for row in again.rows] == [row[3] for row in trace.rows]
     assert len(trace.rows) == trace.iterations_used + 1
     unit = start / np.linalg.norm(start, axis=(-2, -1))
     lam = solver._lambda_from_values(qf.evaluate(unit), cfg.smoothing)
