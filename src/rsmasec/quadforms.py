@@ -6,7 +6,8 @@ of block-diagonal Hermitian matrices (one N x N block per stream): a form.
 A rate's gain G is its numerator and its loss L its denominator; a leakage
 term is subtracted, so its gain is the leakage denominator and its loss the
 numerator.  The first-order condition B(f)^-1 A(f) f = lam f then collects
-every gain into A and every loss into B.
+every gain into A and every loss into B.  ``QuadValues.smoothed``, in one
+pass, gives the smoothed objective and the per-form coefficients of both.
 
 Every block of every G and L is a combination of a few base matrices: the
 noise ridge (sigma_u^2 / P) * I, the K signal outer products, the E
@@ -27,12 +28,15 @@ Two variants exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .rates import lse_max, lse_min
+from .rates import _lse_softmax
+# Not called here; kept as module attributes for perfbench/spans.py's tracer.
+from .rates import lse_max, lse_min  # noqa: F401
 
 
 def _complex(x: np.ndarray) -> np.ndarray:
@@ -143,13 +147,27 @@ class QuadFormSet:
         return out.view(complex).reshape(*self.bases.shape[:-3], nb, n, n)
 
 
+class Smoothed(NamedTuple):
+    """The smoothed objective at one iterate and, per form, the coefficients
+    w/g and w/l that A and B contract with the ``gain`` and ``loss`` tables:
+    w is the objective's derivative in the form's log-ratio log2(g / l), g and
+    l its quadratic forms.  ``lam`` is the eigenvalue diagnostic, or None where
+    not asked for.  A chunk's record has the trial axis first on every array."""
+
+    objective: np.ndarray | float
+    a: np.ndarray
+    b: np.ndarray
+    lam: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class QuadValues:
     """f^H G f and f^H L f of every form at one iterate, in the set's form
     order on the last axis of ``gain`` and ``loss``.
 
     Values of a chunk's set carry a leading trial axis on both arrays; the
-    methods then return one value per trial.
+    methods then return one value per trial.  Every smoothing decision of
+    the objective lives in ``smoothed``.
     """
 
     gain: np.ndarray
@@ -168,16 +186,6 @@ class QuadValues:
     def n_users(self) -> int:
         return self.n_rates // (2 if self.has_common else 1)
 
-    def take(self, index) -> "QuadValues":
-        """The trials ``index`` of a chunk's values (one trial for an integer)."""
-        return replace(self, gain=self.gain[index], loss=self.loss[index])
-
-    def put(self, index, other: "QuadValues") -> "QuadValues":
-        """These values with the trials ``index`` replaced by ``other``'s."""
-        gain, loss = self.gain.copy(), self.loss.copy()
-        gain[index], loss[index] = other.gain, other.loss
-        return replace(self, gain=gain, loss=loss)
-
     def common_rates(self) -> np.ndarray | None:
         if not self.has_common:
             return None
@@ -194,37 +202,59 @@ class QuadValues:
         ratios = self.loss[..., wire] / self.gain[..., wire]
         return ratios.reshape(*ratios.shape[:-1], self.n_secret, self.width)
 
-    def smoothed_leakages(self, alpha: float) -> np.ndarray:
-        """Leakage term of every secret user, in bits, on the last axis.
-
-        Perfect variant: log-sum-exp smoothed max over the wiretap set.
-        Limited variant: the collusion bound log2(1 + sum of ratios), which
-        is already smooth.  Empty wiretap set contributes zero.
-        """
+    def _leakages(self, alpha: float):
+        """(leak, a, b): the smoothed leakage of every secret user, and the A
+        and B coefficients (..., S, E + K - 1) of its wiretap forms.  Perfect
+        variant: log-sum-exp smoothed max, a form's weight w the softmax of
+        the log-ratios over alpha.  Limited variant: the collusion bound
+        log2(1 + sum of ratios), w = ratio / (1 + sum); B's w/l is written
+        1 / (g (1 + sum)), the ratio's numerator l cancelled, so it stays
+        finite where l vanishes.  An empty wiretap set leaks nothing."""
         ratios = self.leak_ratios()
         if ratios.shape[-1] == 0:
-            return np.zeros(ratios.shape[:-1])
+            return np.zeros(ratios.shape[:-1]), ratios, ratios
+        den, num = (x[..., self.n_rates:].reshape(ratios.shape) for x in (self.gain, self.loss))
         if self.variant == "perfect":
-            return lse_max(np.log2(ratios), alpha)
-        return np.log2(1.0 + ratios.sum(axis=-1))
+            lse, weight = _lse_softmax(np.log2(ratios) / alpha)
+            return alpha * lse, weight / den, weight / num
+        norm = 1.0 + ratios.sum(axis=-1, keepdims=True)
+        return np.log2(norm[..., 0]), ratios / norm / den, 1.0 / (den * norm)
 
-    def objective(self, alpha: float):
-        """Log-sum-exp smoothed sum secrecy SE at these values.
+    def smoothed_leakages(self, alpha: float) -> np.ndarray:
+        """Leakage term of every secret user, in bits, on the last axis."""
+        return self._leakages(alpha)[0]
 
-        The smoothed min over common rates replaces the hard min, each secret
-        user's leakage enters through ``smoothed_leakages``, and the
-        positive-part clamp on secrecy rates is relaxed.  A float, or one
-        value per trial for a chunk's values.
-        """
+    def smoothed(self, alpha: float, with_lam: bool) -> Smoothed:
+        """The log-sum-exp smoothed sum secrecy SE and its gradient
+        coefficients, from one pass over these values.  The smoothed min over
+        common rates replaces the hard min, each secret user's leakage enters
+        through ``smoothed_leakages``, and the positive-part clamp on secrecy
+        rates is relaxed.  Weights: 1 for a private rate, the smoothed-min
+        softmax over the common rates, ``_leakages``' on the wiretap forms.
+        With ``with_lam``, ``lam`` is exp(smoothed common + sum normal rates)
+        * (exp(sum secret private rates) - exp(sum smoothed leakages))."""
+        k, n_s, r = self.n_users, self.n_secret, self.n_rates
         private = self.private_rates()
-        leak = self.smoothed_leakages(alpha)
+        a, b = np.empty(self.gain.shape), np.empty(self.gain.shape)
+        leak, a_wire, b_wire = self._leakages(alpha)
+        a[..., r:], b[..., r:] = (x.reshape(a[..., r:].shape) for x in (a_wire, b_wire))
+        weight = np.ones(a[..., :r].shape)
         total = 0.0
         if self.has_common:
-            total = total + lse_min(self.common_rates(), alpha)
-        for s in range(self.n_secret):
+            lse, weight[..., :k] = _lse_softmax(-self.common_rates() / alpha)
+            total = total + -alpha * lse
+        a[..., :r], b[..., :r] = weight / self.gain[..., :r], weight / self.loss[..., :r]
+        for s in range(n_s):
             total = total + (private[..., s] - leak[..., s])
-        total = total + private[..., self.n_secret:].sum(axis=-1)
-        return float(total) if np.ndim(total) == 0 else total
+        normal = private[..., n_s:].sum(axis=-1)
+        total = total + normal
+        lam = None
+        if with_lam:
+            base = normal - alpha * lse if self.has_common else normal
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = np.exp(base) * (np.exp(private[..., :n_s].sum(axis=-1))
+                                      - np.exp(leak.sum(axis=-1)))
+        return Smoothed(total, a, b, lam)
 
 
 def smoothed_objective(
@@ -232,7 +262,7 @@ def smoothed_objective(
     blocks: np.ndarray,
     config: SystemConfig,
 ) -> float | np.ndarray:
-    """Smoothed sum secrecy SE (``QuadValues.objective``) evaluated through
+    """Smoothed sum secrecy SE (``QuadValues.smoothed``) evaluated through
     the quad forms at a ``quadforms.shape`` precoder.  Scale-invariant.
 
     On a chunk's set ``blocks`` is the (T, n_blocks, N) stack of one precoder
@@ -241,7 +271,8 @@ def smoothed_objective(
     want = (*quadforms.bases.shape[:-3], *quadforms.shape)
     if np.shape(blocks) != want:
         raise ValueError(f"precoder shape {np.shape(blocks)} does not match {want}")
-    return quadforms.evaluate(blocks).objective(config.smoothing)
+    total = quadforms.evaluate(blocks).smoothed(config.smoothing, False).objective
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def build_quadforms_perfect(

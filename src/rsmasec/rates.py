@@ -121,14 +121,17 @@ def _interferers(k: int, n_s: int) -> tuple[np.ndarray, ...]:
     return masks
 
 
-def _logsumexp(v: np.ndarray) -> np.ndarray:
-    """log(sum(exp(v))) over the last axis as m + log(sum(exp(v - m))), m the
-    row max (0 where that is not finite, so NaN and +-inf come out as the
-    entries dictate).  One value per row: a scalar for 1-D input."""
+def _lse_softmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(sum(exp(v))) over the last axis, one per row (a scalar for 1-D
+    input), and its gradient softmax(v), from one set of exponentials
+    exp(v - m): m is the row max, or 0 where that is not finite, so NaN and
+    +-inf come out as the entries dictate."""
     m = v.max(axis=-1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.log(np.exp(v - m).sum(axis=-1)) + m[..., 0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = np.exp(v - m)
+        total = e.sum(axis=-1, keepdims=True)
+        return np.log(total[..., 0]) + m[..., 0], e / total
 
 
 def _smooth(values, alpha: float, sign: float, name: str):
@@ -137,7 +140,7 @@ def _smooth(values, alpha: float, sign: float, name: str):
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.shape[-1] == 0:
         raise ValueError(f"{name} of empty sequence")
-    out = sign * alpha * _logsumexp(sign * v / alpha)
+    out = sign * alpha * _lse_softmax(sign * v / alpha)[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,12 +3,13 @@
 A first-order stationary point of the smoothed objective satisfies a
 nonlinear eigenvector equation B(f)^-1 A(f) f = lam(f) f, where A and B are
 block-diagonal positive-definite operators rebuilt from the current iterate.
-Each form (G, L) of the quad-form set, whose log-ratio a term raises,
-contributes its gain matrix G to A and its loss matrix L to B, each scaled
-by the term's weight over its own quadratic form.  The iteration repeatedly
-applies B^-1 A and renormalizes, Anderson accelerated after a warm-up; the
-arbitrary positive prefactors of A and B are fixed to one, which leaves the
-iterates unchanged.
+``QuadValues.smoothed`` makes every smoothing decision: it returns the
+objective with one coefficient per form for A (on the form's gain matrix)
+and one for B (on its loss matrix).  This module keeps the linear algebra:
+contracting those coefficients into A and B, the block solves, and the
+iteration, which repeatedly applies B^-1 A and renormalizes, Anderson
+accelerated after a warm-up.  The arbitrary positive prefactors of A and B
+are fixed to one, which leaves the iterates unchanged.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SystemConfig
-from .quadforms import QuadFormSet, QuadValues
-from .rates import lse_min
+from .quadforms import QuadFormSet, Smoothed
+# Not called here; kept as a module attribute for perfbench/spans.py's tracer.
+from .rates import lse_min  # noqa: F401
 
 
 class NumericError(RuntimeError):
@@ -46,71 +48,14 @@ class SolveTrace:
     restarts: int
 
 
-def _lambda_from_values(vals: QuadValues, alpha: float) -> np.ndarray:
-    """Objective-linked eigenvalue diagnostic, one per trial of ``vals``.
-
-    exp(smoothed common + sum normal rates) * (exp(sum secret private rates)
-    - exp(sum smoothed leakages)); negative when leakage exceeds the secret
-    rates at the current point.  Computed only for the rows of a solve that
-    keeps its iterates, never fed back.
-    """
-    private = vals.private_rates()
-    s_cnt = vals.n_secret
-    base = private[..., s_cnt:].sum(axis=-1)
-    if vals.has_common:
-        base = base + lse_min(vals.common_rates(), alpha)
-    leak = vals.smoothed_leakages(alpha).sum(axis=-1)
-    secret = private[..., :s_cnt].sum(axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(base) * (np.exp(secret) - np.exp(leak))
-
-
-def _softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """scipy.special.softmax's operations: shift by the max, exp, normalize."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def assemble_kkt(
-    quadforms: QuadFormSet,
-    vals: QuadValues,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_kkt(quadforms: QuadFormSet, smoothed: Smoothed) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B) block stacks of the stationarity condition at the iterate
-    whose quadratic forms are ``vals``, each of shape (n_blocks, N, N), with
-    a leading trial axis on a chunk's set.
-
-    Each form p carries one weight w_p, the derivative of the objective in
-    its log-ratio: 1 for a private rate, the smoothed-min softmax over the
-    common rates and, under perfect CSIT, the smoothed-max softmax over
-    each wiretap set.  A sums the gain matrices with weights w/g and B the
-    loss matrices with weights w/l, g and l being the form's quadratic
-    forms.  The softmaxes are computed in log space (rates divided by
-    alpha), which is algebraically identical to the raw-weight form but
-    immune to exponential overflow.  Nonfinite values are passed through;
-    the solve loop drops the trials they reach.
-    """
-    gain, loss = vals.gain, vals.loss
-    wire = slice(vals.n_rates, None)   # the wiretap forms
-    ratios = vals.leak_ratios()
-    flat = gain[..., wire].shape
-    collusion = quadforms.variant == "limited"
-    weight = np.ones(gain.shape)
-    if vals.has_common:
-        weight[..., :vals.n_users] = _softmax(-vals.common_rates() / alpha, axis=-1)
-    if ratios.size and collusion:
-        # log2(1 + sum of ratios): a ratio's weight is ratio / (1 + sum of ratios)
-        norm = 1.0 + ratios.sum(axis=-1, keepdims=True)
-        weight[..., wire] = (ratios / norm).reshape(flat)
-    elif ratios.size:  # an empty wiretap set leaks nothing
-        weight[..., wire] = _softmax(np.log2(ratios) / alpha, axis=-1).reshape(flat)
-    a_w, b_w = weight / gain, weight / loss
-    if ratios.size and collusion:
-        # On the B side the ratio's numerator, the loss, cancels, so the
-        # weight stays finite even when a collusion numerator vanishes.
-        b_w[..., wire] = (1.0 / (gain[..., wire].reshape(ratios.shape) * norm)).reshape(flat)
-    return (quadforms.weighted_blocks(quadforms.gain, a_w),
-            quadforms.weighted_blocks(quadforms.loss, b_w))
+    ``smoothed`` was computed at, each (n_blocks, N, N), with a leading trial
+    axis on a chunk's set: A contracts the gain table with ``smoothed.a``, B
+    the loss table with ``smoothed.b``.  Nonfinite coefficients are passed
+    through; the solve loop drops the trials they reach."""
+    return (quadforms.weighted_blocks(quadforms.gain, smoothed.a),
+            quadforms.weighted_blocks(quadforms.loss, smoothed.b))
 
 
 def block_solve(b_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -174,6 +119,35 @@ def _align_phase(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return vec * turn[:, None, None]
 
 
+def _unit_starts(quadforms: QuadFormSet, starts: np.ndarray) -> np.ndarray:
+    """A chunk's (T, n_blocks, N) starts scaled to unit norm; ValueError on a wrong
+    shape, a zero or nonfinite start, or a common block on a set without one."""
+    vec = np.asarray(starts, dtype=complex)
+    if quadforms.bases.ndim != 4 or vec.shape != (len(quadforms.bases), *quadforms.shape):
+        raise ValueError(f"start stack shape {vec.shape} does not match the chunk's set's "
+                         f"{(*quadforms.bases.shape[:-3], *quadforms.shape)}")
+    nrm = _norms(vec)
+    if not (np.isfinite(nrm).all() and (nrm > 0).all()):
+        raise ValueError("start vector must be nonzero and finite")
+    if not quadforms.has_common and vec[:, 0].any():
+        raise ValueError("set has no common family; the start's common block must be zero")
+    return vec / nrm[:, None, None]
+
+
+def _plain_step(quadforms: QuadFormSet, smoothed: Smoothed, vec: np.ndarray):
+    """The plain image g(x) = align(normalize(B^-1 A x), x) of every trial's
+    iterate x, whose record is ``smoothed``, and whether each trial's blocks
+    and image came out finite (and the image nonzero)."""
+    a_op, b_op = assemble_kkt(quadforms, smoothed)
+    img = _solve_each(b_op, _matvec(a_op, vec))
+    nrm = _norms(img)
+    ok = (nrm > 0) & (nrm < np.inf) & _finite(a_op) & _finite(b_op)
+    return _align_phase(img / nrm[:, None, None], vec), ok
+
+
+_STEP_FAILED = ("iteration produced nonfinite operator blocks, a singular block or a zero or "
+                "nonfinite stack")
+
 # Plain steps before the first accelerated one: a solve with t_max at most
 # this runs the plain map alone.
 _WARMUP = 10
@@ -235,34 +209,25 @@ def gpi_solve_batch(
     if its smoothed objective is at least g(x)'s; otherwise it moves to g(x)
     and clears the trial's differences, and the trace counts a restart.
 
-    Only with ``keep_iterates`` does a trace keep its per-iterate ``rows``,
-    each with the lambda diagnostic of ``_lambda_from_values``; without it
-    the trace holds ``iterations_used``, ``converged``, ``restarts`` and
-    ``objective``, and lambda is never computed.  A row's step norm is
-    ||g(x) - x|| and its objective and lambda those of the iterate the step
-    moved to.
+    The loop carries one ``QuadValues.smoothed`` record per trial: the
+    iterate's objective and the coefficients of its A and B.  Only with
+    ``keep_iterates`` does a trace keep its per-iterate ``rows``, each with
+    the record's lambda diagnostic; without it the trace holds
+    ``iterations_used``, ``converged``, ``restarts`` and ``objective``, and
+    lambda is never computed.  A row's step norm is ||g(x) - x|| and its
+    objective and lambda those of the iterate the step moved to.
     """
     qf = quadforms
-    vec = np.asarray(starts, dtype=complex)
-    if qf.bases.ndim != 4 or vec.shape != (len(qf.bases), *qf.shape):
-        raise ValueError(f"start stack shape {vec.shape} does not match the chunk's set's "
-                         f"{(*qf.bases.shape[:-3], *qf.shape)}")
+    vec = _unit_starts(qf, starts)
     n_trials = len(vec)
-    nrm = _norms(vec)
-    if not (np.isfinite(nrm).all() and (nrm > 0).all()):
-        raise ValueError("start vector must be nonzero and finite")
-    if not qf.has_common and vec[:, 0].any():
-        raise ValueError("set has no common family; the start's common block must be zero")
-    vec = vec / nrm[:, None, None]
-
     alpha, eps = config.smoothing, config.epsilon
     out: list = [None] * n_trials
     idx = np.arange(n_trials)      # chunk index of each active trial
-    vals = qf.evaluate(vec)
-    obj = vals.objective(alpha)
+    sm = qf.evaluate(vec).smoothed(alpha, keep_iterates)
+    obj = sm.objective
     rows: list[list] = [[] for _ in range(n_trials)]
     if keep_iterates:
-        for i, (o, lam) in enumerate(zip(obj.tolist(), _lambda_from_values(vals, alpha).tolist())):
+        for i, (o, lam) in enumerate(zip(obj.tolist(), sm.lam.tolist())):
             rows[i].append((0, math.nan, o, lam))
     best_obj, best_vec = obj, vec
     # per-trial rings of the last _DEPTH image and residual differences,
@@ -274,15 +239,11 @@ def gpi_solve_batch(
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in range(1, config.t_max + 1):
-            a_op, b_op = assemble_kkt(qf, vals, alpha)
-            img = _solve_each(b_op, _matvec(a_op, vec))
-            nrm = _norms(img)
-            ok = (nrm > 0) & (nrm < np.inf) & _finite(a_op) & _finite(b_op)
-            img = _align_phase(img / nrm[:, None, None], vec)
+            img, ok = _plain_step(qf, sm, vec)
             res = img - vec
             step = _norms(res)
-            vals = qf.evaluate(img)
-            obj = vals.objective(alpha)
+            sm = qf.evaluate(img).smoothed(alpha, keep_iterates)
+            obj = sm.objective
             nxt = img
 
             # every active trial fills the same ring slot
@@ -296,14 +257,14 @@ def gpi_solve_batch(
             if len(acc):
                 cand = _anderson(img[acc], d_img[acc], d_res[acc], res[acc])
                 cand = cand / _norms(cand)[:, None, None]
-                cand_vals = qf.take(acc).evaluate(cand)
-                cand_obj = cand_vals.objective(alpha)
-                up = cand_obj >= obj[acc]      # the safeguard: no worse than g(x)
+                cand_sm = qf.take(acc).evaluate(cand).smoothed(alpha, keep_iterates)
+                up = cand_sm.objective >= obj[acc]      # the safeguard: no worse than g(x)
                 win, lost = acc[up], acc[~up]
                 nxt = img.copy()
                 nxt[win] = cand[up]
-                vals = vals.put(win, cand_vals.take(up))
-                obj[win] = cand_obj[up]
+                for field, cand_field in zip(sm, cand_sm):   # in place; lam may be None
+                    if field is not None:
+                        field[win] = cand_field[up]
                 d_img[lost] = 0.0
                 d_res[lost] = 0.0
                 restarts[lost] += 1
@@ -317,17 +278,15 @@ def gpi_solve_batch(
 
             stop = ok & (step <= eps)
             if keep_iterates:
-                lam = _lambda_from_values(vals, alpha)
                 for i, st, ob, la in zip(idx[ok].tolist(), step[ok].tolist(),
-                                         obj[ok].tolist(), lam[ok].tolist()):
+                                         obj[ok].tolist(), sm.lam[ok].tolist()):
                     rows[i].append((t, st, ob, la))
             keep = ok & ~stop
             done = np.flatnonzero(~keep) if t < config.t_max else range(len(idx))
             for j in done:
                 i = idx[j]
                 if not ok[j]:
-                    out[i] = NumericError("iteration produced nonfinite operator blocks, "
-                                          "a singular block or a zero or nonfinite stack")
+                    out[i] = NumericError(_STEP_FAILED)
                     continue
                 hit = bool(stop[j])
                 out[i] = ((vec[j] if hit else best_vec[j]).copy(),
@@ -336,7 +295,8 @@ def gpi_solve_batch(
             if not keep.all():
                 if not keep.any():
                     break
-                idx, vec, vals, qf = idx[keep], vec[keep], vals.take(keep), qf.take(keep)
+                idx, vec, qf = idx[keep], vec[keep], qf.take(keep)
+                sm = Smoothed(*(None if field is None else field[keep] for field in sm))
                 best_obj, best_vec, restarts = best_obj[keep], best_vec[keep], restarts[keep]
                 if t >= first_record - 1:
                     prev_img, prev_res = prev_img[keep], prev_res[keep]
@@ -390,11 +350,15 @@ def kkt_residual(
 
     Zero exactly at a fixed point of the iteration map; the convergence
     tolerance epsilon bounds it loosely at a converged solve.  This is the
-    step norm of one plain iteration from f.
+    step norm of one plain iteration from f, the step ``gpi_solve_batch``
+    takes; raises NumericError where that step fails.
     """
     if np.shape(blocks) != quadforms.shape:
         raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")
-    if not np.any(blocks):
-        raise ValueError("cannot normalize a zero stack")
-    _, trace = gpi_solve_vector(quadforms, blocks.ravel(), replace(config, t_max=1))
-    return trace.rows[1][1]
+    chunk = replace(quadforms, bases=quadforms.bases[None])
+    vec = _unit_starts(chunk, np.asarray(blocks)[None])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        img, ok = _plain_step(chunk, chunk.evaluate(vec).smoothed(config.smoothing, False), vec)
+    if not ok[0]:
+        raise NumericError(_STEP_FAILED)
+    return float(_norms(img - vec)[0])

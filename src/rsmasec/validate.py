@@ -198,7 +198,8 @@ def _check_gradient_consistency() -> tuple[bool, str]:
             qf = build(realization, config)
             f = _unit_stack(rng, math.prod(qf.shape))
 
-            a_op, b_op = assemble_kkt(qf, qf.evaluate(f.reshape(qf.shape)), config.smoothing)
+            smoothed = qf.evaluate(f.reshape(qf.shape)).smoothed(config.smoothing, False)
+            a_op, b_op = assemble_kkt(qf, smoothed)
             d = _matvec(a_op, f) - _matvec(b_op, f)
             analytic = np.concatenate([d.real, d.imag])
 

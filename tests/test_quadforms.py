@@ -144,8 +144,54 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     vals, full = sdma.evaluate(f), qf.evaluate(f)
     assert not vals.has_common and vals.common_rates() is None
     alpha = fig_config.smoothing
-    assert abs(full.objective(alpha) - vals.objective(alpha)
+    assert abs(full.smoothed(alpha, False).objective - vals.smoothed(alpha, False).objective
                - lse_min(full.common_rates(), alpha)) < 1e-12
+
+
+def form_derivative(vals, alpha, field, p, factor, h):
+    """Central difference of the objective in ``vals``' entry p of ``field``
+    (``gain`` or ``loss``), moved to x * factor**(+-h) and x + (+-h) for
+    ``factor`` None, per unit of the move."""
+    values = getattr(vals, field)
+    moved = []
+    for sign in (1.0, -1.0):
+        y = values.copy()
+        y[p] = y[p] + sign * h if factor is None else y[p] * factor ** (sign * h)
+        moved.append(dataclasses.replace(vals, **{field: y}).smoothed(alpha, False).objective)
+    return (moved[0] - moved[1]) / (2 * h)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 5.0])
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_form_coefficients_are_the_objective_derivative_in_its_log_ratio(
+        fig_config, scenario, build, alpha):
+    # A's coefficient w/g and B's w/l per form, w the central difference of
+    # the objective in the form's log-ratio log2(g/l) (its gain scaled by
+    # 2^+-h); on the full set, without the common forms, and at a point
+    # where secret user 0's private block is zero, whose collusion losses
+    # are 0: there w is 0 and B's coefficient keeps its limit -ln2 dO/dl
+    full = build(scenario, fig_config)
+    f = random_unit(np.random.default_rng(5), 20).reshape(full.shape)
+    silent = f.copy()
+    silent[1] = 0.0
+    zero_losses = 0
+    for qf, point in ((full, f), (full.without_common(), f * (np.arange(5) > 0)[:, None]),
+                      (full, silent)):
+        vals = qf.evaluate(point / np.linalg.norm(point))
+        sm = vals.smoothed(alpha, False)
+        for p in range(vals.gain.shape[-1]):
+            g, l = vals.gain[p], vals.loss[p]
+            w = form_derivative(vals, alpha, "gain", p, 2.0, 1e-6)
+            assert abs(sm.a[p] * g - w) < 1e-6
+            if l > 0:
+                assert abs(sm.b[p] * l - w) < 1e-6
+                continue
+            zero_losses += 1
+            assert w == 0.0 and sm.a[p] == 0.0 and np.isfinite(sm.b[p])
+            slope = -math.log(2.0) * form_derivative(vals, alpha, "loss", p, None, 1e-6 * g)
+            assert abs(sm.b[p] - slope) < 1e-6 * sm.b[p]
+    # the limited set's collusion terms of secret user 0: E + K - 1 losses
+    assert zero_losses == (0 if build is rs.build_quadforms_perfect else 5)
 
 
 @settings(max_examples=25, deadline=None)

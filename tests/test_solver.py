@@ -10,10 +10,11 @@ from scipy.special import softmax
 
 import rsmasec as rs
 from rsmasec import solver
+from rsmasec.quadforms import QuadValues
+from rsmasec.rates import _lse_softmax
 from rsmasec.solver import (
     _align_phase,
     _matvec,
-    _softmax,
     assemble_kkt,
     block_solve,
     gpi_solve_batch,
@@ -31,6 +32,11 @@ def quads(blocks, vec):
     return float(np.vdot(vec, _matvec(blocks, vec)).real)
 
 
+def operators(qf, f, alpha):
+    """assemble_kkt's (A, B) at the precoder ``f``."""
+    return assemble_kkt(qf, qf.evaluate(f.reshape(qf.shape)).smoothed(alpha, False))
+
+
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_operator_tangency_identity(fig_config, scenario, build):
     # with unit prefactors, f^H A f == f^H B f at every point; this is what
@@ -38,7 +44,7 @@ def test_operator_tangency_identity(fig_config, scenario, build):
     qf = build(scenario, fig_config)
     for seed in range(10):
         f = random_unit(np.random.default_rng(seed), 20)
-        a_op, b_op = assemble_kkt(qf, qf.evaluate(f.reshape(qf.shape)), fig_config.smoothing)
+        a_op, b_op = operators(qf, f, fig_config.smoothing)
         qa, qb = quads(a_op, f), quads(b_op, f)
         assert abs(qa - qb) < 1e-10 * max(1.0, abs(qa))
 
@@ -47,7 +53,7 @@ def test_operator_tangency_identity(fig_config, scenario, build):
 def test_operator_matches_numeric_gradient(fig_config, scenario, build):
     qf = build(scenario, fig_config)
     f = random_unit(np.random.default_rng(3), 20)
-    a_op, b_op = assemble_kkt(qf, qf.evaluate(f.reshape(qf.shape)), fig_config.smoothing)
+    a_op, b_op = operators(qf, f, fig_config.smoothing)
     d = _matvec(a_op, f) - _matvec(b_op, f)
     analytic = np.concatenate([d.real, d.imag])
 
@@ -89,17 +95,22 @@ def sphere_gradient(qf, f, cfg, h=1e-6):
     s_cnt=st.integers(0, 3),
     m_cnt=st.integers(0, 2),
     e_cnt=st.integers(0, 3),
+    alpha=st.sampled_from([0.01, 0.3, 5.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=3, s_cnt=0, m_cnt=2, e_cnt=2, seed=0)   # no secret user
-@example(n=2, s_cnt=1, m_cnt=0, e_cnt=0, seed=1)   # K = 1, E = 0: empty wiretap set
-@example(n=1, s_cnt=2, m_cnt=1, e_cnt=1, seed=2)   # one antenna
+@example(n=3, s_cnt=0, m_cnt=2, e_cnt=2, alpha=0.3, seed=0)   # no secret user
+@example(n=2, s_cnt=1, m_cnt=0, e_cnt=0, alpha=0.3, seed=1)   # K = 1, E = 0: empty wiretap set
+@example(n=1, s_cnt=2, m_cnt=1, e_cnt=1, alpha=0.3, seed=2)   # one antenna
+@example(n=4, s_cnt=2, m_cnt=2, e_cnt=2, alpha=0.01, seed=3)  # near-hard min and max
+@example(n=4, s_cnt=2, m_cnt=2, e_cnt=2, alpha=5.0, seed=3)   # near-uniform softmaxes
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
-def test_form_weights_give_the_objective_gradient(build, n, s_cnt, m_cnt, e_cnt, seed):
+def test_form_weights_give_the_objective_gradient(build, n, s_cnt, m_cnt, e_cnt, alpha, seed):
     # A f - B f, with one weight per form, points along the sphere gradient
-    # of the smoothed objective for the full set and without the common forms
+    # of the smoothed objective for the full set and without the common
+    # forms, from a near-hard to a near-uniform smoothing
     assume(s_cnt + m_cnt >= 1)
-    cfg = rs.SystemConfig(n_antennas=n, n_secret=s_cnt, n_normal=m_cnt, n_eves=e_cnt)
+    cfg = rs.SystemConfig(n_antennas=n, n_secret=s_cnt, n_normal=m_cnt, n_eves=e_cnt,
+                          smoothing=alpha)
     rng = np.random.default_rng(seed)
     real = rs.draw_scenario(cfg, rs.ScenarioLayout(quad_nodes=64), rng)
     full = build(real, cfg)
@@ -111,7 +122,7 @@ def test_form_weights_give_the_objective_gradient(build, n, s_cnt, m_cnt, e_cnt,
         assert vals.leak_ratios().shape == (s_cnt, e_cnt + k - 1)
         chunk = replace(qf, bases=qf.bases[None])
         assert chunk.evaluate(start[None]).leak_ratios().shape == (1, s_cnt, e_cnt + k - 1)
-        a_op, b_op = assemble_kkt(qf, vals, cfg.smoothing)
+        a_op, b_op = assemble_kkt(qf, vals.smoothed(cfg.smoothing, False))
         d = (_matvec(a_op, start) - _matvec(b_op, start)).ravel()
         analytic = np.concatenate([d.real, d.imag])
         numeric = sphere_gradient(qf, start, cfg)
@@ -276,14 +287,18 @@ def test_softmax_matches_scipy_bit_for_bit(shape):
     for scale in (1e-3, 1.0, 1e3):
         x = scale * rng.standard_normal(shape)
         axis = None if len(shape) == 1 else 1
-        assert np.array_equal(_softmax(x, axis=axis), softmax(x, axis=axis))
+        assert np.array_equal(_lse_softmax(x)[1], softmax(x, axis=axis))
 
 
 def test_sweeps_never_compute_lambda(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("lambda computed during a sweep trial")
+    smoothed = QuadValues.smoothed
 
-    monkeypatch.setattr(solver, "_lambda_from_values", forbidden)
+    def forbidden(vals, alpha, with_lam):
+        if with_lam:
+            raise AssertionError("lambda computed during a sweep trial")
+        return smoothed(vals, alpha, with_lam)
+
+    monkeypatch.setattr(QuadValues, "smoothed", forbidden)
     for csit in ("limited", "perfect"):
         cfg = rs.parse_config_text(
             f"csit_mode = {csit}\nmethods = gpi-rsma, gpi-sdma, rzf-sdma, mrt\ntrials = 1")
@@ -301,8 +316,7 @@ def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
     assert [row[3] for row in again.rows] == [row[3] for row in trace.rows]
     assert len(trace.rows) == trace.iterations_used + 1
     unit = start / np.linalg.norm(start, axis=(-2, -1))
-    lam = solver._lambda_from_values(qf.evaluate(unit), cfg.smoothing)
-    assert trace.rows[0][3] == lam
+    assert trace.rows[0][3] == qf.evaluate(unit).smoothed(cfg.smoothing, True).lam
     assert trace.rows[0][2] == rs.smoothed_objective(qf, unit, cfg)
 
 
@@ -347,6 +361,8 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
     assert isinstance(batch[2], rs.NumericError)
     with pytest.raises(rs.NumericError):
         rs.gpi_solve(stacked.take(2), starts[2], cfg)
+    with pytest.raises(rs.NumericError):
+        kkt_residual(stacked.take(2), starts[2], cfg)
     for i in (0, 1, 3):
         stack, trace = rs.gpi_solve(sets[i], starts[i], cfg)
         assert np.array_equal(batch[i][0], stack)
@@ -391,19 +407,21 @@ def test_block_solve_solves_a_stack_of_trials():
 
 def plain_map(stacked, starts, cfg):
     """Iterates, step norms and objectives of cfg.t_max plain steps on every
-    trial of ``stacked``, written from assemble_kkt, block_solve and
-    _align_phase."""
+    trial of ``stacked``, written from QuadValues.smoothed, assemble_kkt,
+    block_solve and _align_phase."""
     x = starts / np.linalg.norm(starts, axis=(-2, -1))[:, None, None]
     iterates, steps = [x], [None]
-    objectives = [stacked.evaluate(x).objective(cfg.smoothing)]
+    smoothed = stacked.evaluate(x).smoothed(cfg.smoothing, False)
+    objectives = [smoothed.objective]
     for _ in range(cfg.t_max):
-        a_op, b_op = assemble_kkt(stacked, stacked.evaluate(x), cfg.smoothing)
+        a_op, b_op = assemble_kkt(stacked, smoothed)
         img = block_solve(b_op, _matvec(a_op, x))
         img = _align_phase(img / np.linalg.norm(img, axis=(-2, -1))[:, None, None], x)
         steps.append(np.linalg.norm(img - x, axis=(-2, -1)))
         x = img
         iterates.append(x)
-        objectives.append(stacked.evaluate(x).objective(cfg.smoothing))
+        smoothed = stacked.evaluate(x).smoothed(cfg.smoothing, False)
+        objectives.append(smoothed.objective)
     return iterates, steps, objectives
 
 
