@@ -133,12 +133,17 @@ def kl_decompose(cov: np.ndarray, trunc_rel: float = 1e-10) -> tuple[np.ndarray,
     return u, np.where(keep, w, 0.0)
 
 
-def error_covariance(cov: np.ndarray, kappa: float) -> np.ndarray:
-    """E[(h - estimate)(h - estimate)^H] = (2 - 2*sqrt(1-kappa^2)) R for a
-    channel of covariance ``cov`` = R (up to the modes KL truncation drops)."""
+def error_scale(kappa: float) -> float:
+    """c_kappa = 2 - 2*sqrt(1-kappa^2), the scale of ``error_covariance``."""
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must be in [0, 1]")
-    return (2.0 - 2.0 * math.sqrt(1.0 - kappa**2)) * cov
+    return 2.0 - 2.0 * math.sqrt(1.0 - kappa**2)
+
+
+def error_covariance(cov: np.ndarray, kappa: float) -> np.ndarray:
+    """E[(h - estimate)(h - estimate)^H] = c_kappa R for a channel of
+    covariance ``cov`` = R (up to the modes KL truncation drops)."""
+    return error_scale(kappa) * cov
 
 
 @dataclass(frozen=True)
@@ -198,31 +203,46 @@ class ScenarioLayout:
 class ChannelRealization:
     """One draw of all channels plus the statistics the transmitter knows.
 
-    Under limited CSIT the transmitter sees ``user_estimates``, ``error_covs``
-    and the covariances; ``user_channels``/``eve_channels`` are ground truth
-    used only for scoring.  Every covariance is a Hermitian (N, N) array.
-    A realization drawn for T generators, or made by ``stack``, puts a
-    leading trial axis on every array.  A drawn realization's user
-    statistics are read-only arrays that every trial shares.
+    Under limited CSIT the transmitter sees ``user_estimates``, the
+    covariances and ``error_scale`` c_kappa, which makes the error
+    covariances ``error_covs`` = c_kappa R; ``user_channels``/``eve_channels``
+    are ground truth used only for scoring.  Every covariance is a Hermitian
+    (N, N) array.  A realization drawn for T generators, or made by
+    ``stack``, puts a leading trial axis on every array.  A drawn
+    realization's user statistics are read-only arrays that every trial
+    shares: along the trial axis they are broadcast views.
     """
 
     user_channels: np.ndarray        # (K, N)
     eve_channels: np.ndarray         # (E, N)
     user_estimates: np.ndarray       # (K, N)
-    error_covs: np.ndarray           # (K, N, N)
     user_covs: np.ndarray            # (K, N, N)
     eve_covs: np.ndarray             # (E, N, N)
+    error_scale: float | np.ndarray  # c_kappa, one per trial
     user_aoas: np.ndarray = field(default=None)
     eve_aoas: np.ndarray = field(default=None)
+
+    @property
+    def error_covs(self) -> np.ndarray:
+        """(K, N, N) error covariances c_kappa R, made on each read."""
+        return np.asarray(self.error_scale)[..., None, None, None] * self.user_covs
 
     @staticmethod
     def stack(realizations: Sequence["ChannelRealization"], join=np.stack) -> "ChannelRealization":
         """One realization with a leading trial axis over ``realizations``,
         which must share their dimensions; ``join=np.concatenate`` joins
-        stacked realizations along their trial axis instead."""
+        stacked realizations along their trial axis instead, and keeps a
+        field that every trial shares (equal broadcast views) one view."""
         first = realizations[0]
+
+        def joined(arrays):
+            if join is np.concatenate and all(
+                    a.strides[0] == 0 and np.array_equal(a[0], arrays[0][0]) for a in arrays):
+                return np.broadcast_to(arrays[0][0], (sum(map(len, arrays)), *arrays[0].shape[1:]))
+            return join(arrays)
+
         return ChannelRealization(**{
-            f.name: join([getattr(r, f.name) for r in realizations])
+            f.name: joined([getattr(r, f.name) for r in realizations])
             for f in fields(first) if getattr(first, f.name) is not None
         })
 
@@ -261,7 +281,9 @@ def _user_statistics(
     User azimuths depend only on the layout, so every trial of a sweep point
     shares them; the arrays are read-only because every caller shares them.
     """
-    covs = one_ring_covariance(np.array(aoas), spread, n_antennas, antenna_spacing, n_nodes)
+    # C order, so that a quad-form set reads the shared covariances as they are
+    covs = np.ascontiguousarray(
+        one_ring_covariance(np.array(aoas), spread, n_antennas, antenna_spacing, n_nodes))
     kl = kl_decompose(covs, trunc_rel)
     for arr in (covs, *kl):
         arr.flags.writeable = False
@@ -297,9 +319,9 @@ def draw_scenario(
     and then of its estimate's perturbation v, for an eavesdropper those of
     zeta.  A channel is h = U diag(sqrt(eigvals)) zeta, and a user's
     estimate sqrt(1-kappa^2) h + kappa U diag(sqrt(eigvals)) v, whose error
-    h - estimate has covariance ``error_covariance(R, kappa)``.  v is drawn
-    even at kappa = 0, so seed-matched draws across kappa values share
-    their channels.
+    h - estimate has covariance ``error_covariance(R, kappa)``, carried as
+    its scale ``error_scale``.  v is drawn even at kappa = 0, so
+    seed-matched draws across kappa values share their channels.
 
     User statistics come from a cache keyed by azimuths and geometry;
     eavesdropper azimuths are drawn per trial, so theirs are built here, in
@@ -343,9 +365,9 @@ def draw_scenario(
         user_channels=h,
         eve_channels=g,
         user_estimates=h_est,
-        error_covs=np.broadcast_to(error_covariance(user_covs, layout.kappa), shared),
         user_covs=np.broadcast_to(user_covs, shared),
         eve_covs=eve_covs,
+        error_scale=np.full(t, error_scale(layout.kappa)),
         user_aoas=np.broadcast_to(user_aoas, (t, k)),
         eve_aoas=eve_aoas,
     )

@@ -9,14 +9,23 @@ numerator.  The first-order condition B(f)^-1 A(f) f = lam f then collects
 every gain into A and every loss into B.  ``QuadValues.smoothed``, in one
 pass, gives the smoothed objective and the per-form coefficients of both.
 
-Every block of every G and L is a combination of a few base matrices: the
-noise ridge (sigma_u^2 / P) * I, the K signal outer products, the E
-eavesdropper matrices and, under limited CSIT, the K error covariances and
-K user covariances.  A set stores each base matrix once plus two real
-coefficient tables, ``gain`` and ``loss``, with entry [p, m, b] the weight of
-base matrix m in block b of form p.  No block is ever assembled into the
-full N*(K+1) x N*(K+1) matrix, which is what makes the solver's linear
-algebra cost scale with the number of blocks rather than its cube.
+Every block of every G and L is a weighted sum of a few base matrices, and
+a set stores each by its kind:
+  - the noise ridge (sigma_u^2 / P) * I, one scalar per trial;
+  - rank-1 rows v (the K estimates under limited CSIT; the K user and E
+    eavesdropper channels under perfect CSIT), whose quadratic form is
+    |v^H f_b|^2, and their outer products, which feed A and B;
+  - under limited CSIT, the E eavesdropper covariances of each trial;
+  - under limited CSIT, the K user covariances R, which every trial of a
+    sweep point shares (a broadcast view, never copied per trial), and the
+    K error covariances Phi = c_kappa R, which exist only as each trial's
+    scale c_kappa: Phi's form is c_kappa times R's.
+Two real coefficient tables, ``gain`` and ``loss``, give entry [p, m, b],
+the weight of base matrix m in block b of form p.  They depend only on the
+set's shape, so they are built once per process and shared read-only.  No
+block is ever assembled into the full N*(K+1) x N*(K+1) matrix, which is
+what makes the solver's linear algebra cost scale with the number of blocks
+rather than its cube.
 
 Two variants exist:
   - "perfect": true channels, one form per rate; the secrecy leakage is the
@@ -27,7 +36,9 @@ Two variants exist:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,27 +55,54 @@ def _complex(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=complex)
 
 
+def _flat(matrices: np.ndarray, t: int) -> np.ndarray:
+    """A (..., count, N, N) complex stack as (t, count, 2 N^2) interleaved
+    (re, im) entries, a view that keeps a broadcast trial axis broadcast."""
+    n = matrices.shape[-1]
+    return matrices.view(float).reshape(t, matrices.shape[-3], 2 * n * n)
+
+
+# Antennas up to which a set with full matrices reads its rank-1 rows' forms
+# from their outer products, in the full matrices' product: there one fewer
+# batched product saves more than the extra flops cost (per evaluate, limited
+# CSIT, K=4: 246 vs 301 us at N=4 and 469 vs 560 us at N=8, T=140; the
+# rank-1 forms win from N=16 on, 877 vs 1045 us at N=32, K=16, T=4).
+_FOLD_N = 8
+
+
 @dataclass(frozen=True)
 class QuadFormSet:
     """All forms for one scenario, or for a chunk of trials.
 
-    ``bases`` is the (n_bases, N, N) stack of base matrices, or (T, n_bases,
-    N, N) for a chunk of T trials; base 0 is each trial's noise ridge
-    (sigma_u^2 / P) * I.  ``gain`` and ``loss`` are the (n_forms, n_bases,
-    n_blocks) coefficient tables, with real entries in {0, +-1,
-    sigma_e^2 / sigma_u^2}.  Forms come in the order: K common rates, K
-    private rates, then each of the ``n_secret`` secret users' wiretap sets
-    of ``width`` = E + K - 1 forms (eavesdroppers first, then every other
-    user in index order).  The tables depend only on the dimensions, the
-    CSIT mode and sigma_e^2 / sigma_u^2, never on the SNR or the drawn
-    channels, so a chunk shares one of each, also across trials at
-    different SNRs; ``evaluate`` and ``weighted_blocks`` then work per
-    trial.  The stack always has K+1 blocks, block 0 carrying the common
-    stream.  ``has_common`` is False only on a ``without_common()`` view,
-    which scores private-only (SDMA) stacks whose common block is zero.
+    The bases, by kind, each with a leading trial axis on a chunk's set:
+    ``rows`` holds the (r, N) rank-1 rows; ``own`` the (r + e, N, N)
+    matrices of the trial alone, the rows' outer products then (limited) its
+    e = E eavesdropper covariances; ``ridge`` sigma_u^2 / P and
+    ``error_scale`` c_kappa, with Phi = c_kappa R; and ``covs`` the
+    (k, N, N) user covariances R (k = K under limited CSIT, else 0), across
+    a chunk a broadcast view of one array wherever its trials share them.
+    The base axis of the tables runs in the order: the ``own`` matrices,
+    the ridge (sigma_u^2 / P) * I, each R, then each Phi.
+
+    ``gain`` and ``loss`` are the (n_forms, n_bases, n_blocks) coefficient
+    tables, with real entries in {0, +-1, sigma_e^2 / sigma_u^2}.  Forms come
+    in the order: K common rates, K private rates, then each of the
+    ``n_secret`` secret users' wiretap sets of ``width`` = E + K - 1 forms
+    (eavesdroppers first, then every other user in index order).  The
+    tables depend only on the dimensions, the CSIT mode and sigma_e^2 /
+    sigma_u^2, never on the SNR, kappa or the drawn channels, so every set
+    of one shape shares one of each, also across trials at different SNRs
+    and kappas; ``evaluate`` and ``weighted_blocks`` then work per trial.
+    The stack always has K+1 blocks, block 0 carrying the common stream.
+    ``has_common`` is False only on a ``without_common()`` view, which scores
+    private-only (SDMA) stacks whose common block is zero.
     """
 
-    bases: np.ndarray
+    rows: np.ndarray
+    own: np.ndarray
+    ridge: np.ndarray
+    error_scale: np.ndarray
+    covs: np.ndarray
     gain: np.ndarray
     loss: np.ndarray
     variant: str
@@ -76,14 +114,27 @@ class QuadFormSet:
         if self.variant not in ("perfect", "limited"):
             raise ValueError("variant must be 'perfect' or 'limited'")
 
+    @property
+    def trial_shape(self) -> tuple[int, ...]:
+        """() for one scenario's set, (T,) for a chunk's."""
+        return np.shape(self.ridge)
+
     def take(self, index) -> "QuadFormSet":
         """The trials ``index`` of a chunk's set: a chunk for an index array,
-        one trial's set for an integer.  Shares the tables."""
-        return replace(self, bases=self.bases[index])
+        one trial's set for an integer; ``np.newaxis`` makes one scenario's
+        set a chunk of one.  Shares the tables, and shared covariances stay
+        a broadcast view."""
+        covs = self.covs
+        if covs.ndim == 4 and covs.strides[0] == 0:
+            covs = np.broadcast_to(covs[0], (*np.shape(self.ridge[index]), *covs.shape[1:]))
+        else:
+            covs = covs[index]
+        return replace(self, rows=self.rows[index], own=self.own[index], ridge=self.ridge[index],
+                       error_scale=self.error_scale[index], covs=covs)
 
     @property
     def n_antennas(self) -> int:
-        return self.bases.shape[-1]
+        return self.rows.shape[-1]
 
     def without_common(self) -> "QuadFormSet":
         """The same set with the K common-rate forms dropped (SDMA).
@@ -106,25 +157,51 @@ class QuadFormSet:
         """(n_blocks, N), the shape of the precoders this set scores."""
         return self.n_blocks, self.n_antennas
 
+    def _kinds(self) -> tuple[int, int, int, int]:
+        """(t, r, e, k): trials, rank-1 rows, other own matrices, covariances R."""
+        r = self.rows.shape[-2]
+        return math.prod(self.trial_shape), r, self.own.shape[-3] - r, self.covs.shape[-3]
+
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
         """Both quadratic forms of every form at one point.
 
         On a chunk's set ``blocks`` is (T, n_blocks, N), one precoder per
-        trial, and every value gains the leading trial axis.
+        trial, and every value gains the leading trial axis.  Every product
+        is batched over the trials, with a shared operand broadcast, so a
+        trial's values do not depend on its chunk.
         """
-        lead = self.bases.shape[:-3]
-        bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
-        t, m, n, _ = bases.shape
-        f = _complex(blocks).reshape(t, -1, n)
-        # gram[t, m, b] = f_tb^H M_tm f_tb = sum_ij Re(M_ij conj(f_i) f_j), a real
-        # product of the interleaved (re, im) entries of M and of f conj(f)^T;
-        # flattened to match the tables' last axes
-        outer = (f[..., :, None] * f.conj()[..., None, :]).view(float).reshape(t, -1, 2 * n * n)
-        gram = (bases.view(float).reshape(t, m, -1) @ outer.transpose(0, 2, 1)).reshape(t, -1, 1)
+        t, r, e, k = self._kinds()
+        nb, n = self.shape
+        f = _complex(blocks).reshape(t, nb, n)
+        fc = f.conj()
+        # gram[t, m, b] = f_tb^H M_tm f_tb, in the tables' base order
+        gram = np.empty((t, r + e + 1 + 2 * k, nb))
+        # the rank-1 rows' forms |v^H f_b|^2, unless they ride in the full
+        # matrices' product
+        fold = (e or k) and n <= _FOLD_N
+        if not fold:
+            p = self.rows.reshape(t, r, n) @ fc.transpose(0, 2, 1)   # conj(v^H f_b)
+            np.add(np.square(p.real), np.square(p.imag), out=gram[:, :r])
+        parts = f.view(float)
+        np.multiply(np.einsum("tbi,tbi->tb", parts, parts), self.ridge.reshape(t, 1),
+                    out=gram[:, r + e])
+        if e or k:
+            # a full matrix's form is sum_ij Re(M_ij conj(f_i) f_j), a real
+            # product of the interleaved (re, im) entries of M and of f conj(f)^T
+            outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(t, nb, 2 * n * n)
+            outer = outer.transpose(0, 2, 1)
+            if e or fold:
+                lo = 0 if fold else r
+                np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e])
+            if k:
+                covs = gram[:, r + e + 1:r + e + 1 + k]
+                np.matmul(_flat(self.covs, t), outer, out=covs)
+                np.multiply(covs, self.error_scale.reshape(t, 1, 1), out=gram[:, r + e + 1 + k:])
+        gram = gram.reshape(t, -1, 1)
 
         def ev(table):
             # the shared table against every trial's gram
-            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, len(table))
+            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*self.trial_shape, len(table))
 
         return QuadValues(ev(self.gain), ev(self.loss), self.variant,
                           self.n_secret, self.width, self.has_common)
@@ -134,17 +211,28 @@ class QuadFormSet:
         ``loss``) holds, one real weight per form on the last axis.
 
         The weights are contracted with the table first, so each base matrix
-        is touched once.  Returns the (n_blocks, N, N) block stack, with a
-        leading trial axis (and one row of weights per trial) on a chunk's
-        set.
+        is touched once: the trial's ``own`` matrices in one product, the
+        shared covariances in another (Phi's coefficient folded into R's as
+        c_R + c_kappa c_Phi), and the ridge added on the diagonal.  Returns
+        the (n_blocks, N, N) block stack, with a leading trial axis (and one
+        row of weights per trial) on a chunk's set.
         """
-        bases = _complex(self.bases.reshape(-1, *self.bases.shape[-3:]))
-        t, m, n, _ = bases.shape
-        nb = self.n_blocks
-        coef = weights.reshape(t, 1, -1) @ table.reshape(-1, m * nb)
+        t, r, e, k = self._kinds()
+        nb, n = self.shape
+        coef = (weights.reshape(t, 1, -1) @ table.reshape(len(table), -1)).reshape(t, -1, nb)
         # real coefficients times the interleaved (re, im) entries of the bases
-        out = coef.reshape(t, m, nb).transpose(0, 2, 1) @ bases.view(float).reshape(t, m, -1)
-        return out.view(complex).reshape(*self.bases.shape[:-3], nb, n, n)
+        out = coef[:, :r + e].transpose(0, 2, 1) @ _flat(self.own, t)
+        if k:
+            covs = coef[:, r + e + 1:r + e + 1 + k]
+            phi = coef[:, r + e + 1 + k:]
+            phi *= self.error_scale.reshape(t, 1, 1)
+            covs += phi
+            out += covs.transpose(0, 2, 1) @ _flat(self.covs, t)
+        # the ridge on the real parts of each block's diagonal, every 2(N+1)-th entry
+        ridge = coef[:, r + e]
+        ridge *= self.ridge.reshape(t, 1)
+        out[..., ::2 * (n + 1)] += ridge[..., None]
+        return out.view(complex).reshape(*self.trial_shape, nb, n, n)
 
 
 class Smoothed(NamedTuple):
@@ -268,7 +356,7 @@ def smoothed_objective(
     On a chunk's set ``blocks`` is the (T, n_blocks, N) stack of one precoder
     per trial, and the result holds one value per trial.
     """
-    want = (*quadforms.bases.shape[:-3], *quadforms.shape)
+    want = (*quadforms.trial_shape, *quadforms.shape)
     if np.shape(blocks) != want:
         raise ValueError(f"precoder shape {np.shape(blocks)} does not match {want}")
     total = quadforms.evaluate(blocks).smoothed(config.smoothing, False).objective
@@ -282,11 +370,14 @@ def build_quadforms_perfect(
     ridge: float | np.ndarray | None = None,
 ) -> QuadFormSet:
     """Pairs over true channels; rates are exact SINR-plus-one quotients.
+    Every base but the ridge is rank 1: the K user and E eavesdropper
+    channels are the set's rows.
 
-    On a ``ChannelRealization.stack`` of T draws the set is a chunk's:
-    (T, n_bases, N, N) bases and one shared copy of each table.  ``ridge``
-    is sigma_u^2 / P, one value or one per trial of the stack, so that one
-    chunk can hold trials at several SNRs; it defaults to the config's.
+    On a ``ChannelRealization.stack`` of T draws the set is a chunk's, with
+    a leading trial axis on each kind of base and one shared copy of each
+    table.  ``ridge`` is sigma_u^2 / P, one value or one per trial of the
+    stack, so that one chunk can hold trials at several SNRs; it defaults to
+    the config's.
     """
     return _build(realization, config, ridge, limited=False)
 
@@ -297,10 +388,12 @@ def build_quadforms_limited(
     *,
     ridge: float | np.ndarray | None = None,
 ) -> QuadFormSet:
-    """Pairs over the transmitter's knowledge: channel estimates plus error
-    covariances for rate lower bounds, wiretapper covariances for the
-    collusion leakage upper bound.  True channels are not read.  Takes a
-    stacked realization and ``ridge`` as ``build_quadforms_perfect`` does."""
+    """Pairs over the transmitter's knowledge: channel estimates (the rows)
+    plus error covariances for rate lower bounds, wiretapper covariances for
+    the collusion leakage upper bound.  True channels are not read.  The
+    user covariances stay the realization's array, shared across a chunk
+    where the draw shares them.  Takes a stacked realization and ``ridge``
+    as ``build_quadforms_perfect`` does."""
     return _build(realization, config, ridge, limited=True)
 
 
@@ -315,39 +408,59 @@ def _build(
     limited: bool,
 ) -> QuadFormSet:
     n = config.n_antennas
-    k = config.n_users
-    s_cnt = config.n_secret
-    e_cnt = config.n_eves
-    if realization.n_users != k or realization.n_antennas != n:
+    if realization.n_users != config.n_users or realization.n_antennas != n:
         raise ValueError("realization/config dimension mismatch")
-    if realization.n_eves != e_cnt:
+    if realization.n_eves != config.n_eves:
         raise ValueError("realization/config eavesdropper mismatch")
-
-    nb = k + 1
-    # the eavesdroppers' ridge sigma_e^2 / P, in units of base 0's sigma_u^2 / P
-    eve_ridge = config.noise_eve / config.noise_user
-
-    # Base matrices: noise ridge, signals, [error covs], eavesdroppers, [user
-    # covs].  Under perfect CSIT a wiretapping user sees its own signal matrix.
-    if limited:
-        parts = [
-            _outer(realization.user_estimates),
-            realization.error_covs,
-            realization.eve_covs,
-            realization.user_covs,
-        ]
-        sig, err, eve, wire = 1, 1 + k, 1 + 2 * k, 1 + 2 * k + e_cnt
-    else:
-        parts = [
-            _outer(realization.user_channels),
-            _outer(realization.eve_channels),
-        ]
-        sig, err, eve, wire = 1, None, 1 + k, 1
     lead = realization.user_channels.shape[:-2]
-    ridge = np.broadcast_to(config.noise_user_ratio if ridge is None else ridge, lead)
-    noise = ridge[..., None, None, None] * np.eye(n, dtype=complex)
-    bases = np.concatenate([noise, *parts], axis=-3)
-    m = bases.shape[-3]
+    if limited:
+        rows = _complex(realization.user_estimates)
+        own = np.concatenate([_outer(rows), realization.eve_covs], axis=-3)
+        covs, scale = realization.user_covs, realization.error_scale
+        if covs.ndim < 4 or covs.strides[0]:
+            covs = _complex(covs)   # not shared along a trial axis: as any per-trial array
+    else:
+        # under perfect CSIT a wiretapping user sees its own signal matrix
+        rows = _complex(np.concatenate([realization.user_channels, realization.eve_channels], axis=-2))
+        own, covs, scale = _outer(rows), np.zeros((*lead, 0, n, n), dtype=complex), 0.0
+    ridge = config.noise_user_ratio if ridge is None else ridge
+    gain, loss = _tables(config.n_users, config.n_secret, config.n_eves, limited,
+                         config.noise_eve / config.noise_user)
+    return QuadFormSet(
+        rows=rows,
+        own=_complex(own),
+        ridge=np.array(np.broadcast_to(ridge, lead), dtype=float),
+        error_scale=np.array(np.broadcast_to(scale, lead), dtype=float),
+        covs=covs,
+        gain=gain,
+        loss=loss,
+        variant="limited" if limited else "perfect",
+        n_secret=config.n_secret,
+        width=config.n_eves + config.n_users - 1,
+    )
+
+
+@lru_cache(maxsize=32)
+def _tables(k: int, s_cnt: int, e_cnt: int, limited: bool,
+            eve_ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``gain`` and ``loss`` tables of a set with K = ``k`` users, of
+    which ``s_cnt`` are secret, and ``e_cnt`` eavesdroppers.  ``eve_ridge``
+    is the eavesdroppers' ridge sigma_e^2 / P in units of the ridge base's
+    sigma_u^2 / P.  Read-only, because every set of this shape shares them.
+
+    Base order: the signal rows' matrices (K); the eavesdroppers' (E); the
+    ridge; under limited CSIT, the user covariances (K), which a wiretapping
+    user sees, then the error covariances (K).  Under perfect CSIT a
+    wiretapping user sees its own signal matrix.
+    """
+    nb = k + 1
+    sig, eve, ridge = 0, k, k + e_cnt
+    if limited:
+        wire, err = k + e_cnt + 1, 2 * k + e_cnt + 1
+        m = 3 * k + e_cnt + 1
+    else:
+        wire, err = sig, None
+        m = k + e_cnt + 1
     users = np.arange(k)
     width = e_cnt + k - 1
     gain = np.zeros((2 * k + s_cnt * width, m, nb))
@@ -357,7 +470,7 @@ def _build(
         # user i: ridge + signal_i (+ error_i) on ``blocks``; the loss (the
         # denominator) drops signal_i from the block carrying i's wanted stream
         num, den = gain[forms], loss[forms]
-        num[:, 0, :] = 1.0
+        num[:, ridge, :] = 1.0
         num[users, sig + users, blocks] = 1.0
         if limited:
             num[users, err + users, blocks] = 1.0
@@ -377,7 +490,7 @@ def _build(
     secrets = np.arange(s_cnt)[:, None]
     eves = np.arange(e_cnt)
     num, den = leak_num[:, :e_cnt], leak_den[:, :e_cnt]
-    num[:, :, 0, :] = eve_ridge
+    num[:, :, ridge, :] = eve_ridge
     num[:, eves, eve + eves, :] = 1.0
     den[...] = num
     den[secrets, eves, eve + eves, 1 + secrets] = 0.0
@@ -387,7 +500,7 @@ def _build(
     slots = np.arange(k - 1)[None, :]
     taps = slots + (slots >= secrets)
     num, den = leak_num[:, e_cnt:], leak_den[:, e_cnt:]
-    num[:, :, 0, :] = 1.0
+    num[:, :, ridge, :] = 1.0
     num[secrets, slots, wire + taps, 1:] = 1.0
     num[secrets, slots, wire + taps, 1 + taps] = 0.0
     den[...] = num
@@ -398,11 +511,6 @@ def _build(
         # the wiretapper's matrix on s's block.
         leak_num -= leak_den
 
-    return QuadFormSet(
-        bases=bases,
-        gain=gain,
-        loss=loss,
-        variant="limited" if limited else "perfect",
-        n_secret=s_cnt,
-        width=width,
-    )
+    for table in (gain, loss):
+        table.flags.writeable = False
+    return gain, loss

@@ -125,8 +125,11 @@ def _lse_softmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(sum(exp(v))) over the last axis, one per row (a scalar for 1-D
     input), and its gradient softmax(v), from one set of exponentials
     exp(v - m): m is the row max, or 0 where that is not finite, so NaN and
-    +-inf come out as the entries dictate."""
-    m = v.max(axis=-1, keepdims=True)
+    +-inf come out as the entries dictate.  The max runs over the leading
+    axis of a contiguous transposed copy, an elementwise max of whole rows
+    that is far cheaper than a reduction along short rows; a max is exact
+    in any order, so m is the same."""
+    m = np.ascontiguousarray(v.T).max(axis=0).T[..., None]
     m[~np.isfinite(m)] = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = np.exp(v - m)

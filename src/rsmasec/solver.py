@@ -14,7 +14,7 @@ are fixed to one, which leaves the iterates unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,9 +123,9 @@ def _unit_starts(quadforms: QuadFormSet, starts: np.ndarray) -> np.ndarray:
     """A chunk's (T, n_blocks, N) starts scaled to unit norm; ValueError on a wrong
     shape, a zero or nonfinite start, or a common block on a set without one."""
     vec = np.asarray(starts, dtype=complex)
-    if quadforms.bases.ndim != 4 or vec.shape != (len(quadforms.bases), *quadforms.shape):
-        raise ValueError(f"start stack shape {vec.shape} does not match the chunk's set's "
-                         f"{(*quadforms.bases.shape[:-3], *quadforms.shape)}")
+    want = (*quadforms.trial_shape, *quadforms.shape)
+    if len(quadforms.trial_shape) != 1 or vec.shape != want:
+        raise ValueError(f"start stack shape {vec.shape} does not match the chunk's set's {want}")
     nrm = _norms(vec)
     if not (np.isfinite(nrm).all() and (nrm > 0).all()):
         raise ValueError("start vector must be nonzero and finite")
@@ -182,7 +182,7 @@ def gpi_solve_batch(
 ) -> list[tuple[np.ndarray, SolveTrace] | NumericError]:
     """Power-iterate every set of a chunk from its start, all trials at once.
 
-    ``quadforms`` is a chunk's set (its ``bases`` carry the T trials; the
+    ``quadforms`` is a chunk's set (its bases carry the T trials; the
     tables are shared) and ``starts`` the (T, n_blocks, N) stack of nonzero,
     finite starting precoders.  On a set without a common family the start's
     common block must be zero; the block-diagonal operators then keep it
@@ -316,7 +316,7 @@ def gpi_solve_vector(
     vec = np.asarray(start, dtype=complex)
     if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
-    chunk = replace(quadforms, bases=quadforms.bases[None])
+    chunk = quadforms.take(np.newaxis)
     result = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config, keep_iterates=True)[0]
     if isinstance(result, NumericError):
         raise result
@@ -355,7 +355,7 @@ def kkt_residual(
     """
     if np.shape(blocks) != quadforms.shape:
         raise ValueError(f"precoder shape {np.shape(blocks)} does not match {quadforms.shape}")
-    chunk = replace(quadforms, bases=quadforms.bases[None])
+    chunk = quadforms.take(np.newaxis)
     vec = _unit_starts(chunk, np.asarray(blocks)[None])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         img, ok = _plain_step(chunk, chunk.evaluate(vec).smoothed(config.smoothing, False), vec)

@@ -58,11 +58,13 @@ def test_trial_axis_calls_equal_per_trial_calls(n, s, m, e, n_trials, snr_db, se
     for build in (rs.build_quadforms_perfect, rs.build_quadforms_limited):
         sets = [build(r, cfg) for r in reals]
         chunk = build(truth, cfg)
-        assert chunk.bases.shape == (n_trials, *sets[0].bases.shape)
+        for name in ("rows", "own", "ridge", "error_scale", "covs"):
+            assert getattr(chunk, name).shape == (n_trials, *np.shape(getattr(sets[0], name))), name
         for t in range(n_trials):
-            assert np.array_equal(chunk.bases[t], sets[t].bases)
+            for name in ("rows", "own", "ridge", "error_scale", "covs"):
+                assert np.array_equal(getattr(chunk, name)[t], getattr(sets[t], name)), name
             for name in ("gain", "loss"):
-                assert np.array_equal(getattr(chunk, name), getattr(sets[t], name)), name
+                assert getattr(chunk, name) is getattr(sets[t], name), name
         assert rs.smoothed_objective(chunk, stacks, cfg).tolist() == [
             rs.smoothed_objective(sets[t], stacks[t], cfg) for t in range(n_trials)]
 

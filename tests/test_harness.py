@@ -270,12 +270,13 @@ def test_chunk_size_follows_the_byte_budget():
         return [sum(len(trials) for _, _, trials in pieces)
                 for _, pieces in harness._sweep_chunks(rs.parse_config_text(text), 1)]
 
-    # only the bases and block stacks grow with the chunk; the tables are shared
+    # only the per-trial bases and block stacks grow with the chunk; the
+    # tables and the user covariances are shared
     size = harness.CHUNK_BYTES // harness._trial_bytes(rs.parse_config_text("").system, "limited")
-    assert size == 655
+    assert size == 960
     assert sizes(f"trials = {size}") == [size]
     assert sizes(f"trials = {size + 45}") == [size, 45]
-    assert sizes("n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 3") == [2, 1]
+    assert sizes("n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 5") == [4, 1]
 
 
 def poison_trial(monkeypatch, cfg, seed):
@@ -288,9 +289,11 @@ def poison_trial(monkeypatch, cfg, seed):
 
     def poisoned(truth, system, **kwargs):
         qf = build(truth, system, **kwargs)
-        bases = qf.bases.copy()
-        bases[(truth.user_channels == target).all(axis=(1, 2)), 1, 0, 0] = np.inf
-        return replace(qf, bases=bases)
+        # the trial's first signal row and its outer product
+        rows, own = qf.rows.copy(), qf.own.copy()
+        hit = (truth.user_channels == target).all(axis=(1, 2))
+        rows[hit, 0, 0] = own[hit, 0, 0, 0] = np.inf
+        return replace(qf, rows=rows, own=own)
 
     monkeypatch.setattr(harness, "build_quadforms_limited", poisoned)
 

@@ -11,6 +11,10 @@ from rsmasec.rates import lse_min
 from rsmasec.solver import kkt_residual
 
 
+# the fields of a set that hold its bases, by kind
+BASES = ("rows", "own", "ridge", "error_scale", "covs")
+
+
 def random_unit(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -135,7 +139,8 @@ def test_sdma_variant_has_no_common_block(fig_config, scenario):
     # same K+1-block layout and bases; the tables are views without the K
     # common-rate forms
     assert sdma.shape == qf.shape == (5, 4)
-    assert sdma.bases is qf.bases
+    for name in BASES:
+        assert getattr(sdma, name) is getattr(qf, name), name
     for name in ("gain", "loss"):
         full_table, table = getattr(qf, name), getattr(sdma, name)
         assert np.shares_memory(table, full_table)
@@ -270,15 +275,15 @@ def test_precoder_must_be_k_plus_one_by_n(fig_config, scenario, score, shape):
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_snr_moves_only_the_noise_ridge_base(fig_config, scenario, build):
     # the tables hold no SNR, so sets at two SNRs share them, and their
-    # bases differ only in base 0, the ridge (sigma_u^2 / P) * I
+    # bases differ only in the ridge sigma_u^2 / P, a scalar
     cfg = dataclasses.replace(fig_config, noise_eve=2.5)
     low, high = build(scenario, cfg.with_snr_db(0.0)), build(scenario, cfg.with_snr_db(30.0))
     for f in dataclasses.fields(low):
-        if f.name != "bases":
+        if f.name != "ridge":
             assert np.array_equal(getattr(low, f.name), getattr(high, f.name)), f.name
-    assert np.array_equal(low.bases[1:], high.bases[1:])
+    assert low.gain is high.gain and low.loss is high.loss
     for qf, c in ((low, cfg.with_snr_db(0.0)), (high, cfg.with_snr_db(30.0))):
-        assert np.array_equal(qf.bases[0], c.noise_user_ratio * np.eye(4))
+        assert qf.ridge.shape == () and qf.ridge == c.noise_user_ratio
     assert set(np.unique(low.gain)) | set(np.unique(low.loss)) <= {-1.0, 0.0, 1.0, 2.5}
 
 
@@ -294,7 +299,8 @@ def test_a_chunk_takes_one_ridge_per_trial(fig_config, build):
     got = rs.smoothed_objective(chunk, f, fig_config)
     for t, (real, c) in enumerate(zip(reals, configs)):
         alone = build(real, c)
-        assert np.array_equal(chunk.bases[t], alone.bases)
+        for name in BASES:
+            assert np.array_equal(getattr(chunk.take(t), name), getattr(alone, name)), name
         assert got[t] == rs.smoothed_objective(alone, f[t], c)
 
 

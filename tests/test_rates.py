@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import rsmasec as rs
-from rsmasec.channel import error_covariance
+from rsmasec.channel import error_scale
 from rsmasec.rates import _lse_softmax, lse_max, lse_min
 
 
@@ -23,9 +23,9 @@ def manual_realization(user_channels, eve_channels=None, kappa=0.0):
         user_channels=h,
         eve_channels=g,
         user_estimates=h.copy(),
-        error_covs=np.tile(error_covariance(eye, kappa), (k, 1, 1)),
         user_covs=np.tile(eye, (k, 1, 1)),
         eve_covs=np.tile(eye, (g.shape[0], 1, 1)),
+        error_scale=error_scale(kappa),
     )
 
 

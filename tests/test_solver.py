@@ -120,7 +120,7 @@ def test_form_weights_give_the_objective_gradient(build, n, s_cnt, m_cnt, e_cnt,
         start = start / np.linalg.norm(start)
         vals = qf.evaluate(start)
         assert vals.leak_ratios().shape == (s_cnt, e_cnt + k - 1)
-        chunk = replace(qf, bases=qf.bases[None])
+        chunk = qf.take(np.newaxis)
         assert chunk.evaluate(start[None]).leak_ratios().shape == (1, s_cnt, e_cnt + k - 1)
         a_op, b_op = assemble_kkt(qf, vals.smoothed(cfg.smoothing, False))
         d = (_matvec(a_op, start) - _matvec(b_op, start)).ravel()
@@ -354,9 +354,10 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
     cfg, stacked, sets, starts = chunk(build, 4)
-    bases = stacked.bases.copy()
-    bases[2, 1, 0, 0] = np.nan
-    stacked = replace(stacked, bases=bases)
+    # trial 2's first signal row and its outer product
+    rows, own = stacked.rows.copy(), stacked.own.copy()
+    rows[2, 0, 0] = own[2, 0, 0, 0] = np.nan
+    stacked = replace(stacked, rows=rows, own=own)
     batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
     assert isinstance(batch[2], rs.NumericError)
     with pytest.raises(rs.NumericError):
