@@ -417,8 +417,11 @@ def _build(
         rows = _complex(realization.user_estimates)
         own = np.concatenate([_outer(rows), realization.eve_covs], axis=-3)
         covs, scale = realization.user_covs, realization.error_scale
-        if covs.ndim < 4 or covs.strides[0]:
-            covs = _complex(covs)   # not shared along a trial axis: as any per-trial array
+        if covs.ndim == 4 and covs.strides[0] == 0:
+            # shared along the trial axis: stays one array, broadcast
+            covs = np.broadcast_to(_complex(covs[0]), covs.shape)
+        else:
+            covs = _complex(covs)
     else:
         # under perfect CSIT a wiretapping user sees its own signal matrix
         rows = _complex(np.concatenate([realization.user_channels, realization.eve_channels], axis=-2))
