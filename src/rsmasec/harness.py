@@ -391,13 +391,13 @@ CHUNK_BYTES = 4 * 2**20
 
 def _trial_bytes(system: SystemConfig, csit_mode: str) -> int:
     """Bytes of the solver arrays a trial adds to its chunk: its ridge and
-    error scale, its rank-1 rows, their outer products and (limited) its
-    eavesdropper covariances, and its (A, B) block stacks.  The coefficient
-    tables and the user covariances are shared by the whole chunk, so they
-    are not counted."""
+    error scale, its rank-1 rows, its own matrices (the rows' outer products,
+    under limited CSIT its eavesdropper covariances, and the identity) and
+    its (A, B) block stacks.  The coefficient tables and the user
+    covariances are shared by the whole chunk, so they are not counted."""
     n, k, e = system.n_antennas, system.n_users, system.n_eves
     n_rows = k if csit_mode == "limited" else k + e
-    return 8 * 2 + 16 * (n_rows * n + (k + e + 2 * (k + 1)) * n * n)
+    return 8 * 2 + 16 * (n_rows * n + (k + e + 1 + 2 * (k + 1)) * n * n)
 
 
 def _pool_key(system: SystemConfig) -> SystemConfig:

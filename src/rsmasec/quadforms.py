@@ -11,7 +11,8 @@ pass, gives the smoothed objective and the per-form coefficients of both.
 
 Every block of every G and L is a weighted sum of a few base matrices, and
 a set stores each by its kind:
-  - the noise ridge (sigma_u^2 / P) * I, one scalar per trial;
+  - the noise ridge (sigma_u^2 / P) * I, one scalar per trial; the identity
+    sits with the trial's own matrices, so one product covers it;
   - rank-1 rows v (the K estimates under limited CSIT; the K user and E
     eavesdropper channels under perfect CSIT), whose quadratic form is
     |v^H f_b|^2, and their outer products, which feed A and B;
@@ -62,11 +63,11 @@ def _flat(matrices: np.ndarray, t: int) -> np.ndarray:
     return matrices.view(float).reshape(t, matrices.shape[-3], 2 * n * n)
 
 
-# Antennas up to which a set with full matrices reads its rank-1 rows' forms
-# from their outer products, in the full matrices' product: there one fewer
-# batched product saves more than the extra flops cost (per evaluate, limited
-# CSIT, K=4: 246 vs 301 us at N=4 and 469 vs 560 us at N=8, T=140; the
-# rank-1 forms win from N=16 on, 877 vs 1045 us at N=32, K=16, T=4).
+# Antennas up to which a set reads its rank-1 rows' forms from their outer
+# products, in the own matrices' product: there one fewer batched product
+# saves more than the extra flops cost (per evaluate under limited CSIT,
+# K=4, T=140: 246 vs 301 us at N=4 and 469 vs 560 us at N=8; the rank-1
+# forms win from N=16 on, 877 vs 1045 us at N=32, K=16, T=4).
 _FOLD_N = 8
 
 
@@ -75,14 +76,15 @@ class QuadFormSet:
     """All forms for one scenario, or for a chunk of trials.
 
     The bases, by kind, each with a leading trial axis on a chunk's set:
-    ``rows`` holds the (r, N) rank-1 rows; ``own`` the (r + e, N, N)
-    matrices of the trial alone, the rows' outer products then (limited) its
-    e = E eavesdropper covariances; ``ridge`` sigma_u^2 / P and
-    ``error_scale`` c_kappa, with Phi = c_kappa R; and ``covs`` the
-    (k, N, N) user covariances R (k = K under limited CSIT, else 0), across
-    a chunk a broadcast view of one array wherever its trials share them.
-    The base axis of the tables runs in the order: the ``own`` matrices,
-    the ridge (sigma_u^2 / P) * I, each R, then each Phi.
+    ``rows`` holds the (r, N) rank-1 rows; ``own`` the (r + e + 1, N, N)
+    matrices of the trial alone, the rows' outer products, then (limited)
+    its e = E eavesdropper covariances, then the identity; ``ridge``
+    sigma_u^2 / P, the identity's weight, and ``error_scale`` c_kappa, with
+    Phi = c_kappa R; and ``covs`` the (k, N, N) user covariances R (k = K
+    under limited CSIT, else 0), across a chunk a broadcast view of one
+    array wherever its trials share them.  The base axis of the tables runs
+    in the order: the ``own`` matrices (the identity standing for the ridge
+    (sigma_u^2 / P) * I), each R, then each Phi.
 
     ``gain`` and ``loss`` are the (n_forms, n_bases, n_blocks) coefficient
     tables, with real entries in {0, +-1, sigma_e^2 / sigma_u^2}.  Forms come
@@ -124,12 +126,10 @@ class QuadFormSet:
         one trial's set for an integer; ``np.newaxis`` makes one scenario's
         set a chunk of one.  Shares the tables, and shared covariances stay
         a broadcast view."""
-        covs = self.covs
-        if covs.ndim == 4 and covs.strides[0] == 0:
-            covs = np.broadcast_to(covs[0], (*np.shape(self.ridge[index]), *covs.shape[1:]))
-        else:
-            covs = covs[index]
-        return replace(self, rows=self.rows[index], own=self.own[index], ridge=self.ridge[index],
+        ridge, covs = self.ridge[index], self.covs
+        # every trial of a broadcast stack reads one array: a slice keeps it so
+        covs = covs[:len(ridge)] if ridge.ndim and covs.strides[0] == 0 else covs[index]
+        return replace(self, rows=self.rows[index], own=self.own[index], ridge=ridge,
                        error_scale=self.error_scale[index], covs=covs)
 
     @property
@@ -158,9 +158,9 @@ class QuadFormSet:
         return self.n_blocks, self.n_antennas
 
     def _kinds(self) -> tuple[int, int, int, int]:
-        """(t, r, e, k): trials, rank-1 rows, other own matrices, covariances R."""
+        """(t, r, e, k): trials, rank-1 rows, eavesdropper covariances, covariances R."""
         r = self.rows.shape[-2]
-        return math.prod(self.trial_shape), r, self.own.shape[-3] - r, self.covs.shape[-3]
+        return math.prod(self.trial_shape), r, self.own.shape[-3] - r - 1, self.covs.shape[-3]
 
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
         """Both quadratic forms of every form at one point.
@@ -176,32 +176,32 @@ class QuadFormSet:
         fc = f.conj()
         # gram[t, m, b] = f_tb^H M_tm f_tb, in the tables' base order
         gram = np.empty((t, r + e + 1 + 2 * k, nb))
-        # the rank-1 rows' forms |v^H f_b|^2, unless they ride in the full
+        # the rank-1 rows' forms |v^H f_b|^2, unless they ride in the own
         # matrices' product
-        fold = (e or k) and n <= _FOLD_N
-        if not fold:
+        lo = 0 if n <= _FOLD_N else r
+        if lo:
             p = self.rows.reshape(t, r, n) @ fc.transpose(0, 2, 1)   # conj(v^H f_b)
             np.add(np.square(p.real), np.square(p.imag), out=gram[:, :r])
-        parts = f.view(float)
-        np.multiply(np.einsum("tbi,tbi->tb", parts, parts), self.ridge.reshape(t, 1),
-                    out=gram[:, r + e])
-        if e or k:
+        if lo and not (e or k):
+            # only the identity is left, whose form is ||f_b||^2
+            parts = f.view(float)
+            np.einsum("tbi,tbi->tb", parts, parts, out=gram[:, r])
+        else:
             # a full matrix's form is sum_ij Re(M_ij conj(f_i) f_j), a real
             # product of the interleaved (re, im) entries of M and of f conj(f)^T
             outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(t, nb, 2 * n * n)
             outer = outer.transpose(0, 2, 1)
-            if e or fold:
-                lo = 0 if fold else r
-                np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e])
+            np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e + 1])
             if k:
-                covs = gram[:, r + e + 1:r + e + 1 + k]
-                np.matmul(_flat(self.covs, t), outer, out=covs)
-                np.multiply(covs, self.error_scale.reshape(t, 1, 1), out=gram[:, r + e + 1 + k:])
-        gram = gram.reshape(t, -1, 1)
+                np.matmul(_flat(self.covs, t), outer, out=gram[:, r + e + 1:r + e + 1 + k])
+                np.multiply(gram[:, r + e + 1:r + e + 1 + k], self.error_scale.reshape(t, 1, 1),
+                            out=gram[:, r + e + 1 + k:])
+        gram[:, r + e] *= self.ridge.reshape(t, 1)
+        gram, lead = gram.reshape(t, -1, 1), self.trial_shape
 
         def ev(table):
             # the shared table against every trial's gram
-            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*self.trial_shape, len(table))
+            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, len(table))
 
         return QuadValues(ev(self.gain), ev(self.loss), self.variant,
                           self.n_secret, self.width, self.has_common)
@@ -211,27 +211,25 @@ class QuadFormSet:
         ``loss``) holds, one real weight per form on the last axis.
 
         The weights are contracted with the table first, so each base matrix
-        is touched once: the trial's ``own`` matrices in one product, the
-        shared covariances in another (Phi's coefficient folded into R's as
-        c_R + c_kappa c_Phi), and the ridge added on the diagonal.  Returns
-        the (n_blocks, N, N) block stack, with a leading trial axis (and one
-        row of weights per trial) on a chunk's set.
+        is touched once: the trial's ``own`` matrices, the identity's
+        coefficient scaled by the ridge, in one product, and the shared
+        covariances in another, Phi's coefficient folded into R's as
+        c_R + c_kappa c_Phi.  Returns the (n_blocks, N, N) block stack, with
+        a leading trial axis (and one row of weights per trial) on a chunk's
+        set.
         """
         t, r, e, k = self._kinds()
         nb, n = self.shape
         coef = (weights.reshape(t, 1, -1) @ table.reshape(len(table), -1)).reshape(t, -1, nb)
+        coef[:, r + e] *= self.ridge.reshape(t, 1)
         # real coefficients times the interleaved (re, im) entries of the bases
-        out = coef[:, :r + e].transpose(0, 2, 1) @ _flat(self.own, t)
+        out = coef[:, :r + e + 1].transpose(0, 2, 1) @ _flat(self.own, t)
         if k:
-            covs = coef[:, r + e + 1:r + e + 1 + k]
             phi = coef[:, r + e + 1 + k:]
             phi *= self.error_scale.reshape(t, 1, 1)
+            covs = coef[:, r + e + 1:r + e + 1 + k]
             covs += phi
             out += covs.transpose(0, 2, 1) @ _flat(self.covs, t)
-        # the ridge on the real parts of each block's diagonal, every 2(N+1)-th entry
-        ridge = coef[:, r + e]
-        ridge *= self.ridge.reshape(t, 1)
-        out[..., ::2 * (n + 1)] += ridge[..., None]
         return out.view(complex).reshape(*self.trial_shape, nb, n, n)
 
 
@@ -391,9 +389,9 @@ def build_quadforms_limited(
     """Pairs over the transmitter's knowledge: channel estimates (the rows)
     plus error covariances for rate lower bounds, wiretapper covariances for
     the collusion leakage upper bound.  True channels are not read.  The
-    user covariances stay the realization's array, shared across a chunk
-    where the draw shares them.  Takes a stacked realization and ``ridge``
-    as ``build_quadforms_perfect`` does."""
+    user covariances stay one array across a chunk where the draw shares
+    them.  Takes a stacked realization and ``ridge`` as
+    ``build_quadforms_perfect`` does."""
     return _build(realization, config, ridge, limited=True)
 
 
@@ -413,9 +411,10 @@ def _build(
     if realization.n_eves != config.n_eves:
         raise ValueError("realization/config eavesdropper mismatch")
     lead = realization.user_channels.shape[:-2]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (*lead, 1, n, n))
     if limited:
         rows = _complex(realization.user_estimates)
-        own = np.concatenate([_outer(rows), realization.eve_covs], axis=-3)
+        own = np.concatenate([_outer(rows), realization.eve_covs, eye], axis=-3)
         covs, scale = realization.user_covs, realization.error_scale
         if covs.ndim == 4 and covs.strides[0] == 0:
             # shared along the trial axis: stays one array, broadcast
@@ -425,7 +424,8 @@ def _build(
     else:
         # under perfect CSIT a wiretapping user sees its own signal matrix
         rows = _complex(np.concatenate([realization.user_channels, realization.eve_channels], axis=-2))
-        own, covs, scale = _outer(rows), np.zeros((*lead, 0, n, n), dtype=complex), 0.0
+        own = np.concatenate([_outer(rows), eye], axis=-3)
+        covs, scale = np.zeros((*lead, 0, n, n), dtype=complex), 0.0
     ridge = config.noise_user_ratio if ridge is None else ridge
     gain, loss = _tables(config.n_users, config.n_secret, config.n_eves, limited,
                          config.noise_eve / config.noise_user)

@@ -273,7 +273,7 @@ def test_chunk_size_follows_the_byte_budget():
     # only the per-trial bases and block stacks grow with the chunk; the
     # tables and the user covariances are shared
     size = harness.CHUNK_BYTES // harness._trial_bytes(rs.parse_config_text("").system, "limited")
-    assert size == 960
+    assert size == 907
     assert sizes(f"trials = {size}") == [size]
     assert sizes(f"trials = {size + 45}") == [size, 45]
     assert sizes("n_antennas = 32\nn_secret = 8\nn_normal = 8\nn_eves = 8\ntrials = 5") == [4, 1]
