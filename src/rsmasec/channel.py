@@ -281,9 +281,7 @@ def _user_statistics(
     User azimuths depend only on the layout, so every trial of a sweep point
     shares them; the arrays are read-only because every caller shares them.
     """
-    # C order, so that a quad-form set reads the shared covariances as they are
-    covs = np.ascontiguousarray(
-        one_ring_covariance(np.array(aoas), spread, n_antennas, antenna_spacing, n_nodes))
+    covs = one_ring_covariance(np.array(aoas), spread, n_antennas, antenna_spacing, n_nodes)
     kl = kl_decompose(covs, trunc_rel)
     for arr in (covs, *kl):
         arr.flags.writeable = False

@@ -394,7 +394,9 @@ def _trial_bytes(system: SystemConfig, csit_mode: str) -> int:
     error scale, its rank-1 rows, its own matrices (the rows' outer products,
     under limited CSIT its eavesdropper covariances, and the identity) and
     its (A, B) block stacks.  The coefficient tables and the user
-    covariances are shared by the whole chunk, so they are not counted."""
+    covariances are shared by the whole chunk, so they are not counted;
+    neither is the scratch of one call, such as the user covariances' share
+    of the stacks, which ``kkt_blocks`` keeps in their buffer."""
     n, k, e = system.n_antennas, system.n_users, system.n_eves
     n_rows = k if csit_mode == "limited" else k + e
     return 8 * 2 + 16 * (n_rows * n + (k + e + 1 + 2 * (k + 1)) * n * n)

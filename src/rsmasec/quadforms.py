@@ -94,7 +94,7 @@ class QuadFormSet:
     tables depend only on the dimensions, the CSIT mode and sigma_e^2 /
     sigma_u^2, never on the SNR, kappa or the drawn channels, so every set
     of one shape shares one of each, also across trials at different SNRs
-    and kappas; ``evaluate`` and ``weighted_blocks`` then work per trial.
+    and kappas; ``evaluate`` and ``kkt_blocks`` then work per trial.
     The stack always has K+1 blocks, block 0 carrying the common stream.
     ``has_common`` is False only on a ``without_common()`` view, which scores
     private-only (SDMA) stacks whose common block is zero.
@@ -182,20 +182,15 @@ class QuadFormSet:
         if lo:
             p = self.rows.reshape(t, r, n) @ fc.transpose(0, 2, 1)   # conj(v^H f_b)
             np.add(np.square(p.real), np.square(p.imag), out=gram[:, :r])
-        if lo and not (e or k):
-            # only the identity is left, whose form is ||f_b||^2
-            parts = f.view(float)
-            np.einsum("tbi,tbi->tb", parts, parts, out=gram[:, r])
-        else:
-            # a full matrix's form is sum_ij Re(M_ij conj(f_i) f_j), a real
-            # product of the interleaved (re, im) entries of M and of f conj(f)^T
-            outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(t, nb, 2 * n * n)
-            outer = outer.transpose(0, 2, 1)
-            np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e + 1])
-            if k:
-                np.matmul(_flat(self.covs, t), outer, out=gram[:, r + e + 1:r + e + 1 + k])
-                np.multiply(gram[:, r + e + 1:r + e + 1 + k], self.error_scale.reshape(t, 1, 1),
-                            out=gram[:, r + e + 1 + k:])
+        # a full matrix's form is sum_ij Re(M_ij conj(f_i) f_j), a real
+        # product of the interleaved (re, im) entries of M and of f conj(f)^T
+        outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(t, nb, 2 * n * n)
+        outer = outer.transpose(0, 2, 1)
+        np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e + 1])
+        if k:
+            np.matmul(_flat(self.covs, t), outer, out=gram[:, r + e + 1:r + e + 1 + k])
+            np.multiply(gram[:, r + e + 1:r + e + 1 + k], self.error_scale.reshape(t, 1, 1),
+                        out=gram[:, r + e + 1 + k:])
         gram[:, r + e] *= self.ridge.reshape(t, 1)
         gram, lead = gram.reshape(t, -1, 1), self.trial_shape
 
@@ -206,31 +201,43 @@ class QuadFormSet:
         return QuadValues(ev(self.gain), ev(self.loss), self.variant,
                           self.n_secret, self.width, self.has_common)
 
-    def weighted_blocks(self, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Weighted sum of the block matrices that ``table`` (``gain`` or
-        ``loss``) holds, one real weight per form on the last axis.
+    def kkt_blocks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block stacks (A, B): the weighted sums of the block matrices
+        that ``gain`` holds, one real weight per form in ``a`` on the last
+        axis, and of those that ``loss`` holds, with ``b``.
 
-        The weights are contracted with the table first, so each base matrix
-        is touched once: the trial's ``own`` matrices, the identity's
-        coefficient scaled by the ridge, in one product, and the shared
-        covariances in another, Phi's coefficient folded into R's as
-        c_R + c_kappa c_Phi.  Returns the (n_blocks, N, N) block stack, with
-        a leading trial axis (and one row of weights per trial) on a chunk's
+        The weights are contracted with the tables first, so each base matrix
+        is touched once for both stacks: the trial's ``own`` matrices, the
+        identity's coefficient scaled by the ridge, in one product, and the
+        shared covariances in another, Phi's coefficient folded into R's as
+        c_R + c_kappa c_Phi.  Returns two (n_blocks, N, N) stacks, with a
+        leading trial axis (and one row of weights per trial) on a chunk's
         set.
         """
         t, r, e, k = self._kinds()
         nb, n = self.shape
-        coef = (weights.reshape(t, 1, -1) @ table.reshape(len(table), -1)).reshape(t, -1, nb)
-        coef[:, r + e] *= self.ridge.reshape(t, 1)
-        # real coefficients times the interleaved (re, im) entries of the bases
-        out = coef[:, :r + e + 1].transpose(0, 2, 1) @ _flat(self.own, t)
+        coef = np.empty((2, t, 1, self.gain[0].size))
+        for table, weights, c in ((self.gain, a, coef[0]), (self.loss, b, coef[1])):
+            np.matmul(weights.reshape(t, 1, -1), table.reshape(len(table), -1), out=c)
+        coef = coef.reshape(2, t, -1, nb)
+        coef[:, :, r + e] *= self.ridge.reshape(t, 1)
+        # real coefficients times the interleaved (re, im) entries of the
+        # bases; A and B are the two halves of one product.  The shared
+        # covariances' part goes to the second half of the same buffer, so
+        # that no call allocates and frees a temporary as large as the stacks
+        # (whose churn makes the heap fault fresh pages at paper scale)
+        buf = np.empty((2 if k else 1, 2, t, nb, 2 * n * n))
+        out = buf[0]
+        np.matmul(coef[:, :, :r + e + 1].transpose(0, 1, 3, 2), _flat(self.own, t), out=out)
         if k:
-            phi = coef[:, r + e + 1 + k:]
+            phi = coef[:, :, r + e + 1 + k:]
             phi *= self.error_scale.reshape(t, 1, 1)
-            covs = coef[:, r + e + 1:r + e + 1 + k]
+            covs = coef[:, :, r + e + 1:r + e + 1 + k]
             covs += phi
-            out += covs.transpose(0, 2, 1) @ _flat(self.covs, t)
-        return out.view(complex).reshape(*self.trial_shape, nb, n, n)
+            np.matmul(covs.transpose(0, 1, 3, 2), _flat(self.covs, t), out=buf[1])
+            out += buf[1]
+        out = out.view(complex).reshape(2, *self.trial_shape, nb, n, n)
+        return out[0], out[1]
 
 
 class Smoothed(NamedTuple):

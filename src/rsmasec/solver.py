@@ -54,8 +54,7 @@ def assemble_kkt(quadforms: QuadFormSet, smoothed: Smoothed) -> tuple[np.ndarray
     axis on a chunk's set: A contracts the gain table with ``smoothed.a``, B
     the loss table with ``smoothed.b``.  Nonfinite coefficients are passed
     through; the solve loop drops the trials they reach."""
-    return (quadforms.weighted_blocks(quadforms.gain, smoothed.a),
-            quadforms.weighted_blocks(quadforms.loss, smoothed.b))
+    return quadforms.kkt_blocks(smoothed.a, smoothed.b)
 
 
 def block_solve(b_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
