@@ -7,8 +7,10 @@ Draws the first chunk of the config's sweep as a sweep draws it
 (``harness._draw_chunk``), builds its quad-form set (the full set, with the
 common forms) and takes each trial's MRT start as the point.  Then, R times
 in turn, it calls each of ``QuadFormSet.evaluate`` at the point,
-``assemble_kkt`` on the point's smoothed record and ``block_solve`` on the
-resulting B and A f, so the three interleave and share the machine's drift.
+``QuadValues.smoothed`` on the point's values, ``assemble_kkt`` on the
+point's smoothed record, ``block_solve`` on the resulting B and A f, and one
+whole plain GPI step (``solver._plain_step``) from the point, so the five
+interleave and share the machine's drift.
 Prints one JSON line with each call's min and median milliseconds, the
 chunk's trial count and its set's (n_blocks, N) shape.
 """
@@ -22,7 +24,7 @@ import time
 
 from rsmasec.baselines import mrt_init
 from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
-from rsmasec.solver import _matvec, assemble_kkt, block_solve
+from rsmasec.solver import _matvec, _plain_step, assemble_kkt, block_solve
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,13 +39,16 @@ def main(argv: list[str] | None = None) -> int:
     system = parts[0][0]
     knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
     point = mrt_init(knowledge)
-    smoothed = quadforms.evaluate(point).smoothed(system.smoothing, False)
+    values = quadforms.evaluate(point)
+    smoothed = values.smoothed(system.smoothing, False)
     a_op, b_op = assemble_kkt(quadforms, smoothed)
     rhs = _matvec(a_op, point)
     calls = {
         "evaluate": lambda: quadforms.evaluate(point),
+        "smoothed": lambda: values.smoothed(system.smoothing, False),
         "assemble_kkt": lambda: assemble_kkt(quadforms, smoothed),
         "block_solve": lambda: block_solve(b_op, rhs),
+        "plain_step": lambda: _plain_step(quadforms, smoothed, point),
     }
     ms: dict[str, list[float]] = {name: [] for name in calls}
     for _ in range(args.repeats):

@@ -9,7 +9,7 @@ and ships an experiment harness with seeded Monte Carlo sweeps.
 The names below are the documented API (README, "Library entry points");
 everything else is reached through its module.
 """
-from .baselines import gpi_sdma_solve, mrt_init, rzf_precoder
+from .baselines import mrt_init, rzf_precoder
 from .channel import ChannelRealization, ScenarioLayout, draw_scenario, one_ring_covariance
 from .config import SystemConfig
 from .harness import (
@@ -38,7 +38,6 @@ __all__ = [
     "build_quadforms_limited",
     "build_quadforms_perfect",
     "draw_scenario",
-    "gpi_sdma_solve",
     "gpi_solve",
     "mrt_init",
     "one_ring_covariance",

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .config import SystemConfig
-from .quadforms import build_quadforms_limited, build_quadforms_perfect
-from .solver import SolveTrace, gpi_solve_vector
+# Not called here; kept as module attributes for perfbench/spans.py's tracer.
+from .quadforms import build_quadforms_limited, build_quadforms_perfect  # noqa: F401
+from .solver import gpi_solve_vector  # noqa: F401
 
 
 def mrt_init(estimates: np.ndarray, *, common_stream: bool = True) -> np.ndarray:
@@ -58,27 +58,3 @@ def rzf_precoder(estimates: np.ndarray, config: SystemConfig) -> np.ndarray:
         raise ValueError("zero precoding column; estimates are degenerate")
     w = w / col_norms / math.sqrt(k)
     return np.concatenate([np.zeros((*est.shape[:-2], 1, n)), np.swapaxes(w, -1, -2)], axis=-2)
-
-
-def gpi_sdma_solve(
-    realization: ChannelRealization,
-    config: SystemConfig,
-    csit_mode: str = "perfect",
-) -> tuple[np.ndarray, SolveTrace]:
-    """Power iteration on the private-only objective (no common stream).
-
-    The rate-splitting solver on ``without_common()`` of the scenario's set,
-    started from a zero common block: the operators are block-diagonal, so
-    that block stays exactly zero and no common-rate term enters.
-    """
-    if csit_mode not in ("perfect", "limited"):
-        raise ValueError("csit_mode must be 'perfect' or 'limited'")
-    if csit_mode == "limited":
-        quadforms = build_quadforms_limited(realization, config)
-        knowledge = realization.user_estimates
-    else:
-        quadforms = build_quadforms_perfect(realization, config)
-        knowledge = realization.user_channels
-    start = mrt_init(knowledge, common_stream=False)
-    vec, trace = gpi_solve_vector(quadforms.without_common(), start.ravel(), config)
-    return vec.reshape(start.shape), trace

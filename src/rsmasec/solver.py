@@ -221,7 +221,8 @@ def gpi_solve_batch(
     n_trials = len(vec)
     alpha, eps = config.smoothing, config.epsilon
     out: list = [None] * n_trials
-    idx = np.arange(n_trials)      # chunk index of each active trial
+    # row j of every per-trial array belongs to active trial idx[j]
+    idx = np.arange(n_trials)
     sm = qf.evaluate(vec).smoothed(alpha, keep_iterates)
     obj = sm.objective
     rows: list[list] = [[] for _ in range(n_trials)]
@@ -229,12 +230,12 @@ def gpi_solve_batch(
         for i, (o, lam) in enumerate(zip(obj.tolist(), sm.lam.tolist())):
             rows[i].append((0, math.nan, o, lam))
     best_obj, best_vec = obj, vec
-    # per-trial rings of the last _DEPTH image and residual differences,
-    # made at the step of the oldest difference the first accelerated step
-    # mixes; a solve with no accelerated step makes none and keeps no
-    # previous image or residual
-    first_record = _WARMUP - _DEPTH + 2 if config.t_max > _WARMUP else math.inf
     restarts = np.zeros(n_trials, dtype=int)
+    # per-trial rings of the last _DEPTH image and residual differences; the
+    # warm-up's entries are overwritten before the first accelerated step reads
+    d_img = np.zeros((n_trials, _DEPTH, *qf.shape), dtype=complex)
+    d_res = np.zeros_like(d_img)
+    prev_img, prev_res = vec, np.zeros_like(vec)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in range(1, config.t_max + 1):
@@ -243,32 +244,28 @@ def gpi_solve_batch(
             step = _norms(res)
             sm = qf.evaluate(img).smoothed(alpha, keep_iterates)
             obj = sm.objective
+            d_img[:, t % _DEPTH] = img - prev_img
+            d_res[:, t % _DEPTH] = res - prev_res
+            prev_img, prev_res = img, res
             nxt = img
 
-            # every active trial fills the same ring slot
-            if t >= first_record:
-                if t == first_record:
-                    d_img = np.zeros((len(vec), _DEPTH, *qf.shape), dtype=complex)
-                    d_res = np.zeros_like(d_img)
-                d_img[:, t % _DEPTH] = img - prev_img
-                d_res[:, t % _DEPTH] = res - prev_res
-            acc = np.flatnonzero(ok & (step > eps)) if t > _WARMUP else []
-            if len(acc):
+            acc = ok & (step > eps) & (t > _WARMUP)
+            if acc.any():
                 cand = _anderson(img[acc], d_img[acc], d_res[acc], res[acc])
-                cand = cand / _norms(cand)[:, None, None]
-                cand_sm = qf.take(acc).evaluate(cand).smoothed(alpha, keep_iterates)
-                up = cand_sm.objective >= obj[acc]      # the safeguard: no worse than g(x)
-                win, lost = acc[up], acc[~up]
                 nxt = img.copy()
-                nxt[win] = cand[up]
+                nxt[acc] = cand / _norms(cand)[:, None, None]
+                # scored on the active set: a trial without a candidate
+                # scores its own image again
+                cand_sm = qf.evaluate(nxt).smoothed(alpha, keep_iterates)
+                up = acc & (cand_sm.objective >= obj)   # the safeguard: no worse than g(x)
+                lost = acc & ~up
+                nxt[lost] = img[lost]
                 for field, cand_field in zip(sm, cand_sm):   # in place; lam may be None
                     if field is not None:
-                        field[win] = cand_field[up]
+                        field[up] = cand_field[up]
                 d_img[lost] = 0.0
                 d_res[lost] = 0.0
                 restarts[lost] += 1
-            if t >= first_record - 1:
-                prev_img, prev_res = img, res
 
             better = obj > best_obj
             best_obj = np.where(better, obj, best_obj)
@@ -294,13 +291,11 @@ def gpi_solve_batch(
             if not keep.all():
                 if not keep.any():
                     break
-                idx, vec, qf = idx[keep], vec[keep], qf.take(keep)
+                qf = qf.take(keep)
                 sm = Smoothed(*(None if field is None else field[keep] for field in sm))
-                best_obj, best_vec, restarts = best_obj[keep], best_vec[keep], restarts[keep]
-                if t >= first_record - 1:
-                    prev_img, prev_res = prev_img[keep], prev_res[keep]
-                if t >= first_record:
-                    d_img, d_res = d_img[keep], d_res[keep]
+                idx, vec, best_obj, best_vec, restarts, prev_img, prev_res, d_img, d_res = (
+                    a[keep] for a in (idx, vec, best_obj, best_vec, restarts,
+                                      prev_img, prev_res, d_img, d_res))
     return out
 
 

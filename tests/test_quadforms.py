@@ -229,8 +229,8 @@ def test_sdma_private_rates_match_padded_stack(build, n, s_cnt, m_cnt, e_cnt, se
                                    rtol=0, atol=1e-10)
     np.testing.assert_allclose(vals.private_rates(), private, rtol=0, atol=1e-10)
 
-    variant = "perfect" if build is rs.build_quadforms_perfect else "limited"
-    solved, _ = rs.gpi_sdma_solve(real, cfg, variant)
+    knowledge = real.user_channels if build is rs.build_quadforms_perfect else real.user_estimates
+    solved, _ = rs.gpi_solve(qf, rs.mrt_init(knowledge, common_stream=False), cfg)
     assert solved.shape == (k + 1, n)
     assert np.isfinite(solved).all()
     assert abs(np.linalg.norm(solved) - 1.0) < 1e-12

@@ -10,7 +10,7 @@ from scipy.special import softmax
 
 import rsmasec as rs
 from rsmasec import solver
-from rsmasec.quadforms import QuadValues
+from rsmasec.quadforms import QuadFormSet, QuadValues
 from rsmasec.rates import _lse_softmax
 from rsmasec.solver import (
     _align_phase,
@@ -465,3 +465,21 @@ def test_a_candidate_no_better_than_the_plain_image_is_rejected(build, monkeypat
     for i, (stack, trace) in zip(pick.tolist(), batch):
         assert trace.restarts == cfg.t_max - solver._WARMUP
         assert_plain_map(stack, trace, plain, i)
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_candidates_are_scored_without_copying_the_set(build, monkeypatch):
+    # no trial stops before t_max, so the set is never compacted, and the
+    # accelerated steps score their candidates on the active set itself
+    cfg, stacked, sets, starts = chunk(build, 8, t_max=solver._WARMUP + 10)
+    cfg = replace(cfg, epsilon=1e-15)
+    alone = [rs.gpi_solve(qf, start, cfg) for qf, start in zip(sets, starts)]
+    takes = []
+    take = QuadFormSet.take
+    monkeypatch.setattr(QuadFormSet, "take", lambda qf, index: takes.append(index) or take(qf, index))
+    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    assert takes == []
+    for (stack, trace), (want, full) in zip(batch, alone):
+        assert not trace.converged and trace.iterations_used == cfg.t_max
+        assert np.array_equal(stack, want)
+        assert trace == full
