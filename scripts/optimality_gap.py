@@ -36,7 +36,7 @@ import numpy as np
 from rsmasec.baselines import mrt_init
 from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
 from rsmasec.rates import sum_secrecy_se
-from rsmasec.solver import NumericError, gpi_solve_batch
+from rsmasec.solver import gpi_solve_batch
 
 REFERENCE = {"epsilon": 1e-4, "t_max": 500}
 STARTS = 16      # random starts per scenario
@@ -45,16 +45,10 @@ STARTS = 16      # random starts per scenario
 def _solve(quadforms, starts, system, truth, parts):
     """(objective, true SE, iterations) per trial of one batched solve;
     NaN objective and SE, and 0 iterations, where a trial failed."""
-    n = len(starts)
-    precoders = np.full((n, *quadforms.shape), np.nan, dtype=complex)
-    objective, iterations = np.full(n, np.nan), np.zeros(n, dtype=int)
-    for i, result in enumerate(gpi_solve_batch(quadforms, starts, system)):
-        if not isinstance(result, NumericError):
-            precoders[i], trace = result
-            objective[i], iterations[i] = trace.objective, trace.iterations_used
+    precoders, trace = gpi_solve_batch(quadforms, starts, system)
     se = np.concatenate([sum_secrecy_se(truth.take(at), precoders[at], s).sum_secrecy_se
                          for s, _, _, at in parts])
-    return objective, se, iterations
+    return trace.objective, se, trace.iterations_used
 
 
 def _summary(rows: list[dict]) -> dict:

@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results, seconds = _best({"one_by_one": one_by_one, "batched": batched}, args.repeats)
     single, solves = results["one_by_one"], results["batched"]
-    batch = [r for solve in solves for r in solve]
+    batch = [(solutions[i], trace.take(i)) for solutions, trace in solves for i in range(len(solutions))]
     same = all(np.array_equal(a[0], b[0]) and _outcome(a[1]) == _outcome(b[1])
                for a, b in zip(single, batch))
     best = {f"{name}_s": round(s, 4) for name, s in {**draw_best, **seconds}.items()}
@@ -113,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
         "speedup": round(best["one_by_one_s"] / best["batched_s"], 2),
         "solves": len(single),
         "iterations": sum(trace.iterations_used for _, trace in single),
-        "loop_iterations": sum(max(trace.iterations_used for _, trace in solve) for solve in solves),
-        "restarts": sum(trace.restarts for _, trace in batch),
+        "loop_iterations": sum(int(trace.iterations_used.max()) for _, trace in solves),
+        "restarts": sum(int(trace.restarts.sum()) for _, trace in solves),
         "chunk_sizes": sorted({len(sets) for _, sets, _, _ in jobs}),
         "draws_bit_identical": draws_same,
         "bit_identical": same,

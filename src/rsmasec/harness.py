@@ -310,19 +310,13 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
         iterations, converged = [0] * n, [True] * n
         if method in ("gpi-rsma", "gpi-sdma"):
             rsma = method == "gpi-rsma"
-            solved = gpi_solve_batch(quadforms if rsma else quadforms.without_common(),
-                                     mrt_init(knowledge, common_stream=rsma), system)
-            # a failed trial scores a NaN precoder, so only its own row is NaN
-            precoders = np.full((n, *quadforms.shape), np.nan, dtype=complex)
-            objective = [math.nan] * n
-            for i, result in enumerate(solved):
-                if isinstance(result, NumericError):
-                    log.warning("trial %d method %s failed numerically: %s", where[i][3], method, result)
-                    converged[i] = False
-                    continue
-                precoders[i], trace = result
-                iterations[i], converged[i] = trace.iterations_used, trace.converged
-                objective[i] = trace.objective
+            # a failed trial scores its NaN precoder, so only its own row is NaN
+            precoders, trace = gpi_solve_batch(quadforms if rsma else quadforms.without_common(),
+                                               mrt_init(knowledge, common_stream=rsma), system)
+            for i in np.flatnonzero(trace.iterations_used == 0):
+                log.warning("trial %d method %s failed numerically", where[i][3], method)
+            iterations, converged = trace.iterations_used.tolist(), trace.converged.tolist()
+            objective = trace.objective.tolist()
         elif method == "rzf-sdma":
             # private-only: no common family to score
             precoders = np.concatenate([rzf_precoder(knowledge[at], s) for s, _, _, at in parts])
@@ -527,12 +521,12 @@ def run_convergence(
             parts, truth, ridge = _draw_chunk(config, pieces)
             system = parts[0][0]
             knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-            results = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
+            _, trace = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
+            if (trace.iterations_used == 0).any():
+                raise NumericError("a solve of the chunk failed numerically")
             for (snr, _, trials), (_, _, seeds, at) in zip(pieces, parts):
-                for trial, seed, solved in zip(trials, seeds, results[at]):
-                    if isinstance(solved, NumericError):
-                        raise solved
-                    for it, step, obj, lam in solved[1].rows:
+                for trial, seed, rows in zip(trials, seeds, trace.rows[at]):
+                    for it, step, obj, lam in rows:
                         writer.writerow([
                             _fmt(snr), str(trial), str(seed), str(it),
                             "" if math.isnan(step) else _fmt(step),

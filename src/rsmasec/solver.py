@@ -38,14 +38,21 @@ class SolveTrace:
     ones).  ``restarts`` counts the accelerated candidates the safeguard
     rejected.  With ``keep_iterates`` each row is (iteration, step_norm,
     objective, lam); row 0 holds the initializer (step_norm is NaN there).
-    A solve run without it leaves ``rows`` empty.
+    A solve run without it leaves ``rows`` empty.  A chunk's trace puts a
+    trial axis on every field (``rows`` holds a tuple per trial); a failed
+    trial reads NaN ``objective``, ``iterations_used`` 0 and not converged.
     """
 
     rows: tuple[tuple[int, float, float, float], ...]
-    converged: bool
-    iterations_used: int
-    objective: float
-    restarts: int
+    converged: bool | np.ndarray
+    iterations_used: int | np.ndarray
+    objective: float | np.ndarray
+    restarts: int | np.ndarray
+
+    def take(self, i: int) -> "SolveTrace":
+        """Trial i's trace of a chunk's, with Python scalars."""
+        return SolveTrace(self.rows[i], bool(self.converged[i]), int(self.iterations_used[i]),
+                          float(self.objective[i]), int(self.restarts[i]))
 
 
 def assemble_kkt(quadforms: QuadFormSet, smoothed: Smoothed) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +185,15 @@ def gpi_solve_batch(
     config: SystemConfig,
     *,
     keep_iterates: bool = False,
-) -> list[tuple[np.ndarray, SolveTrace] | NumericError]:
+) -> tuple[np.ndarray, SolveTrace]:
     """Power-iterate every set of a chunk from its start, all trials at once.
 
     ``quadforms`` is a chunk's set (its bases carry the T trials; the
     tables are shared) and ``starts`` the (T, n_blocks, N) stack of nonzero,
     finite starting precoders.  On a set without a common family the start's
     common block must be zero; the block-diagonal operators then keep it
-    exactly zero.  Returns, per trial, the solution and its trace, or the
-    NumericError that stopped it.
+    exactly zero.  Returns the (T, n_blocks, N) solution stack and its trace;
+    a trial whose step fails reads NaN in both, with 0 iterations.
 
     Each step maps a trial's iterate x to its plain image
     g(x) = align(normalize(B^-1 A x), x).  The trial stops when the step norm
@@ -220,8 +227,7 @@ def gpi_solve_batch(
     vec = _unit_starts(qf, starts)
     n_trials = len(vec)
     alpha, eps = config.smoothing, config.epsilon
-    out: list = [None] * n_trials
-    # row j of every per-trial array belongs to active trial idx[j]
+    # row j of every per-active array belongs to active trial idx[j]
     idx = np.arange(n_trials)
     sm = qf.evaluate(vec).smoothed(alpha, keep_iterates)
     obj = sm.objective
@@ -229,7 +235,10 @@ def gpi_solve_batch(
     if keep_iterates:
         for i, (o, lam) in enumerate(zip(obj.tolist(), sm.lam.tolist())):
             rows[i].append((0, math.nan, o, lam))
-    best_obj, best_vec = obj, vec
+    # each trial's outputs, by trial id; until it leaves, its best iterate
+    solutions, objective = vec.copy(), obj.copy()
+    converged = np.zeros(n_trials, dtype=bool)
+    iterations = np.zeros(n_trials, dtype=int)
     restarts = np.zeros(n_trials, dtype=int)
     # per-trial rings of the last _DEPTH image and residual differences; the
     # warm-up's entries are overwritten before the first accelerated step reads
@@ -265,38 +274,33 @@ def gpi_solve_batch(
                         field[up] = cand_field[up]
                 d_img[lost] = 0.0
                 d_res[lost] = 0.0
-                restarts[lost] += 1
+                restarts[idx[lost]] += 1
 
-            better = obj > best_obj
-            best_obj = np.where(better, obj, best_obj)
-            best_vec = np.where(better[:, None, None], nxt, best_vec)
+            better = obj > objective[idx]
+            at = idx[better]
+            solutions[at], objective[at] = nxt[better], obj[better]
             vec = nxt
 
-            stop = ok & (step <= eps)
             if keep_iterates:
                 for i, st, ob, la in zip(idx[ok].tolist(), step[ok].tolist(),
                                          obj[ok].tolist(), sm.lam[ok].tolist()):
                     rows[i].append((t, st, ob, la))
-            keep = ok & ~stop
-            done = np.flatnonzero(~keep) if t < config.t_max else range(len(idx))
-            for j in done:
-                i = idx[j]
-                if not ok[j]:
-                    out[i] = NumericError(_STEP_FAILED)
-                    continue
-                hit = bool(stop[j])
-                out[i] = ((vec[j] if hit else best_vec[j]).copy(),
-                          SolveTrace(tuple(rows[i]), hit, t,
-                                     float(obj[j] if hit else best_obj[j]), int(restarts[j])))
+            # an ok trial's step is finite, so this is ok & ~stop & (t < t_max)
+            keep = ok & (step > eps) & (t < config.t_max)
             if not keep.all():
+                # stopped trials take this step's iterate, failed ones NaN
+                stop = ok & (step <= eps)
+                hit, bad = idx[stop], idx[~ok]
+                solutions[hit], objective[hit], converged[hit] = vec[stop], obj[stop], True
+                solutions[bad], objective[bad] = np.nan, np.nan
+                iterations[idx[ok & ~keep]] = t
                 if not keep.any():
                     break
                 qf = qf.take(keep)
                 sm = Smoothed(*(None if field is None else field[keep] for field in sm))
-                idx, vec, best_obj, best_vec, restarts, prev_img, prev_res, d_img, d_res = (
-                    a[keep] for a in (idx, vec, best_obj, best_vec, restarts,
-                                      prev_img, prev_res, d_img, d_res))
-    return out
+                idx, vec, prev_img, prev_res, d_img, d_res = (
+                    a[keep] for a in (idx, vec, prev_img, prev_res, d_img, d_res))
+    return solutions, SolveTrace(tuple(map(tuple, rows)), converged, iterations, objective, restarts)
 
 
 def gpi_solve_vector(
@@ -306,16 +310,15 @@ def gpi_solve_vector(
 ) -> tuple[np.ndarray, SolveTrace]:
     """``gpi_solve_batch`` on one set from a flat start of matching length;
     returns the flat solution with its full trace (``keep_iterates``) and
-    raises the NumericError that stopped it."""
+    raises NumericError where the solve failed."""
     vec = np.asarray(start, dtype=complex)
     if vec.size != quadforms.n_blocks * quadforms.n_antennas:
         raise ValueError("start vector length does not match the quad-form set")
     chunk = quadforms.take(np.newaxis)
-    result = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config, keep_iterates=True)[0]
-    if isinstance(result, NumericError):
-        raise result
-    solution, trace = result
-    return solution.ravel(), trace
+    solutions, trace = gpi_solve_batch(chunk, vec.reshape(1, *quadforms.shape), config, keep_iterates=True)
+    if trace.iterations_used[0] == 0:
+        raise NumericError(_STEP_FAILED)
+    return solutions[0].ravel(), trace.take(0)
 
 
 def gpi_solve(

@@ -224,12 +224,12 @@ def _check_gradient_consistency() -> tuple[bool, str]:
     return worst >= 0.999, f"min gradient cosine = {worst:.6f} (limit 0.999)"
 
 
-def _residual(qf: QuadFormSet, solved, config: SystemConfig) -> float:
-    """``kkt_residual`` at a batch result's solution; NumericError counts as +inf."""
-    if isinstance(solved, NumericError):
+def _residual(qf: QuadFormSet, solution: np.ndarray, config: SystemConfig) -> float:
+    """``kkt_residual`` at a solution; a nonfinite one or a NumericError counts as +inf."""
+    if not np.isfinite(solution).all():
         return math.inf
     try:
-        return kkt_residual(qf, solved[0], config)
+        return kkt_residual(qf, solution, config)
     except NumericError:
         return math.inf
 
@@ -244,8 +244,8 @@ def _check_fixed_point_residual() -> tuple[bool, str]:
     residuals = []
     for mode, half in (("perfect", draws[:100]), ("limited", draws[100:])):   # one batch per CSIT mode
         knowledge, qf = _known(mode, ChannelRealization.stack(half), config)
-        solved = gpi_solve_batch(qf, mrt_init(knowledge), config)
-        residuals += [_residual(qf.take(i), result, config) for i, result in enumerate(solved)]
+        solutions, _ = gpi_solve_batch(qf, mrt_init(knowledge), config)
+        residuals += [_residual(qf.take(i), solution, config) for i, solution in enumerate(solutions)]
     passed = sum(res <= 1e-3 for res in residuals)
     return passed >= 190, f"{passed}/200 residuals <= 1e-3 (need 190); max = {max(residuals):.3e}"
 

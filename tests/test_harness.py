@@ -326,6 +326,24 @@ def test_failed_row_is_left_out_of_its_aggregate(monkeypatch):
     assert agg[None, "mrt"][2] == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scoring the poisoned trial's mrt row
+def test_each_failed_solve_logs_one_warning(monkeypatch, caplog):
+    cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
+    poison_trial(monkeypatch, cfg, derive_seed(cfg.master_seed, 0, 1))
+    with caplog.at_level("WARNING", logger=harness.log.name):
+        harness._sweep_rows(cfg, workers=1)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", f"trial 1 method {method} failed numerically") for method in ("gpi-rsma", "gpi-sdma")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # evaluating the poisoned trial's start
+def test_convergence_raises_on_a_failed_solve(monkeypatch, tmp_path):
+    cfg = rs.parse_config_text("trials = 3")
+    poison_trial(monkeypatch, cfg, derive_seed(cfg.master_seed, 0, 1))
+    with pytest.raises(rs.NumericError):
+        rs.run_convergence(cfg, [cfg.system.snr_db], str(tmp_path / "trace.csv"))
+
+
 def test_aggregate_of_only_failed_rows_is_nan_with_count_zero():
     row = rs.run_trial(rs.parse_config_text("methods = mrt"), None, 0)[0]
     failed = replace(row, sum_secrecy_se=math.nan)

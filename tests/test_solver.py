@@ -344,11 +344,12 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
     assert not all(trace.converged for _, trace in alone)
     subset = np.random.default_rng(3).permutation(len(sets))[:5]
     for pick in (np.arange(len(sets)), subset):
-        batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
-        for i, (stack, trace) in zip(pick, batch):
-            assert np.array_equal(stack, alone[i][0])
-            assert trace == alone[i][1]
-            assert [row[3] for row in trace.rows] == [row[3] for row in alone[i][1].rows]
+        solutions, trace = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
+        assert solutions.shape == (len(pick), *stacked.shape)
+        for j, i in enumerate(pick):
+            assert np.array_equal(solutions[j], alone[i][0])
+            assert trace.take(j) == alone[i][1]
+            assert [row[3] for row in trace.rows[j]] == [row[3] for row in alone[i][1].rows]
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
@@ -358,38 +359,42 @@ def test_failed_trial_leaves_the_rest_of_its_chunk_alone(build):
     rows, own = stacked.rows.copy(), stacked.own.copy()
     rows[2, 0, 0] = own[2, 0, 0, 0] = np.nan
     stacked = replace(stacked, rows=rows, own=own)
-    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
-    assert isinstance(batch[2], rs.NumericError)
+    solutions, trace = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    # the failed trial reads as its sweep row does
+    assert np.isnan(solutions[2]).all() and math.isnan(trace.objective[2])
+    assert (trace.iterations_used[2], trace.converged[2]) == (0, False)
     with pytest.raises(rs.NumericError):
         rs.gpi_solve(stacked.take(2), starts[2], cfg)
     with pytest.raises(rs.NumericError):
         kkt_residual(stacked.take(2), starts[2], cfg)
     for i in (0, 1, 3):
-        stack, trace = rs.gpi_solve(sets[i], starts[i], cfg)
-        assert np.array_equal(batch[i][0], stack)
-        assert batch[i][1] == trace
+        stack, alone = rs.gpi_solve(sets[i], starts[i], cfg)
+        assert np.array_equal(solutions[i], stack)
+        assert trace.take(i) == alone
+        assert alone.iterations_used > 0
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_a_sweep_solve_keeps_no_iterates_and_the_same_outcome(build):
     cfg, stacked, _, starts = chunk(build, 8)
-    kept = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
-    lean = gpi_solve_batch(stacked, starts, cfg)
-    for (stack, trace), (want, full) in zip(lean, kept):
-        assert np.array_equal(stack, want)
-        assert (trace.iterations_used, trace.converged, trace.objective) == (
-            full.iterations_used, full.converged, full.objective)
-        assert trace.rows == ()
-        assert len(full.rows) == full.iterations_used + 1
+    want, full = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    solutions, trace = gpi_solve_batch(stacked, starts, cfg)
+    assert np.array_equal(solutions, want)
+    for name in ("iterations_used", "converged", "objective", "restarts"):
+        assert np.array_equal(getattr(trace, name), getattr(full, name))
+    assert trace.rows == ((),) * len(starts)
+    assert [len(rows) for rows in full.rows] == (full.iterations_used + 1).tolist()
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_trace_objective_is_the_returned_iterates(build):
     # the chunk mixes converged solves and solves stopped at t_max
     cfg, stacked, sets, starts = chunk(build, 8)
-    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
-    assert {trace.converged for _, trace in batch} == {True, False}
-    for qf, (stack, trace) in zip(sets, batch):
+    solutions, batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    assert set(batch.converged.tolist()) == {True, False}
+    assert np.array_equal(batch.objective, rs.smoothed_objective(stacked, solutions, cfg))
+    for i, (qf, stack) in enumerate(zip(sets, solutions)):
+        trace = batch.take(i)
         assert trace.objective == rs.smoothed_objective(qf, stack, cfg)
         objectives = [row[2] for row in trace.rows]
         assert trace.objective == (objectives[-1] if trace.converged else max(objectives))
@@ -442,10 +447,10 @@ def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
     cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP)
     cfg = replace(cfg, epsilon=1e-15)
     plain = plain_map(stacked, starts, cfg)
-    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
-    for i, (stack, trace) in enumerate(batch):
-        assert trace.restarts == 0
-        assert_plain_map(stack, trace, plain, i)
+    solutions, batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    assert not batch.restarts.any()
+    for i, stack in enumerate(solutions):
+        assert_plain_map(stack, batch.take(i), plain, i)
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
@@ -461,10 +466,10 @@ def test_a_candidate_no_better_than_the_plain_image_is_rejected(build, monkeypat
     pick = np.flatnonzero(climbs)
     assert len(pick) >= 2
     monkeypatch.setattr(solver, "_anderson", lambda img, d_img, d_res, res: img - res)
-    batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
-    for i, (stack, trace) in zip(pick.tolist(), batch):
-        assert trace.restarts == cfg.t_max - solver._WARMUP
-        assert_plain_map(stack, trace, plain, i)
+    solutions, batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
+    assert (batch.restarts == cfg.t_max - solver._WARMUP).all()
+    for j, i in enumerate(pick.tolist()):
+        assert_plain_map(solutions[j], batch.take(j), plain, i)
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
@@ -477,9 +482,9 @@ def test_candidates_are_scored_without_copying_the_set(build, monkeypatch):
     takes = []
     take = QuadFormSet.take
     monkeypatch.setattr(QuadFormSet, "take", lambda qf, index: takes.append(index) or take(qf, index))
-    batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    solutions, batch = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
     assert takes == []
-    for (stack, trace), (want, full) in zip(batch, alone):
-        assert not trace.converged and trace.iterations_used == cfg.t_max
-        assert np.array_equal(stack, want)
-        assert trace == full
+    assert not batch.converged.any() and (batch.iterations_used == cfg.t_max).all()
+    for i, (want, full) in enumerate(alone):
+        assert np.array_equal(solutions[i], want)
+        assert batch.take(i) == full
