@@ -368,9 +368,13 @@ def _cell(value) -> str:
     return str(value)
 
 
+# TrialResult's field names, in CSV_COLUMNS order, taken once
+_RESULT_FIELDS = tuple(f.name for f in fields(TrialResult))
+
+
 def _result_row(r: TrialResult) -> list[str]:
     """CSV cells of ``r``; the field order of TrialResult is CSV_COLUMNS."""
-    return [_cell(getattr(r, f.name)) for f in fields(r)]
+    return [_cell(getattr(r, name)) for name in _RESULT_FIELDS]
 
 
 def aggregate_path(out_path: str) -> str:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .rates import _lse_softmax
+from .rates import _lse_softmax, _row_sum
 # Not called here; kept as module attributes for perfbench/spans.py's tracer.
 from .rates import lse_max, lse_min  # noqa: F401
 
@@ -163,45 +163,53 @@ class QuadFormSet:
         return math.prod(self.trial_shape), r, self.own.shape[-3] - r - 1, self.covs.shape[-3]
 
     def evaluate(self, blocks: np.ndarray) -> "QuadValues":
-        """Both quadratic forms of every form at one point.
+        """Both quadratic forms of every form at one point, or at several.
 
-        On a chunk's set ``blocks`` is (T, n_blocks, N), one precoder per
-        trial, and every value gains the leading trial axis.  Every product
-        is batched over the trials, with a shared operand broadcast, so a
-        trial's values do not depend on its chunk.
+        ``blocks`` is (n_blocks, N), or (P, n_blocks, N) for P points; on a
+        chunk's set it has the leading trial axis too, (T, n_blocks, N) or
+        (T, P, n_blocks, N).  Every value gains those leading axes.  Every
+        product is batched over the trials and points, with a shared operand
+        broadcast, and each point is contracted with the tables in its own
+        one-column product, so a point's values do not depend on its chunk
+        or on the other points.
         """
         t, r, e, k = self._kinds()
         nb, n = self.shape
-        f = _complex(blocks).reshape(t, nb, n)
+        f = _complex(blocks)
+        lead, trial = f.shape[:-2], self.trial_shape
+        if lead[:len(trial)] != trial or len(lead) > len(trial) + 1 or f.shape[-2:] != (nb, n):
+            raise ValueError(f"precoder shape {f.shape} does not match the set's "
+                             f"{(*trial, nb, n)}, with at most one point axis")
+        f = f.reshape(t, -1, nb, n)
         fc = f.conj()
-        # gram[t, m, b] = f_tb^H M_tm f_tb, in the tables' base order
-        gram = np.empty((t, r + e + 1 + 2 * k, nb))
+        # gram[t, p, m, b] = f_tpb^H M_tm f_tpb, in the tables' base order
+        gram = np.empty((t, f.shape[1], r + e + 1 + 2 * k, nb))
         # the rank-1 rows' forms |v^H f_b|^2, unless they ride in the own
         # matrices' product
         lo = 0 if n <= _FOLD_N else r
         if lo:
-            p = self.rows.reshape(t, r, n) @ fc.transpose(0, 2, 1)   # conj(v^H f_b)
-            np.add(np.square(p.real), np.square(p.imag), out=gram[:, :r])
+            p = self.rows.reshape(t, 1, r, n) @ fc.transpose(0, 1, 3, 2)   # conj(v^H f_b)
+            np.add(np.square(p.real), np.square(p.imag), out=gram[:, :, :r])
         # a full matrix's form is sum_ij Re(M_ij conj(f_i) f_j), a real
         # product of the interleaved (re, im) entries of M and of f conj(f)^T
-        outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(t, nb, 2 * n * n)
-        outer = outer.transpose(0, 2, 1)
-        np.matmul(_flat(self.own[..., lo:, :, :], t), outer, out=gram[:, lo:r + e + 1])
+        outer = (f[..., :, None] * fc[..., None, :]).view(float).reshape(*f.shape[:3], 2 * n * n)
+        outer = outer.transpose(0, 1, 3, 2)
+        np.matmul(_flat(self.own[..., lo:, :, :], t)[:, None], outer, out=gram[:, :, lo:r + e + 1])
         if k:
-            np.matmul(_flat(self.covs, t), outer, out=gram[:, r + e + 1:r + e + 1 + k])
-            np.multiply(gram[:, r + e + 1:r + e + 1 + k], self.error_scale.reshape(t, 1, 1),
-                        out=gram[:, r + e + 1 + k:])
-        gram[:, r + e] *= self.ridge.reshape(t, 1)
-        gram, lead = gram.reshape(t, -1, 1), self.trial_shape
+            r_forms = gram[:, :, r + e + 1:r + e + 1 + k]
+            np.matmul(_flat(self.covs, t)[:, None], outer, out=r_forms)
+            np.multiply(r_forms, self.error_scale.reshape(t, 1, 1, 1), out=gram[:, :, r + e + 1 + k:])
+        gram[:, :, r + e] *= self.ridge.reshape(t, 1, 1)
+        gram = gram.reshape(*gram.shape[:2], -1, 1)
 
         def ev(table):
-            # the shared table against every trial's gram
-            return (table.reshape(-1, gram.shape[1]) @ gram).reshape(*lead, len(table))
+            # the shared table against every point's gram
+            return (table.reshape(-1, gram.shape[2]) @ gram).reshape(*lead, len(table))
 
         return QuadValues(ev(self.gain), ev(self.loss), self.variant,
                           self.n_secret, self.width, self.has_common)
 
-    def kkt_blocks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def kkt_blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The block stacks (A, B): the weighted sums of the block matrices
         that ``gain`` holds, one real weight per form in ``a`` on the last
         axis, and of those that ``loss`` holds, with ``b``.
@@ -210,9 +218,9 @@ class QuadFormSet:
         is touched once for both stacks: the trial's ``own`` matrices, the
         identity's coefficient scaled by the ridge, in one product, and the
         shared covariances in another, Phi's coefficient folded into R's as
-        c_R + c_kappa c_Phi.  Returns two (n_blocks, N, N) stacks, with a
-        leading trial axis (and one row of weights per trial) on a chunk's
-        set.
+        c_R + c_kappa c_Phi.  Returns A and B as one (2, n_blocks, N, N)
+        array, which unpacks as (A, B), with a trial axis after the first
+        (and one row of weights per trial) on a chunk's set.
         """
         t, r, e, k = self._kinds()
         nb, n = self.shape
@@ -236,8 +244,7 @@ class QuadFormSet:
             covs += phi
             np.matmul(covs.transpose(0, 1, 3, 2), _flat(self.covs, t), out=buf[1])
             out += buf[1]
-        out = out.view(complex).reshape(2, *self.trial_shape, nb, n, n)
-        return out[0], out[1]
+        return out.view(complex).reshape(2, *self.trial_shape, nb, n, n)
 
 
 class Smoothed(NamedTuple):
@@ -255,12 +262,13 @@ class Smoothed(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadValues:
-    """f^H G f and f^H L f of every form at one iterate, in the set's form
+    """f^H G f and f^H L f of every form at one point, in the set's form
     order on the last axis of ``gain`` and ``loss``.
 
-    Values of a chunk's set carry a leading trial axis on both arrays; the
-    methods then return one value per trial.  Every smoothing decision of
-    the objective lives in ``smoothed``.
+    Values of a chunk's set carry a leading trial axis on both arrays, and
+    values at several points a point axis after it; the methods then return
+    one value per trial and point.  Every smoothing decision of the
+    objective lives in ``smoothed``.
     """
 
     gain: np.ndarray
@@ -295,59 +303,102 @@ class QuadValues:
         ratios = self.loss[..., wire] / self.gain[..., wire]
         return ratios.reshape(*ratios.shape[:-1], self.n_secret, self.width)
 
-    def _leakages(self, alpha: float):
-        """(leak, a, b): the smoothed leakage of every secret user, and the A
-        and B coefficients (..., S, E + K - 1) of its wiretap forms.  Perfect
-        variant: log-sum-exp smoothed max, a form's weight w the softmax of
-        the log-ratios over alpha.  Limited variant: the collusion bound
-        log2(1 + sum of ratios), w = ratio / (1 + sum); B's w/l is written
-        1 / (g (1 + sum)), the ratio's numerator l cancelled, so it stays
-        finite where l vanishes.  An empty wiretap set leaks nothing."""
-        ratios = self.leak_ratios()
-        if ratios.shape[-1] == 0:
-            return np.zeros(ratios.shape[:-1]), ratios, ratios
-        den, num = (x[..., self.n_rates:].reshape(ratios.shape) for x in (self.gain, self.loss))
-        if self.variant == "perfect":
-            lse, weight = _lse_softmax(np.log2(ratios) / alpha)
-            return alpha * lse, weight / den, weight / num
-        norm = 1.0 + ratios.sum(axis=-1, keepdims=True)
-        return np.log2(norm[..., 0]), ratios / norm / den, 1.0 / (den * norm)
+    def _pass(self, alpha: float):
+        """The one smoothing pass: (rates, lse, leak, a, b).  ``rates`` are
+        the (r, points) log-ratios log2(g/l) of the common and private rate
+        forms, ``lse`` the log-sum-exp (points,) of the common rates over
+        -alpha (None without them), ``leak`` every secret user's smoothed
+        leakage (S, points), and ``a`` and ``b`` the C-contiguous (points,
+        forms) coefficients w/g and w/l, every leading axis of the values
+        flattened into the points.
+
+        It runs on contiguous (forms, points) copies of ``gain`` and
+        ``loss``, so every max, exp, log and divide acts on whole rows, and
+        sums over forms add rows in order (``_row_sum``): a point's results
+        do not depend on the points beside it.  Every log-sum-exp of the
+        objective is one column of one ``_lse_softmax`` call: the common
+        rates' smoothed min and, under perfect CSIT, each wiretap set's
+        smoothed max of its log-ratios log2(l/g), padded with -inf, whose
+        exponential 0 adds nothing.  Limited variant: a wiretap set's
+        leakage is the collusion bound log2(1 + sum of ratios), w = ratio /
+        (1 + sum), and B's w/l is written 1 / (g (1 + sum)), the ratio's
+        numerator l cancelled, so it stays finite where l vanishes.  An
+        empty wiretap set leaks nothing."""
+        k, n_s, r, width = self.n_users, self.n_secret, self.n_rates, self.width
+        n_forms = self.gain.shape[-1]
+        gain, loss = (np.ascontiguousarray(x.reshape(-1, n_forms).T) for x in (self.gain, self.loss))
+        pts = gain.shape[1]
+        a, b = np.empty((2, pts, n_forms))
+        a_t, b_t = a.T, b.T
+        den, num = gain[r:], loss[r:]
+        sets = (n_s, width, pts)
+        rates = np.log2(gain[:r] / loss[:r])
+        np.divide(1.0, gain[r - k:r], out=a_t[r - k:r])
+        np.divide(1.0, loss[r - k:r], out=b_t[r - k:r])
+        # (E + K - 1, S, points): the wiretap forms lead
+        ratios = (num / den).reshape(sets).transpose(1, 0, 2)
+        common = k if self.has_common else 0
+        # wiretap sets in the log-sum-exp, and the column of the first
+        wire = n_s if self.variant == "perfect" and width else 0
+        first = 1 if common else 0
+        if common or wire:
+            groups = np.full((max(common, width if wire else 0), first + wire, pts), -np.inf)
+            if common:
+                np.divide(rates[:k], -alpha, out=groups[:k, 0])
+            if wire:
+                np.divide(np.log2(ratios), alpha, out=groups[:width, first:])
+            lse, weight = _lse_softmax(groups)
+        if common:
+            np.divide(weight[:k, 0], gain[:k], out=a_t[:k])
+            np.divide(weight[:k, 0], loss[:k], out=b_t[:k])
+        if wire:
+            weight = weight[:width, first:].transpose(1, 0, 2).reshape(den.shape)
+            np.divide(weight, den, out=a_t[r:])
+            np.divide(weight, num, out=b_t[r:])
+            leak = alpha * lse[first:]
+        elif width:
+            norm = 1.0 + _row_sum(ratios)
+            np.divide((ratios / norm).transpose(1, 0, 2).reshape(den.shape), den, out=a_t[r:])
+            np.divide(1.0, (den.reshape(sets) * norm[:, None]).reshape(den.shape), out=b_t[r:])
+            leak = np.log2(norm)
+        else:
+            leak = np.zeros((n_s, pts))
+        return rates, lse[0] if common else None, leak, a, b
 
     def smoothed_leakages(self, alpha: float) -> np.ndarray:
         """Leakage term of every secret user, in bits, on the last axis."""
-        return self._leakages(alpha)[0]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            leak = self._pass(alpha)[2]
+        return leak.T.reshape(*self.gain.shape[:-1], self.n_secret)
 
     def smoothed(self, alpha: float, with_lam: bool) -> Smoothed:
         """The log-sum-exp smoothed sum secrecy SE and its gradient
-        coefficients, from one pass over these values.  The smoothed min over
-        common rates replaces the hard min, each secret user's leakage enters
+        coefficients, from one pass over these values (``_pass``), whatever
+        their leading axes (trials, points).  The smoothed min over common
+        rates replaces the hard min, each secret user's leakage enters
         through ``smoothed_leakages``, and the positive-part clamp on secrecy
         rates is relaxed.  Weights: 1 for a private rate, the smoothed-min
-        softmax over the common rates, ``_leakages``' on the wiretap forms.
+        softmax over the common rates, ``_pass``' on the wiretap forms.
         With ``with_lam``, ``lam`` is exp(smoothed common + sum normal rates)
-        * (exp(sum secret private rates) - exp(sum smoothed leakages))."""
+        * (exp(sum secret private rates) - exp(sum smoothed leakages)).  A
+        point's record does not depend on the points beside it; ``a`` and
+        ``b`` come back C-contiguous, forms on the last axis."""
         k, n_s, r = self.n_users, self.n_secret, self.n_rates
-        private = self.private_rates()
-        a, b = np.empty(self.gain.shape), np.empty(self.gain.shape)
-        leak, a_wire, b_wire = self._leakages(alpha)
-        a[..., r:], b[..., r:] = (x.reshape(a[..., r:].shape) for x in (a_wire, b_wire))
-        weight = np.ones(a[..., :r].shape)
-        total = 0.0
-        if self.has_common:
-            lse, weight[..., :k] = _lse_softmax(-self.common_rates() / alpha)
-            total = total + -alpha * lse
-        a[..., :r], b[..., :r] = weight / self.gain[..., :r], weight / self.loss[..., :r]
-        for s in range(n_s):
-            total = total + (private[..., s] - leak[..., s])
-        normal = private[..., n_s:].sum(axis=-1)
-        total = total + normal
-        lam = None
-        if with_lam:
-            base = normal - alpha * lse if self.has_common else normal
-            with np.errstate(over="ignore", invalid="ignore"):
-                lam = np.exp(base) * (np.exp(private[..., :n_s].sum(axis=-1))
-                                      - np.exp(leak.sum(axis=-1)))
-        return Smoothed(total, a, b, lam)
+        lead = self.gain.shape[:-1]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rates, lse, leak, a, b = self._pass(alpha)
+            private = rates[r - k:]
+            total = 0.0 if lse is None else 0.0 + -alpha * lse
+            for secrecy in private[:n_s] - leak:
+                total = total + secrecy
+            normal = _row_sum(private[n_s:])
+            total = total + normal
+            lam = None
+            if with_lam:
+                base = normal if lse is None else normal - alpha * lse
+                lam = np.exp(base) * (np.exp(_row_sum(private[:n_s])) - np.exp(_row_sum(leak)))
+                lam = lam.reshape(lead)[()]
+        return Smoothed(total.reshape(lead)[()], a.reshape(*lead, -1), b.reshape(*lead, -1), lam)
 
 
 def smoothed_objective(

@@ -121,20 +121,33 @@ def _interferers(k: int, n_s: int) -> tuple[np.ndarray, ...]:
     return masks
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the rows one at a time in order.
+    numpy sums a contiguous run of 8 or more pairwise, so its sum of one
+    column alone could differ in the last bit from the same column's sum
+    beside others."""
+    if len(x) < 2:
+        return x.sum(axis=0)
+    total = x[0] + x[1]
+    for row in x[2:]:
+        total += row
+    return total
+
+
 def _lse_softmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(sum(exp(v))) over the last axis, one per row (a scalar for 1-D
-    input), and its gradient softmax(v), from one set of exponentials
-    exp(v - m): m is the row max, or 0 where that is not finite, so NaN and
-    +-inf come out as the entries dictate.  The max runs over the leading
-    axis of a contiguous transposed copy, an elementwise max of whole rows
-    that is far cheaper than a reduction along short rows; a max is exact
-    in any order, so m is the same."""
-    m = np.ascontiguousarray(v.T).max(axis=0).T[..., None]
+    """log(sum(exp(v))) over the leading axis, one per column (0-d for 1-D
+    input), and its gradient softmax(v) in v's shape, from one set of
+    exponentials exp(v - m): m is the column max, or 0 where that is not
+    finite, so NaN and +-inf come out as the entries dictate (call it under
+    ``np.errstate`` that ignores overflow, divide and invalid).  Every max,
+    exp, log and divide runs over whole rows, far cheaper than reductions
+    along short rows, and the sum is ``_row_sum``'s, so a column's values do
+    not depend on the columns beside it."""
+    m = v.max(axis=0, keepdims=True)
     m[~np.isfinite(m)] = 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e = np.exp(v - m)
-        total = e.sum(axis=-1, keepdims=True)
-        return np.log(total[..., 0]) + m[..., 0], e / total
+    e = np.exp(v - m)
+    total = _row_sum(e)
+    return np.log(total) + m[0], e / total
 
 
 def _smooth(values, alpha: float, sign: float, name: str):
@@ -143,7 +156,8 @@ def _smooth(values, alpha: float, sign: float, name: str):
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.shape[-1] == 0:
         raise ValueError(f"{name} of empty sequence")
-    out = sign * alpha * _lse_softmax(sign * v / alpha)[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = sign * alpha * _lse_softmax(np.moveaxis(sign * v / alpha, -1, 0))[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,8 +8,11 @@ objective with one coefficient per form for A (on the form's gain matrix)
 and one for B (on its loss matrix).  This module keeps the linear algebra:
 contracting those coefficients into A and B, the block solves, and the
 iteration, which repeatedly applies B^-1 A and renormalizes, Anderson
-accelerated after a warm-up.  The arbitrary positive prefactors of A and B
-are fixed to one, which leaves the iterates unchanged.
+accelerated after a warm-up.  An accelerated step mixes its candidate in
+real arithmetic on the whole active set and scores the plain image and the
+candidate together, in one ``evaluate`` and one ``smoothed`` call.  The
+arbitrary positive prefactors of A and B are fixed to one, which leaves the
+iterates unchanged.
 """
 from __future__ import annotations
 
@@ -55,12 +58,13 @@ class SolveTrace:
                           float(self.objective[i]), int(self.restarts[i]))
 
 
-def assemble_kkt(quadforms: QuadFormSet, smoothed: Smoothed) -> tuple[np.ndarray, np.ndarray]:
+def assemble_kkt(quadforms: QuadFormSet, smoothed: Smoothed) -> np.ndarray:
     """The (A, B) block stacks of the stationarity condition at the iterate
-    ``smoothed`` was computed at, each (n_blocks, N, N), with a leading trial
-    axis on a chunk's set: A contracts the gain table with ``smoothed.a``, B
-    the loss table with ``smoothed.b``.  Nonfinite coefficients are passed
-    through; the solve loop drops the trials they reach."""
+    ``smoothed`` was computed at, each (n_blocks, N, N), with a trial axis on
+    a chunk's set, as one array that unpacks as (A, B): A contracts the gain
+    table with ``smoothed.a``, B the loss table with ``smoothed.b``.
+    Nonfinite coefficients are passed through; the solve loop drops the
+    trials they reach."""
     return quadforms.kkt_blocks(smoothed.a, smoothed.b)
 
 
@@ -106,13 +110,9 @@ def _matvec(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each trial's (n_blocks, N) stack."""
-    return np.linalg.norm(x, axis=(-2, -1))
-
-
-def _finite(x: np.ndarray) -> np.ndarray:
-    """Whether each trial's entries of ``x`` are all finite."""
-    return np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    """Frobenius norm of each trial's (n_blocks, N) stack: ``np.linalg.norm``'s
+    arithmetic, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
 
 def _align_phase(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -144,10 +144,10 @@ def _plain_step(quadforms: QuadFormSet, smoothed: Smoothed, vec: np.ndarray):
     """The plain image g(x) = align(normalize(B^-1 A x), x) of every trial's
     iterate x, whose record is ``smoothed``, and whether each trial's blocks
     and image came out finite (and the image nonzero)."""
-    a_op, b_op = assemble_kkt(quadforms, smoothed)
-    img = _solve_each(b_op, _matvec(a_op, vec))
+    ops = assemble_kkt(quadforms, smoothed)
+    img = _solve_each(ops[1], _matvec(ops[0], vec))
     nrm = _norms(img)
-    ok = (nrm > 0) & (nrm < np.inf) & _finite(a_op) & _finite(b_op)
+    ok = (nrm > 0) & (nrm < np.inf) & np.isfinite(ops.reshape(2, len(vec), -1)).all(axis=(0, 2))
     return _align_phase(img / nrm[:, None, None], vec), ok
 
 
@@ -161,22 +161,32 @@ _WARMUP = 10
 _DEPTH = 3
 # Tikhonov weight of the mixing normal equations, relative to their trace.
 _MIX_RIDGE = 1e-10
+_TINY = np.finfo(float).tiny
 
 
-def _anderson(img: np.ndarray, d_img: np.ndarray, d_res: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Type-II Anderson points img - dG gamma, one per trial, where the
-    columns of dG are the trial's stored image differences ``d_img`` and the
-    real weights gamma minimize ||res - dF gamma|| over its residual
-    differences dF, ``d_res`` (each (T, m, n_blocks, N); a cleared slot is
-    zero and gets weight zero).  The regularized m x m normal equations of
-    every trial are one stacked solve."""
+def _anderson(img: np.ndarray, d_img: np.ndarray, d_res: np.ndarray, res: np.ndarray,
+              ok: np.ndarray, out: np.ndarray) -> None:
+    """Writes to ``out`` the type-II Anderson point img - dG gamma of every
+    trial, normalized, where the columns of dG are the trial's stored image
+    differences ``d_img`` and the real weights gamma minimize
+    ||res - dF gamma|| over its residual differences dF, ``d_res`` (each
+    (T, m, n_blocks, N); a cleared slot is zero and gets weight zero).  The
+    regularized m x m normal equations of every trial are one stacked solve,
+    built as real products of the (re, im) entries.  A trial not ``ok`` this
+    step takes the identity there, so its nonfinite entries cannot make the
+    stacked solve fail for the others; its point is not finite either."""
     t, m = d_res.shape[:2]
-    d_res = d_res.reshape(t, m, -1)
-    gram = (d_res.conj() @ d_res.transpose(0, 2, 1)).real
-    rhs = (d_res.conj() @ res.reshape(t, -1, 1)).real
-    ridge = _MIX_RIDGE * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
-    weights = np.linalg.solve(gram + ridge[:, None, None] * np.eye(m), rhs)
-    return img - (d_img.reshape(t, m, -1).transpose(0, 2, 1) @ weights).reshape(img.shape)
+    d_res = d_res.view(float).reshape(t, m, -1)
+    gram = d_res @ d_res.transpose(0, 2, 1)
+    rhs = d_res @ res.view(float).reshape(t, -1, 1)
+    diag = gram.reshape(t, -1)[:, ::m + 1]
+    diag += (_MIX_RIDGE * diag.sum(axis=1) + _TINY)[:, None]
+    if not ok.all():
+        gram[~ok] = np.eye(m)
+    weights = np.linalg.solve(gram, rhs)
+    mix = weights.transpose(0, 2, 1) @ d_img.view(float).reshape(t, m, -1)
+    np.subtract(img, mix.view(complex).reshape(img.shape), out=out)
+    out /= _norms(out)[:, None, None]
 
 
 def gpi_solve_batch(
@@ -214,6 +224,10 @@ def gpi_solve_batch(
     such orbits.  Safeguard: the step moves to the normalized candidate only
     if its smoothed objective is at least g(x)'s; otherwise it moves to g(x)
     and clears the trial's differences, and the trace counts a restart.
+    The candidate needs only g(x) and the differences, so an accelerated
+    step builds it first and scores the (T, 2, n_blocks, N) stack
+    [g(x), candidate] in one ``evaluate`` and one ``smoothed`` call, each
+    point's values equal to its own call's; a warm-up step scores g(x) alone.
 
     The loop carries one ``QuadValues.smoothed`` record per trial: the
     iterate's objective and the coefficients of its A and B.  Only with
@@ -229,64 +243,64 @@ def gpi_solve_batch(
     alpha, eps = config.smoothing, config.epsilon
     # row j of every per-active array belongs to active trial idx[j]
     idx = np.arange(n_trials)
-    sm = qf.evaluate(vec).smoothed(alpha, keep_iterates)
-    obj = sm.objective
     rows: list[list] = [[] for _ in range(n_trials)]
-    if keep_iterates:
-        for i, (o, lam) in enumerate(zip(obj.tolist(), sm.lam.tolist())):
-            rows[i].append((0, math.nan, o, lam))
-    # each trial's outputs, by trial id; until it leaves, its best iterate
-    solutions, objective = vec.copy(), obj.copy()
     converged = np.zeros(n_trials, dtype=bool)
     iterations = np.zeros(n_trials, dtype=int)
     restarts = np.zeros(n_trials, dtype=int)
-    # per-trial rings of the last _DEPTH image and residual differences; the
-    # warm-up's entries are overwritten before the first accelerated step reads
-    d_img = np.zeros((n_trials, _DEPTH, *qf.shape), dtype=complex)
-    d_res = np.zeros_like(d_img)
+    # per-trial rings of the last _DEPTH image (rings[:, 0]) and residual
+    # (rings[:, 1]) differences; the warm-up's entries are overwritten before
+    # the first accelerated step reads
+    rings = np.zeros((n_trials, 2, _DEPTH, *qf.shape), dtype=complex)
     prev_img, prev_res = vec, np.zeros_like(vec)
+    # pair row of a trial's image; its candidate's is one more
+    evens = np.arange(0, 2 * n_trials, 2)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        sm = qf.evaluate(vec).smoothed(alpha, keep_iterates)
+        obj = sm.objective
+        if keep_iterates:
+            for i, (o, lam) in enumerate(zip(obj.tolist(), sm.lam.tolist())):
+                rows[i].append((0, math.nan, o, lam))
+        # each trial's outputs, by trial id; until it leaves, its best iterate
+        solutions, objective = vec.copy(), obj.copy()
         for t in range(1, config.t_max + 1):
             img, ok = _plain_step(qf, sm, vec)
             res = img - vec
             step = _norms(res)
-            sm = qf.evaluate(img).smoothed(alpha, keep_iterates)
-            obj = sm.objective
-            d_img[:, t % _DEPTH] = img - prev_img
-            d_res[:, t % _DEPTH] = res - prev_res
+            # an ok trial's step is finite, so this is ok & ~stop
+            moving = ok & (step > eps)
+            np.subtract(img, prev_img, out=rings[:, 0, t % _DEPTH])
+            np.subtract(res, prev_res, out=rings[:, 1, t % _DEPTH])
             prev_img, prev_res = img, res
-            nxt = img
 
-            acc = ok & (step > eps) & (t > _WARMUP)
-            if acc.any():
-                cand = _anderson(img[acc], d_img[acc], d_res[acc], res[acc])
-                nxt = img.copy()
-                nxt[acc] = cand / _norms(cand)[:, None, None]
-                # scored on the active set: a trial without a candidate
-                # scores its own image again
-                cand_sm = qf.evaluate(nxt).smoothed(alpha, keep_iterates)
-                up = acc & (cand_sm.objective >= obj)   # the safeguard: no worse than g(x)
-                lost = acc & ~up
-                nxt[lost] = img[lost]
-                for field, cand_field in zip(sm, cand_sm):   # in place; lam may be None
-                    if field is not None:
-                        field[up] = cand_field[up]
-                d_img[lost] = 0.0
-                d_res[lost] = 0.0
-                restarts[idx[lost]] += 1
+            if t <= _WARMUP:
+                vec, sm = img, qf.evaluate(img).smoothed(alpha, keep_iterates)
+            else:
+                pair = np.empty((len(img), 2, *qf.shape), dtype=complex)
+                pair[:, 0] = img
+                _anderson(img, rings[:, 0], rings[:, 1], res, ok, pair[:, 1])
+                both = qf.evaluate(pair).smoothed(alpha, keep_iterates)
+                # the safeguard: the candidate only if no worse than g(x)
+                up = moving & (both.objective[:, 1] >= both.objective[:, 0])
+                pick = evens[:len(img)] + up
+                vec = pair.reshape(-1, *qf.shape)[pick]
+                sm = Smoothed(*(None if field is None else field.reshape(-1, *field.shape[2:])[pick]
+                                for field in both))
+                lost = moving & ~up
+                if lost.any():
+                    rings[lost] = 0.0
+                    restarts[idx[lost]] += 1
+            obj = sm.objective
 
             better = obj > objective[idx]
             at = idx[better]
-            solutions[at], objective[at] = nxt[better], obj[better]
-            vec = nxt
+            solutions[at], objective[at] = vec[better], obj[better]
 
             if keep_iterates:
                 for i, st, ob, la in zip(idx[ok].tolist(), step[ok].tolist(),
                                          obj[ok].tolist(), sm.lam[ok].tolist()):
                     rows[i].append((t, st, ob, la))
-            # an ok trial's step is finite, so this is ok & ~stop & (t < t_max)
-            keep = ok & (step > eps) & (t < config.t_max)
+            keep = moving & (t < config.t_max)
             if not keep.all():
                 # stopped trials take this step's iterate, failed ones NaN
                 stop = ok & (step <= eps)
@@ -298,8 +312,8 @@ def gpi_solve_batch(
                     break
                 qf = qf.take(keep)
                 sm = Smoothed(*(None if field is None else field[keep] for field in sm))
-                idx, vec, prev_img, prev_res, d_img, d_res = (
-                    a[keep] for a in (idx, vec, prev_img, prev_res, d_img, d_res))
+                idx, vec, prev_img, prev_res, rings = (
+                    a[keep] for a in (idx, vec, prev_img, prev_res, rings))
     return solutions, SolveTrace(tuple(map(tuple, rows)), converged, iterations, objective, restarts)
 
 

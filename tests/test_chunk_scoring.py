@@ -4,6 +4,7 @@ T single calls."""
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,36 @@ def test_trial_axis_calls_equal_per_trial_calls(n, s, m, e, n_trials, snr_db, se
                 assert getattr(chunk, name) is getattr(sets[t], name), name
         assert rs.smoothed_objective(chunk, stacks, cfg).tolist() == [
             rs.smoothed_objective(sets[t], stacks[t], cfg) for t in range(n_trials)]
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2, 2), (3, 1, 7, 2), (2, 1, 0, 0)])
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_a_point_axis_scores_each_point_as_its_own_call(build, dims):
+    # a GPI step scores [image, candidate] in one call; each point's values
+    # and record must be the bits of its own call.  (3, 1, 7, 2) has K = 8
+    # common rates and E + K - 1 = 9 wiretap forms
+    n, s, m, e = dims
+    cfg = rs.SystemConfig(n_antennas=n, n_secret=s, n_normal=m, n_eves=e).with_snr_db(10.0)
+    reals, _ = draws(cfg, 3, 7)
+    chunk = build(rs.ChannelRealization.stack(reals), cfg)
+    rng = np.random.default_rng(2)
+    points = rng.standard_normal((3, 2, *chunk.shape)) + 1j * rng.standard_normal((3, 2, *chunk.shape))
+    for qf, f in ((chunk, points), (build(reals[0], cfg), points[0]), (chunk.without_common(), points)):
+        both = qf.evaluate(f)
+        record = both.smoothed(cfg.smoothing, True)
+        assert record.a.flags.c_contiguous and record.b.flags.c_contiguous
+        for p in range(2):
+            one = qf.evaluate(f[..., p, :, :])
+            alone = one.smoothed(cfg.smoothing, True)
+            pairs = [(both.gain[..., p, :], one.gain), (both.loss[..., p, :], one.loss),
+                     (record.a[..., p, :], alone.a), (record.b[..., p, :], alone.b),
+                     (record.objective[..., p], alone.objective), (record.lam[..., p], alone.lam)]
+            for got, want in pairs:
+                assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        chunk.evaluate(points[:2])
+    with pytest.raises(ValueError):
+        chunk.evaluate(points[:, :, None])
 
 
 def test_stacked_realization_keeps_the_dimensions():

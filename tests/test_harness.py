@@ -336,7 +336,6 @@ def test_each_failed_solve_logs_one_warning(monkeypatch, caplog):
         ("WARNING", f"trial 1 method {method} failed numerically") for method in ("gpi-rsma", "gpi-sdma")]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # evaluating the poisoned trial's start
 def test_convergence_raises_on_a_failed_solve(monkeypatch, tmp_path):
     cfg = rs.parse_config_text("trials = 3")
     poison_trial(monkeypatch, cfg, derive_seed(cfg.master_seed, 0, 1))

@@ -286,7 +286,7 @@ def test_softmax_matches_scipy_bit_for_bit(shape):
     rng = np.random.default_rng(11)
     for scale in (1e-3, 1.0, 1e3):
         x = scale * rng.standard_normal(shape)
-        axis = None if len(shape) == 1 else 1
+        axis = None if len(shape) == 1 else 0
         assert np.array_equal(_lse_softmax(x)[1], softmax(x, axis=axis))
 
 
@@ -320,12 +320,12 @@ def test_trace_iterates_are_stable_and_carry_lambda(fig_config):
     assert trace.rows[0][2] == rs.smoothed_objective(qf, unit, cfg)
 
 
-def chunk(build, count, t_max=30):
+def chunk(build, count, t_max=30, n_normal=2, n_eves=2):
     """The chunk's set, each draw's own set and the MRT starts of ``count``
     perfect-or-limited draws at a tight tolerance, so the chunk mixes fast,
     slow, accelerated and exhausted solves; draw 1001 two-cycles under the
-    plain map."""
-    cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=2, n_eves=2,
+    plain map (at the default dimensions)."""
+    cfg = rs.SystemConfig(n_antennas=4, n_secret=2, n_normal=n_normal, n_eves=n_eves,
                           epsilon=1e-4, t_max=t_max).with_snr_db(20.0)
     reals = []
     for seed in [1001, *range(2000, 2000 + count - 1)]:
@@ -350,6 +350,22 @@ def test_batched_solve_matches_single_solves_bit_for_bit(build):
             assert np.array_equal(solutions[j], alone[i][0])
             assert trace.take(j) == alone[i][1]
             assert [row[3] for row in trace.rows[j]] == [row[3] for row in alone[i][1].rows]
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+@pytest.mark.parametrize("n_normal, n_eves, count", [(2, 2, 103), (6, 2, 6)])
+def test_a_long_or_wide_chunk_matches_single_solves_bit_for_bit(build, n_normal, n_eves, count):
+    # 103 trials at K = 4 take every (T, n_blocks, N, N) stack past numpy's
+    # 8,192-element ufunc buffer; K = 8 users and E + K - 1 = 9 wiretap forms
+    # reach sums over 8 or more forms, which numpy adds pairwise along a
+    # contiguous run, so a one-trial solve would differ if any sum did so
+    cfg, stacked, sets, starts = chunk(build, count, n_normal=n_normal, n_eves=n_eves)
+    solutions, trace = gpi_solve_batch(stacked, starts, cfg, keep_iterates=True)
+    assert trace.restarts.any() and (trace.iterations_used > solver._WARMUP).any()
+    for i, (qf, start) in enumerate(zip(sets, starts)):
+        stack, alone = rs.gpi_solve(qf, start, cfg)
+        assert np.array_equal(solutions[i], stack)
+        assert trace.take(i) == alone
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
@@ -465,7 +481,11 @@ def test_a_candidate_no_better_than_the_plain_image_is_rejected(build, monkeypat
     climbs = (np.diff(plain[2], axis=0)[solver._WARMUP:] > 1e-9).all(axis=0)
     pick = np.flatnonzero(climbs)
     assert len(pick) >= 2
-    monkeypatch.setattr(solver, "_anderson", lambda img, d_img, d_res, res: img - res)
+
+    def current_iterate(img, d_img, d_res, res, ok, out):
+        out[...] = img - res
+
+    monkeypatch.setattr(solver, "_anderson", current_iterate)
     solutions, batch = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
     assert (batch.restarts == cfg.t_max - solver._WARMUP).all()
     for j, i in enumerate(pick.tolist()):

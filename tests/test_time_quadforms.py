@@ -15,6 +15,7 @@ def test_times_each_kernel_on_the_first_chunk(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["trials"] == 6   # both SNR values share the first chunk
     assert report["shape"] == [5, 4] and report["repeats"] == 3
-    for name in ("evaluate", "smoothed", "assemble_kkt", "block_solve", "plain_step"):
+    for name in ("evaluate", "smoothed", "assemble_kkt", "block_solve", "plain_step",
+                 "anderson", "pair_scoring"):
         times = report[f"{name}_ms"]
         assert 0 < times["min"] <= times["median"]
