@@ -388,7 +388,7 @@ class QuadValues:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rates, lse, leak, a, b = self._pass(alpha)
             private = rates[r - k:]
-            total = 0.0 if lse is None else 0.0 + -alpha * lse
+            total = 0.0 if lse is None else -alpha * lse
             for secrecy in private[:n_s] - leak:
                 total = total + secrecy
             normal = _row_sum(private[n_s:])
