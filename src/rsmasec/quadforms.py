@@ -304,26 +304,24 @@ class QuadValues:
         return ratios.reshape(*ratios.shape[:-1], self.n_secret, self.width)
 
     def _pass(self, alpha: float):
-        """The one smoothing pass: (rates, lse, leak, a, b).  ``rates`` are
-        the (r, points) log-ratios log2(g/l) of the common and private rate
-        forms, ``lse`` the log-sum-exp (points,) of the common rates over
-        -alpha (None without them), ``leak`` every secret user's smoothed
+        """The one smoothing pass: (rates, lse, leak, a, b), every leading
+        axis of the values flattened into the points.  ``rates`` are the (r,
+        points) log2(g/l) of the rate forms, ``lse`` the common rates'
+        log-sum-exp over -alpha (None without them), ``leak`` the smoothed
         leakage (S, points), and ``a`` and ``b`` the C-contiguous (points,
-        forms) coefficients w/g and w/l, every leading axis of the values
-        flattened into the points.
+        forms) coefficients w/g and w/l.
 
         It runs on contiguous (forms, points) copies of ``gain`` and
-        ``loss``, so every max, exp, log and divide acts on whole rows, and
+        ``loss``, so every max, exp, log and divide acts on whole rows and
         sums over forms add rows in order (``_row_sum``): a point's results
-        do not depend on the points beside it.  Every log-sum-exp of the
-        objective is one column of one ``_lse_softmax`` call: the common
-        rates' smoothed min and, under perfect CSIT, each wiretap set's
-        smoothed max of its log-ratios log2(l/g), padded with -inf, whose
-        exponential 0 adds nothing.  Limited variant: a wiretap set's
-        leakage is the collusion bound log2(1 + sum of ratios), w = ratio /
-        (1 + sum), and B's w/l is written 1 / (g (1 + sum)), the ratio's
-        numerator l cancelled, so it stays finite where l vanishes.  An
-        empty wiretap set leaks nothing."""
+        do not depend on the points beside it.  Every log-sum-exp is one
+        column of one ``_lse_softmax`` call, padded with -inf (whose
+        exponential adds 0): the common rates' smoothed min and, under
+        perfect CSIT, each wiretap set's smoothed max of log2(l/g).  Under
+        limited CSIT a wiretap set leaks the collusion bound log2(1 + sum of
+        ratios), w = ratio / (1 + sum), and B's w/l is written
+        1 / (g (1 + sum)), l cancelled, so it stays finite where l
+        vanishes.  An empty wiretap set leaks nothing."""
         k, n_s, r, width = self.n_users, self.n_secret, self.n_rates, self.width
         n_forms = self.gain.shape[-1]
         gain, loss = (np.ascontiguousarray(x.reshape(-1, n_forms).T) for x in (self.gain, self.loss))
@@ -380,9 +378,7 @@ class QuadValues:
         rates is relaxed.  Weights: 1 for a private rate, the smoothed-min
         softmax over the common rates, ``_pass``' on the wiretap forms.
         With ``with_lam``, ``lam`` is exp(smoothed common + sum normal rates)
-        * (exp(sum secret private rates) - exp(sum smoothed leakages)).  A
-        point's record does not depend on the points beside it; ``a`` and
-        ``b`` come back C-contiguous, forms on the last axis."""
+        * (exp(sum secret private rates) - exp(sum smoothed leakages))."""
         k, n_s, r = self.n_users, self.n_secret, self.n_rates
         lead = self.gain.shape[:-1]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
