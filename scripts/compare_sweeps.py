@@ -17,6 +17,11 @@ iteration count changed and, for each of ``step_norm``, ``objective`` and
 ``lam``, how many matched rows moved, the largest relative |delta| (and its
 row) and the median relative |delta| of the rows that moved.
 
+Both kinds are also compared line by line as raw text, line ends included,
+which the parsed rows cannot show (line ends, quoting, header bytes): the
+first line that differs outside ``runtime_ms`` is printed, and for a sweep
+the first differing raw line of the ``.agg.csv`` too.
+
 Exits 0 when the outputs are identical (sweep rows without ``runtime_ms``),
 1 on any difference, 2 when a file cannot be read.
 """
@@ -46,6 +51,33 @@ def read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
 def read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+def read_raw(path: str) -> list[str]:
+    """The file's lines as written, each with its line end."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def first_raw_difference(parent: list[str], change: list[str], ignored=()) -> str | None:
+    """A report line for the first raw line that differs outside the
+    ``ignored`` columns (their cells, found by the parent's header, are
+    dropped before comparing; the line ends are kept), or for differing
+    line counts; None when the lines agree."""
+    header = parent[0].rstrip("\r\n").split(",") if parent else []
+    skip = {header.index(col) for col in ignored if col in header}
+
+    def kept(line: str) -> tuple[list[str], str]:
+        body = line.rstrip("\r\n")
+        return [c for i, c in enumerate(body.split(",")) if i not in skip], line[len(body):]
+
+    outside = f" outside {', '.join(ignored)}" if ignored else ""
+    for i, (a, b) in enumerate(zip(parent, change)):
+        if a != b and kept(a) != kept(b):
+            return f"raw line {i + 1} differs{outside}: {a!r} -> {b!r}"
+    if len(parent) != len(change):
+        return f"raw line count differs: {len(parent)} vs {len(change)}"
+    return None
 
 
 def _se_moved(a: str, b: str) -> bool:
@@ -148,10 +180,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if "iteration" in p_cols:
             report, same = compare_traces(p_rows, c_rows)
-            print("\n".join(report))
-            return 0 if same else 1
+            raw = first_raw_difference(read_raw(args.parent), read_raw(args.change))
+            print("\n".join(report + [raw] * (raw is not None)))
+            return 0 if same and raw is None else 1
+        raw = first_raw_difference(read_raw(args.parent), read_raw(args.change), IGNORED)
         p_agg = read_lines(aggregate_path(args.parent))
         c_agg = read_lines(aggregate_path(args.change))
+        agg_raw = first_raw_difference(read_raw(aggregate_path(args.parent)),
+                                       read_raw(aggregate_path(args.change)))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
@@ -166,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     deltas = largest_deltas(p_rows, c_rows)
     print("largest |delta| over matched rows: "
           + ", ".join(f"{col} {value:.3g}" for col, value in deltas.items()))
-    rows_same = differing == 0 and len(p_rows) == len(c_rows)
+    print(raw or f"raw lines: identical outside {', '.join(IGNORED)}")
+    rows_same = differing == 0 and len(p_rows) == len(c_rows) and raw is None
 
     agg_diff = [
         f"aggregate line {i + 1}: {a!r} -> {b!r}"
@@ -174,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if len(p_agg) != len(c_agg):
         agg_diff.append(f"aggregate line count differs: {len(p_agg)} vs {len(c_agg)}")
+    if agg_raw is not None and not agg_diff:   # equal lines, other bytes
+        agg_diff.append(f"aggregate {agg_raw}")
     for line in agg_diff:
         print(line)
     print(f"aggregates: {'identical' if not agg_diff else f'{len(agg_diff)} differences'}")

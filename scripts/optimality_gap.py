@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from rsmasec.baselines import mrt_init
-from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
+from rsmasec.harness import _draw_chunk, _each_trial, _known, _sweep_chunks, parse_config
 from rsmasec.rates import sum_secrecy_se
 from rsmasec.solver import gpi_solve_batch
 
@@ -42,12 +42,12 @@ REFERENCE = {"epsilon": 1e-4, "t_max": 500}
 STARTS = 16      # random starts per scenario
 
 
-def _solve(quadforms, starts, system, truth, parts):
+def _solve(quadforms, starts, system, truth, noise):
     """(objective, true SE, iterations) per trial of one batched solve;
-    NaN objective and SE, and 0 iterations, where a trial failed."""
+    NaN objective and SE, and 0 iterations, where a trial failed.  ``noise``
+    holds each trial's ``sum_secrecy_se`` noise keywords."""
     precoders, trace = gpi_solve_batch(quadforms, starts, system)
-    se = np.concatenate([sum_secrecy_se(truth.take(at), precoders[at], s).sum_secrecy_se
-                         for s, _, _, at in parts])
+    se = sum_secrecy_se(truth, precoders, system, **noise).sum_secrecy_se
     return trace.objective, se, trace.iterations_used
 
 
@@ -92,19 +92,20 @@ def main(argv: list[str] | None = None) -> int:
         system = parts[0][0]
         reference = replace(system, **REFERENCE)
         knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
+        noise = {"noise_user_ratio": ridge, "noise_eve_ratio": _each_trial(parts, "noise_eve_ratio")}
         axis = [value for value, _, trials in pieces for _ in trials]
         for method in methods:
             rsma = method == "gpi-rsma"
             chunk = quadforms if rsma else quadforms.without_common()
             mrt = mrt_init(knowledge, common_stream=rsma)
-            _, se_config, it_config = _solve(chunk, mrt, system, truth, parts)
-            best_obj, se_ref, it_ref = _solve(chunk, mrt, reference, truth, parts)
+            _, se_config, it_config = _solve(chunk, mrt, system, truth, noise)
+            best_obj, se_ref, it_ref = _solve(chunk, mrt, reference, truth, noise)
             se_best = se_ref.copy()
             for _ in range(STARTS):
                 starts = rng.standard_normal((len(ridge), *chunk.shape, 2)) @ [1.0, 1j]
                 if not rsma:
                     starts[:, 0] = 0.0
-                obj, se, _ = _solve(chunk, starts, reference, truth, parts)
+                obj, se, _ = _solve(chunk, starts, reference, truth, noise)
                 better = obj > np.where(np.isnan(best_obj), -np.inf, best_obj)
                 best_obj = np.where(better, obj, best_obj)
                 se_best = np.where(better, se, se_best)

@@ -24,7 +24,7 @@ from .harness import (
     run_convergence,
     run_sweep,
     run_trial,
-    _result_row,
+    _result_line,
 )
 from .validate import run_validate
 
@@ -123,7 +123,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = run_trial(config, None, 0)
         print(",".join(CSV_COLUMNS))
         for row in rows:
-            print(",".join(_result_row(row)))
+            print(_result_line(row))
         return 0
 
     if args.command == "validate":

@@ -6,13 +6,14 @@ comma-separated lists.  Every trial derives its own seed from
 each configured method on that same scenario, and scores the resulting
 precoder against the true channels.  A sweep runs chunks of consecutive
 trials, which may span consecutive axis values whose systems differ only in
-SNR (``_pool_key``).  A chunk stacks its trials' draws once and builds one
-quad-form set from them, whose bases carry each trial's noise ridge, then
-handles each method in one pass over all of its trials: one batched GPI
-solve, one MRT start and one objective (read from the solver's trace for
-the GPI methods) over the chunk, and one ``rzf_precoder`` and
-``sum_secrecy_se`` call per axis value, whose noise terms they read.  A
-trial's rows do not depend on its chunk.
+SNR (``_pool_key``).  A chunk draws its trials in one call per layout,
+stacks the draws and builds one quad-form set from them, whose bases carry
+each trial's noise ridge, then handles each method in one pass over all of
+its trials: one batched GPI solve, MRT start or RZF precoder, one objective
+(read from the solver's trace for the GPI methods) and one
+``sum_secrecy_se`` call over the chunk, the last two given each trial's
+noise terms.  A trial's rows do not depend on its chunk.  The sweep CSV is
+written in one pass, one formatted line per row.
 """
 from __future__ import annotations
 
@@ -258,18 +259,33 @@ def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
     trials)`` pieces.  ``parts`` holds per piece ``(system, layout, seeds,
     at)``: its effective scenario, each trial's seed and the slice ``at`` of
     the chunk's stack that holds its trials.  ``truth`` stacks every trial's
-    scenario, drawn from its own seed in one ``draw_scenario`` call per
-    piece, and ``ridge`` is each trial's sigma_u^2 / P.  The generators end
-    here, so every method is a function of the drawn scenarios alone."""
-    parts, draws, ridge = [], [], []
+    scenario, drawn from its own seed.  The pieces of a chunk share their
+    dimensions (``_pool_key``), so each run of consecutive pieces with equal
+    layouts is drawn in one ``draw_scenario`` call: one for an ``snr_db``
+    chunk, one per value for a ``kappa`` or ``angular_separation`` chunk.
+    ``ridge`` is each trial's sigma_u^2 / P.  The generators end here, so
+    every method is a function of the drawn scenarios alone."""
+    parts, start = [], 0
     for axis_value, axis_index, trials in pieces:
         system, layout = effective_scenario(config, axis_value)
         seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
-        parts.append((system, layout, seeds, slice(len(ridge), len(ridge) + len(seeds))))
-        draws.append(draw_scenario(system, layout, [np.random.default_rng(seed) for seed in seeds]))
-        ridge += [system.noise_user_ratio] * len(seeds)
+        parts.append((system, layout, seeds, slice(start, start + len(seeds))))
+        start += len(seeds)
+    draws = []
+    for layout, run in itertools.groupby(parts, key=lambda part: part[1]):
+        run = list(run)
+        rngs = [np.random.default_rng(seed) for _, _, seeds, _ in run for seed in seeds]
+        draws.append(draw_scenario(run[0][0], layout, rngs))
     truth = draws[0] if len(draws) == 1 else ChannelRealization.stack(draws, join=np.concatenate)
-    return parts, truth, np.array(ridge)
+    return parts, truth, _each_trial(parts, "noise_user_ratio")
+
+
+def _each_trial(parts: list[tuple], name: str) -> np.ndarray:
+    """The ``name`` attribute of each piece's system, once per trial of the
+    piece: read from the piece's own system, so a trial's value has the bits
+    it has in a chunk of its own."""
+    return np.repeat([getattr(system, name) for system, *_ in parts],
+                     [len(seeds) for _, _, seeds, _ in parts])
 
 
 def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig, ridge=None):
@@ -286,25 +302,28 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
     """The trials of a work item's ``(axis_value, axis_index, trials)``
     pieces, in (piece, trial, method) order.
 
-    Each trial draws its scenario as ``run_trial`` would; the draws are
-    stacked and one quad-form set is built for the chunk, with each trial's
-    noise ridge in its bases.  Then every method runs over the whole chunk
-    in config order: one ``gpi_solve_batch``, or one ``mrt_init`` call, and
-    one objective over all trials.  ``rzf_precoder`` and ``sum_secrecy_se``
-    read the noise powers, so they run once per piece with its system.  A
-    GPI row's objective is its trace's.  A method's time is split evenly
-    over the chunk's rows, whatever their axis value.  A trial's rows do not
-    depend on the chunk it is in.
+    Each trial draws its scenario as ``run_trial`` would (``_draw_chunk``);
+    the draws are stacked and one quad-form set is built for the chunk, with
+    each trial's noise ridge in its bases.  Then every method runs over the
+    whole chunk in config order, each layer in one call: one
+    ``gpi_solve_batch``, ``mrt_init`` or ``rzf_precoder`` call, one objective
+    and one ``sum_secrecy_se`` call over all trials.  ``rzf_precoder`` and
+    ``sum_secrecy_se`` take each trial's sigma_u^2 / P and sigma_e^2 / P, read
+    from its piece's system.  A GPI row's objective is its trace's.  A
+    method's time is split evenly over the chunk's rows, whatever their axis
+    value.  A trial's rows do not depend on the chunk it is in.
     """
     parts, truth, ridge = _draw_chunk(config, pieces)
     system = parts[0][0]   # every piece shares the set's shape and the solver's settings
     knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
+    noise_eve = _each_trial(parts, "noise_eve_ratio")
     n = len(ridge)
-    # (axis value, system, layout, trial, seed) of each trial of the chunk
-    where = [(value, s, layout, t, seed)
+    # the fields of each trial's rows that no method changes, in TrialResult order
+    heads = [(t, seed, value, s.snr_db, s.n_antennas, s.n_users, s.n_secret, s.n_normal,
+              s.n_eves, layout.kappa, s.smoothing)
              for (value, _, trials), (s, layout, seeds, _) in zip(pieces, parts)
              for t, seed in zip(trials, seeds)]
-    rows: list[list[TrialResult]] = [[] for _ in range(n)]
+    by_method = []
     for method in config.methods:
         t0 = time.perf_counter()
         iterations, converged = [0] * n, [True] * n
@@ -314,67 +333,74 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
             precoders, trace = gpi_solve_batch(quadforms if rsma else quadforms.without_common(),
                                                mrt_init(knowledge, common_stream=rsma), system)
             for i in np.flatnonzero(trace.iterations_used == 0):
-                log.warning("trial %d method %s failed numerically", where[i][3], method)
+                log.warning("trial %d method %s failed numerically", heads[i][0], method)
             iterations, converged = trace.iterations_used.tolist(), trace.converged.tolist()
             objective = trace.objective.tolist()
         elif method == "rzf-sdma":
             # private-only: no common family to score
-            precoders = np.concatenate([rzf_precoder(knowledge[at], s) for s, _, _, at in parts])
+            precoders = rzf_precoder(knowledge, system, noise_user_ratio=ridge)
             objective = smoothed_objective(quadforms.without_common(), precoders, system).tolist()
         elif method == "mrt":
             precoders = mrt_init(knowledge)
             objective = smoothed_objective(quadforms, precoders, system).tolist()
         else:
             raise ConfigError(f"unknown method {method!r}")
-        reports = [sum_secrecy_se(truth.take(at), precoders[at], s) for s, _, _, at in parts]
+        report = sum_secrecy_se(truth, precoders, system,
+                                noise_user_ratio=ridge, noise_eve_ratio=noise_eve)
         runtime_ms = 1e3 * (time.perf_counter() - t0) / n
-        secrecy_se = np.concatenate([r.sum_secrecy_se for r in reports]).tolist()
-        common_min = np.concatenate([r.common_min for r in reports]).tolist()
-        for i, (axis_value, s, layout, trial, seed) in enumerate(where):
-            rows[i].append(TrialResult(
-                method=method,
-                trial_index=trial,
-                seed=seed,
-                axis_value=axis_value,
-                snr_db=s.snr_db,
-                n_antennas=s.n_antennas,
-                n_users=s.n_users,
-                n_secret=s.n_secret,
-                n_normal=s.n_normal,
-                n_eves=s.n_eves,
-                kappa=layout.kappa,
-                alpha=s.smoothing,
-                iterations=iterations[i],
-                converged=converged[i],
-                smoothed_objective=objective[i],
-                sum_secrecy_se=secrecy_se[i],
-                common_min=common_min[i],
-                runtime_ms=runtime_ms,
-            ))
-    return [r for trial_rows in rows for r in trial_rows]
+        by_method.append(_method_rows(method, heads, iterations, converged, objective,
+                                      report, runtime_ms))
+    return [r for trial_rows in zip(*by_method) for r in trial_rows]
+
+
+def _method_rows(method: str, heads: list[tuple], iterations: list, converged: list,
+                 objective: list, report, runtime_ms: float) -> list[TrialResult]:
+    """One method's row per trial of a chunk: ``heads`` holds each trial's
+    fields from ``trial_index`` to ``alpha``, the lists and ``report`` (a
+    stacked ``RateReport``) its results."""
+    secrecy_se, common_min = report.sum_secrecy_se.tolist(), report.common_min.tolist()
+    return [TrialResult(method, *head, it, ok, obj, se, cmin, runtime_ms)
+            for head, it, ok, obj, se, cmin
+            in zip(heads, iterations, converged, objective, secrecy_se, common_min)]
 
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+def _axis_cell(value: float | None) -> str:
+    """The ``axis`` cell: empty when the sweep has no axis."""
+    return "" if value is None else _fmt(value)
 
 
-# TrialResult's field names, in CSV_COLUMNS order, taken once
-_RESULT_FIELDS = tuple(f.name for f in fields(TrialResult))
+_ROW_FORMAT = "%s,%s,%s,%s,%.12g,%s,%s,%s,%s,%s,%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g"
+
+
+def _result_line(r: TrialResult) -> str:
+    """``r``'s CSV line, without its line end: the one definition of each
+    cell's text, in CSV_COLUMNS order (TrialResult's field order).  A float
+    is "%.12g" (nan and inf as such), an int its digits, ``converged``
+    true/false and ``axis`` empty when the sweep has no axis.  No cell needs
+    quoting: method names come from METHODS and every other cell is a
+    number or empty, so none holds a comma, a quote or a line end."""
+    return _ROW_FORMAT % (
+        r.method, r.trial_index, r.seed, _axis_cell(r.axis_value), r.snr_db, r.n_antennas,
+        r.n_users, r.n_secret, r.n_normal, r.n_eves, r.kappa, r.alpha, r.iterations,
+        "true" if r.converged else "false", r.smoothed_objective, r.sum_secrecy_se,
+        r.common_min, r.runtime_ms)
 
 
 def _result_row(r: TrialResult) -> list[str]:
-    """CSV cells of ``r``; the field order of TrialResult is CSV_COLUMNS."""
-    return [_cell(getattr(r, name)) for name in _RESULT_FIELDS]
+    """CSV cells of ``r``: its line's cells, which hold no comma."""
+    return _result_line(r).split(",")
+
+
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write ``header`` and ``lines`` (cells joined by commas, none of which
+    needs quoting) in one write, each line ended by CR LF as ``csv.writer``
+    ends them."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([",".join(header), *lines, ""]))
 
 
 def aggregate_path(out_path: str) -> str:
@@ -481,20 +507,15 @@ def run_sweep(
     out_path: str,
     workers: int | None = None,
 ) -> tuple[str, str]:
-    """Run the configured sweep and write per-trial plus aggregate CSVs."""
+    """Run the configured sweep and write per-trial plus aggregate CSVs,
+    each in one pass: one line per row (``_result_line``, whose docstring
+    says why no cell needs quoting) and one write."""
     rows = _sweep_rows(config, workers)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(_result_row(r))
-
+    _write_csv(out_path, CSV_COLUMNS, map(_result_line, rows))
     agg = aggregate_path(out_path)
-    with open(agg, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for (value, method), (mean, stderr, n) in aggregate(rows).items():
-            writer.writerow([_cell(value), method, _fmt(mean), _fmt(stderr), str(n)])
+    _write_csv(agg, AGG_COLUMNS, [
+        f"{_axis_cell(value)},{method},{_fmt(mean)},{_fmt(stderr)},{n}"
+        for (value, method), (mean, stderr, n) in aggregate(rows).items()])
     return out_path, agg
 
 

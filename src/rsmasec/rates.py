@@ -40,6 +40,9 @@ def sum_secrecy_se(
     realization: ChannelRealization,
     blocks: np.ndarray,
     config: SystemConfig,
+    *,
+    noise_user_ratio: float | np.ndarray | None = None,
+    noise_eve_ratio: float | np.ndarray | None = None,
 ) -> RateReport:
     """Exact (non-smoothed) objective: min common rate plus the clamped
     secrecy rate of each secret user plus the private rates of normal users.
@@ -57,6 +60,9 @@ def sum_secrecy_se(
     On a realization made by ``ChannelRealization.stack`` (channels of shape
     (T, K, N) and (T, E, N)), ``blocks`` is the (T, K+1, N) stack of one
     precoder per trial, and every field of the report gains the trial axis.
+    ``noise_user_ratio`` and ``noise_eve_ratio`` are sigma_u^2 / P and
+    sigma_e^2 / P, one value or one per trial of the stack, so that one call
+    scores trials at several SNRs; they default to the config's.
     """
     k, n_s = config.n_users, config.n_secret
     h, g = realization.user_channels, realization.eve_channels
@@ -70,7 +76,11 @@ def sum_secrecy_se(
     f = np.swapaxes(blocks, -1, -2)
     pu = np.abs(h.conj() @ f) ** 2   # (..., K, K+1) user u, stream j
     pe = np.abs(g.conj() @ f) ** 2   # (..., E, K+1)
-    noise_u = config.noise_user_ratio
+    lead = h.shape[:-2]
+    # one noise term per trial, with an axis for the streams (and for the
+    # secret users) it is added to
+    noise_u = per_trial(noise_user_ratio, config.noise_user_ratio, lead, "noise_user_ratio")[..., None]
+    noise_e = per_trial(noise_eve_ratio, config.noise_eve_ratio, lead, "noise_eve_ratio")[..., None, None]
     at_user, at_eve, taps, at_tap = _interferers(k, n_s)
 
     common = np.log2(1.0 + pu[..., 0] / (pu[..., 1:].sum(axis=-1) + noise_u))
@@ -78,9 +88,9 @@ def sum_secrecy_se(
     private = np.log2(1.0 + signal / ((pu * at_user).sum(axis=-1) + noise_u))
 
     eve_num = np.swapaxes(pe[..., 1 : n_s + 1], -1, -2)                  # (..., S, E)
-    eve_den = (pe[..., None, :, :] * at_eve).sum(axis=-1) + config.noise_eve_ratio
+    eve_den = (pe[..., None, :, :] * at_eve).sum(axis=-1) + noise_e
     user_num = pu[..., taps, 1 + np.arange(n_s)[:, None]]               # (..., S, K-1)
-    user_den = (pu[..., taps, :] * at_tap).sum(axis=-1) + noise_u
+    user_den = (pu[..., taps, :] * at_tap).sum(axis=-1) + noise_u[..., None]
     wiretap = np.log2(1.0 + np.concatenate([eve_num / eve_den, user_num / user_den], axis=-1))
 
     leak = wiretap.max(axis=-1, initial=0.0)
@@ -95,6 +105,16 @@ def sum_secrecy_se(
         secrecy_per_secret=secrecy,
         sum_secrecy_se=common_min + secrecy.sum(axis=-1) + private[..., n_s:].sum(axis=-1),
     )
+
+
+def per_trial(value, default: float, lead: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` (``default`` when None) as a float array: one value (0-d),
+    or one per trial of a stack whose trial axes are ``lead``.  Any other
+    shape raises ValueError."""
+    out = np.asarray(default if value is None else value, dtype=float)
+    if out.ndim and out.shape != lead:
+        raise ValueError(f"{name} has shape {out.shape}; want one value or {lead}, one per trial")
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -130,3 +130,37 @@ def test_trace_deltas_and_iteration_counts(tmp_path, capsys):
     assert out[3] == "objective: 0 rows moved"
     assert out[4] == ("lam: 2 rows moved; largest relative |delta| 1 at snr_db=10 trial=0 "
                       "iteration=0 (-1e-13 -> 0.0); median 0.5")
+
+
+def test_raw_lines_show_line_ends_quoting_and_header_bytes(tmp_path, capsys):
+    parent = write_sweep(tmp_path / "p", ROWS, AGG)
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    # the same cells as csv.reader reads them, with csv.writer's line ends
+    (crlf / "rows.csv").write_bytes(("\r\n".join([HEADER, *ROWS]) + "\r\n").encode())
+    (crlf / "rows.agg.csv").write_text("\n".join(AGG) + "\n")
+    assert compare_sweeps.main([parent, str(crlf / "rows.csv")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "rows: 3 compared, 0 differ outside runtime_ms" in out
+    assert f"raw line 1 differs outside runtime_ms: {HEADER + chr(10)!r} -> {HEADER + chr(13) + chr(10)!r}" in out
+
+    quoted = write_sweep(tmp_path / "q", [ROWS[0], '"mrt",0,0,0,true,0.5,0.75,0.1', ROWS[2]], AGG)
+    assert compare_sweeps.main([parent, quoted]) == 1
+    assert ("raw line 3 differs outside runtime_ms: 'mrt,0,0,0,true,0.5,0.75,0.1\\n' -> "
+            "'\"mrt\",0,0,0,true,0.5,0.75,0.1\\n'") in capsys.readouterr().out
+
+    # runtime_ms alone may differ; the aggregate's line ends may not
+    timed = write_sweep(tmp_path / "t", [r.rsplit(",", 1)[0] + ",99" for r in ROWS], AGG)
+    (tmp_path / "t" / "rows.agg.csv").write_text("\r\n".join(AGG) + "\r\n", newline="")
+    assert compare_sweeps.main([parent, timed]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "raw lines: identical outside runtime_ms" in out
+    assert any(line.startswith("aggregate raw line 1 differs: ") for line in out)
+    assert "aggregates: 1 differences" in out
+
+    trace = write_trace(tmp_path / "tp", TRACE)
+    (tmp_path / "tc").mkdir()
+    (tmp_path / "tc" / "converge.csv").write_text("\r\n".join([TRACE_HEADER, *TRACE]) + "\r\n",
+                                                   newline="")
+    assert compare_sweeps.main([trace, str(tmp_path / "tc" / "converge.csv")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("raw line 1 differs: ")

@@ -93,11 +93,11 @@ def test_kinds_equal_the_dense_base_stack(n, s, m, e, n_trials, csit, seed):
     check_against_dense(BUILDS[csit](real, cfg, ridge=ridge), real, csit, ridge, rng)
 
 
-def pooled_chunk(axis, values, csit="limited", n_antennas=4):
+def pooled_chunk(axis, values, csit="limited", n_antennas=4, methods="gpi-rsma, mrt"):
     """A harness chunk pooled over ``values`` of ``axis``, two trials each."""
     cfg = rs.parse_config_text(
         f"n_antennas = {n_antennas}\ncsit_mode = {csit}\ntrials = 2\nsweep_axis = {axis}\n"
-        f"sweep_values = {', '.join(map(str, values))}\nmethods = gpi-rsma, mrt\n")
+        f"sweep_values = {', '.join(map(str, values))}\nmethods = {methods}\n")
     (_, pieces), = harness._sweep_chunks(cfg, 1)
     parts, truth, ridge = harness._draw_chunk(cfg, pieces)
     return cfg, pieces, truth, ridge, harness._known(csit, truth, parts[0][0], ridge)[1]
@@ -136,8 +136,9 @@ def test_a_trials_numbers_do_not_depend_on_its_chunk(csit):
                 assert np.array_equal(op[0], full[i])
 
 
-def test_a_trials_rows_do_not_depend_on_its_chunk():
-    cfg, pieces, _, _, _ = pooled_chunk("kappa", (0.1, 0.8))
+@pytest.mark.parametrize("axis, values", [("kappa", (0.1, 0.8)), ("snr_db", (0.0, 30.0))])
+def test_a_trials_rows_do_not_depend_on_its_chunk(axis, values):
+    cfg, pieces, _, _, _ = pooled_chunk(axis, values, methods=", ".join(harness.METHODS))
     trials = [(v, ai, t) for v, ai, run in pieces for t in run]
     rows = [harness._result_row(r)[:-1] for r in harness._run_chunk(cfg, pieces)]
     per_trial = len(cfg.methods)
