@@ -248,10 +248,10 @@ def gpi_solve_batch(
     iterations = np.zeros(n_trials, dtype=int)
     restarts = np.zeros(n_trials, dtype=int)
     # per-trial rings of the last _DEPTH image (rings[:, 0]) and residual
-    # (rings[:, 1]) differences; the warm-up's entries are overwritten before
-    # the first accelerated step reads
-    rings = np.zeros((n_trials, 2, _DEPTH, *qf.shape), dtype=complex)
-    prev_img, prev_res = vec, np.zeros_like(vec)
+    # (rings[:, 1]) differences, made only if the solve can accelerate, at
+    # step _WARMUP - _DEPTH + 1: the first accelerated step reads the
+    # differences of the _DEPTH steps that follow
+    rings = None
     # pair row of a trial's image; its candidate's is one more
     evens = np.arange(0, 2 * n_trials, 2)
 
@@ -269,8 +269,11 @@ def gpi_solve_batch(
             step = _norms(res)
             # an ok trial's step is finite, so this is ok & ~stop
             moving = ok & (step > eps)
-            np.subtract(img, prev_img, out=rings[:, 0, t % _DEPTH])
-            np.subtract(res, prev_res, out=rings[:, 1, t % _DEPTH])
+            if rings is not None:
+                np.subtract(img, prev_img, out=rings[:, 0, t % _DEPTH])
+                np.subtract(res, prev_res, out=rings[:, 1, t % _DEPTH])
+            elif t == _WARMUP - _DEPTH + 1 and config.t_max > _WARMUP:
+                rings = np.zeros((len(img), 2, _DEPTH, *qf.shape), dtype=complex)
             prev_img, prev_res = img, res
 
             if t <= _WARMUP:
@@ -312,8 +315,9 @@ def gpi_solve_batch(
                     break
                 qf = qf.take(keep)
                 sm = Smoothed(*(None if field is None else field[keep] for field in sm))
-                idx, vec, prev_img, prev_res, rings = (
-                    a[keep] for a in (idx, vec, prev_img, prev_res, rings))
+                idx, vec = idx[keep], vec[keep]
+                if rings is not None:
+                    prev_img, prev_res, rings = prev_img[keep], prev_res[keep], rings[keep]
     return solutions, SolveTrace(tuple(map(tuple, rows)), converged, iterations, objective, restarts)
 
 

@@ -339,17 +339,22 @@ def chunk(build, count, t_max=30, n_normal=2, n_eves=2):
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
 def test_batched_solve_matches_single_solves_bit_for_bit(build):
     cfg, stacked, sets, starts = chunk(build, 8)
-    alone = [rs.gpi_solve(qf, start, cfg) for qf, start in zip(sets, starts)]
-    assert len({trace.iterations_used for _, trace in alone}) > 2
-    assert not all(trace.converged for _, trace in alone)
     subset = np.random.default_rng(3).permutation(len(sets))[:5]
-    for pick in (np.arange(len(sets)), subset):
-        solutions, trace = gpi_solve_batch(stacked.take(pick), starts[pick], cfg, keep_iterates=True)
-        assert solutions.shape == (len(pick), *stacked.shape)
-        for j, i in enumerate(pick):
-            assert np.array_equal(solutions[j], alone[i][0])
-            assert trace.take(j) == alone[i][1]
-            assert [row[3] for row in trace.rows[j]] == [row[3] for row in alone[i][1].rows]
+    # t_max at the end of the warm-up (no rings) and one step past it (the
+    # rings' first writes and first read)
+    for t_max in (cfg.t_max, solver._WARMUP, solver._WARMUP + 1):
+        at = replace(cfg, t_max=t_max)
+        alone = [rs.gpi_solve(qf, start, at) for qf, start in zip(sets, starts)]
+        if at == cfg:
+            assert len({trace.iterations_used for _, trace in alone}) > 2
+            assert not all(trace.converged for _, trace in alone)
+        for pick in (np.arange(len(sets)), subset):
+            solutions, trace = gpi_solve_batch(stacked.take(pick), starts[pick], at, keep_iterates=True)
+            assert solutions.shape == (len(pick), *stacked.shape)
+            for j, i in enumerate(pick):
+                assert np.array_equal(solutions[j], alone[i][0])
+                assert trace.take(j) == alone[i][1]
+                assert [row[3] for row in trace.rows[j]] == [row[3] for row in alone[i][1].rows]
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
@@ -467,6 +472,25 @@ def test_a_solve_within_the_warmup_is_the_plain_map_bit_for_bit(build):
     assert not batch.restarts.any()
     for i, stack in enumerate(solutions):
         assert_plain_map(stack, batch.take(i), plain, i)
+
+
+@pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
+def test_the_first_accelerated_step_reads_the_plain_maps_last_differences(build, monkeypatch):
+    # the rings are written from step _WARMUP - _DEPTH + 2 on, so the first
+    # accelerated step reads the image and residual differences of that step
+    # and the _DEPTH - 1 after it
+    cfg, stacked, _, starts = chunk(build, 8, t_max=solver._WARMUP + 1)
+    cfg = replace(cfg, epsilon=1e-15)
+    x = plain_map(stacked, starts, cfg)[0]
+    seen = []
+    anderson = solver._anderson
+    monkeypatch.setattr(solver, "_anderson",
+                        lambda *args: seen.append([a.copy() for a in args[1:3]]) or anderson(*args))
+    gpi_solve_batch(stacked, starts, cfg)
+    (d_img, d_res), = seen
+    for t in range(solver._WARMUP - solver._DEPTH + 2, cfg.t_max + 1):
+        assert np.array_equal(d_img[:, t % solver._DEPTH], x[t] - x[t - 1])
+        assert np.array_equal(d_res[:, t % solver._DEPTH], (x[t] - x[t - 1]) - (x[t - 1] - x[t - 2]))
 
 
 @pytest.mark.parametrize("build", [rs.build_quadforms_perfect, rs.build_quadforms_limited])
