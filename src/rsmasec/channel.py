@@ -102,7 +102,11 @@ def one_ring_covariance(
     col = np.empty((flat.shape[0], n_antennas), dtype=complex)
     col[:, 0] = half_w.sum()
     for lo in range(0, flat.shape[0], _COV_BLOCK):
-        z = np.exp(-1j * TWO_PI * antenna_spacing * np.cos(flat[lo:lo + _COV_BLOCK] + spread * x))
+        # z = exp(-j*phase), its parts from cos and sin: the same bits, half the time
+        phase = TWO_PI * antenna_spacing * np.cos(flat[lo:lo + _COV_BLOCK] + spread * x)
+        z = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=z.real)
+        np.negative(np.sin(phase), out=z.imag)
         power = half_w * z   # C order: each row sums over its own contiguous nodes
         for m in range(1, n_antennas):
             col[lo:lo + _COV_BLOCK, m] = power.sum(axis=-1)

@@ -50,6 +50,17 @@ def test_one_ring_frozen_entries():
     assert abs(r[0, 3] - (+0.399815900006635 + 0.047124251994548j)) < 1e-8
 
 
+@pytest.mark.parametrize("spacing", [0.5, 0.3, 1.7])
+def test_phase_factors_from_cos_and_sin_equal_the_exponential(spacing):
+    # one_ring_covariance writes exp(-j*phase) as cos(phase) - j*sin(phase);
+    # a platform where the two differ in a bit would move every covariance
+    angles = np.random.default_rng(11).uniform(-np.pi, np.pi, (32, 512))
+    phase = TWO_PI * spacing * np.cos(angles)
+    z = np.empty(phase.shape, dtype=complex)
+    z.real, z.imag = np.cos(phase), -np.sin(phase)
+    assert np.array_equal(z.view(float), np.exp(-1j * TWO_PI * spacing * np.cos(angles)).view(float))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     aoa=st.floats(0.0, TWO_PI),
