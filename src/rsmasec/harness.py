@@ -17,7 +17,6 @@ written in one pass, one formatted line per row.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
@@ -390,11 +389,6 @@ def _result_line(r: TrialResult) -> str:
         r.common_min, r.runtime_ms)
 
 
-def _result_row(r: TrialResult) -> list[str]:
-    """CSV cells of ``r``: its line's cells, which hold no comma."""
-    return _result_line(r).split(",")
-
-
 def _write_csv(path: str, header: list[str], lines) -> None:
     """Write ``header`` and ``lines`` (cells joined by commas, none of which
     needs quoting) in one write, each line ended by CR LF as ``csv.writer``
@@ -533,28 +527,25 @@ def run_convergence(
     draws the scenario of the matching sweep row.  One CSV row per (snr,
     trial, iteration); iteration 0 carries the initializer objective and an
     empty step norm.  ``lam`` is the solver's stationarity multiplier
-    estimate at that iterate.
+    estimate at that iterate.  The CSV is written in one pass after the last
+    solve, so a failed solve leaves no file.
     """
     if not snr_list:
         raise ConfigError("converge needs at least one SNR value")
     config = replace(config, sweep_axis="snr_db", sweep_values=tuple(snr_list))
     _check_axis_values(config.sweep_axis, config.sweep_values, config.system)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONVERGE_COLUMNS)
-        for _, pieces in _sweep_chunks(config, 1):
-            parts, truth, ridge = _draw_chunk(config, pieces)
-            system = parts[0][0]
-            knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-            _, trace = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
-            if (trace.iterations_used == 0).any():
-                raise NumericError("a solve of the chunk failed numerically")
-            for (snr, _, trials), (_, _, seeds, at) in zip(pieces, parts):
-                for trial, seed, rows in zip(trials, seeds, trace.rows[at]):
-                    for it, step, obj, lam in rows:
-                        writer.writerow([
-                            _fmt(snr), str(trial), str(seed), str(it),
-                            "" if math.isnan(step) else _fmt(step),
-                            _fmt(obj), _fmt(lam),
-                        ])
+    lines = []
+    for _, pieces in _sweep_chunks(config, 1):
+        parts, truth, ridge = _draw_chunk(config, pieces)
+        system = parts[0][0]
+        knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
+        _, trace = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
+        if (trace.iterations_used == 0).any():
+            raise NumericError("a solve of the chunk failed numerically")
+        for (snr, _, trials), (_, _, seeds, at) in zip(pieces, parts):
+            for trial, seed, rows in zip(trials, seeds, trace.rows[at]):
+                lines.extend(
+                    f"{_fmt(snr)},{trial},{seed},{it},{'' if math.isnan(step) else _fmt(step)},"
+                    f"{_fmt(obj)},{_fmt(lam)}" for it, step, obj, lam in rows)
+    _write_csv(out_path, CONVERGE_COLUMNS, lines)
     return out_path

@@ -197,5 +197,5 @@ def test_single_prints_the_parent_cells(monkeypatch, capsys, tmp_path):
         ",".join(cells) + "\n"
         for cells in [harness.CSV_COLUMNS,
                       *([parent_cell(getattr(r, name)) for name in names] for r in printed)])
-    assert [harness._result_row(r) for r in printed] == [
+    assert [harness._result_line(r).split(",") for r in printed] == [
         [parent_cell(getattr(r, name)) for name in names] for r in printed]

@@ -114,5 +114,5 @@ def test_a_chunk_without_secret_users_matches_its_single_trials():
         "n_secret = 0\nn_normal = 3\nmethods = gpi-rsma, gpi-sdma, rzf-sdma, mrt\ntrials = 3")
     chunk = harness._sweep_rows(cfg, workers=1)
     alone = [r for t in range(3) for r in rs.run_trial(cfg, None, t)]
-    assert [harness._result_row(r)[:-1] for r in chunk] == [
-        harness._result_row(r)[:-1] for r in alone]
+    assert [harness._result_line(r).split(",")[:-1] for r in chunk] == [
+        harness._result_line(r).split(",")[:-1] for r in alone]

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import pathlib
@@ -262,7 +263,7 @@ def test_chunks_pool_the_values_that_share_a_set_shape(axis, values, pooled):
 
 def cells(row):
     """A row's CSV cells without runtime_ms."""
-    return harness._result_row(row)[:-1]
+    return harness._result_line(row).split(",")[:-1]
 
 
 def test_chunk_size_follows_the_byte_budget():
@@ -373,9 +374,7 @@ def test_each_method_depends_on_the_scenario_alone(csit_mode):
 def test_float_formatting_round_trips():
     cfg = rs.parse_config_text("methods = mrt\ntrials = 1")
     row = rs.run_trial(cfg, None, 0)[0]
-    from rsmasec.harness import _result_row
-
-    text = _result_row(row)
+    text = harness._result_line(row).split(",")
     assert float(text[15]) == pytest.approx(row.sum_secrecy_se, rel=1e-11)
     assert text[1] == "0"
     assert text[2] == str(row.seed)
@@ -409,6 +408,31 @@ def test_convergence_trace_file(tmp_path):
             steps = [r for r in rows[1:] if r[0] == snr and r[1] == trial]
             last = steps[-1]
             assert float(last[4]) <= cfg.system.epsilon or int(last[3]) == cfg.system.t_max
+
+
+def test_convergence_csv_bytes_are_csv_writers(tmp_path, monkeypatch):
+    cfg = rs.parse_config_text("trials = 2\nt_max = 12")
+    out = rs.run_convergence(cfg, [0.0, 20.0], str(tmp_path / "trace.csv"))
+    with open(out, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    again = io.StringIO(newline="")
+    csv.writer(again).writerows(csv.reader(io.StringIO(text, newline="")))
+    assert text == again.getvalue()
+    # iteration 0's step_norm cell is empty, not quoted
+    starts = [line for line in text.split("\r\n")[1:-1] if line.split(",")[3] == "0"]
+    assert len(starts) == 4 and all(line.split(",")[4] == "" for line in starts)
+
+    # a failed solve leaves no file
+    solve = harness.gpi_solve_batch
+
+    def failing(*args, **kwargs):
+        solutions, trace = solve(*args, **kwargs)
+        return solutions, replace(trace, iterations_used=0 * trace.iterations_used)
+
+    monkeypatch.setattr(harness, "gpi_solve_batch", failing)
+    with pytest.raises(rs.NumericError):
+        rs.run_convergence(cfg, [0.0, 20.0], str(tmp_path / "failed.csv"))
+    assert not (tmp_path / "failed.csv").exists()
 
 
 def test_convergence_rejects_empty_snr_list(tmp_path):
