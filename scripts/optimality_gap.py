@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from rsmasec.baselines import mrt_init
-from rsmasec.harness import _draw_chunk, _each_trial, _known, _sweep_chunks, parse_config
+from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
 from rsmasec.rates import sum_secrecy_se
 from rsmasec.solver import gpi_solve_batch
 
@@ -88,12 +88,10 @@ def main(argv: list[str] | None = None) -> int:
 
     rows: list[dict] = []
     for _, pieces in _sweep_chunks(config, 1):
-        parts, truth, ridge = _draw_chunk(config, pieces)
-        system = parts[0][0]
+        system, truth, ridge, noise_eve, heads = _draw_chunk(config, pieces)
         reference = replace(system, **REFERENCE)
         knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-        noise = {"noise_user_ratio": ridge, "noise_eve_ratio": _each_trial(parts, "noise_eve_ratio")}
-        axis = [value for value, _, trials in pieces for _ in trials]
+        noise = {"noise_user_ratio": ridge, "noise_eve_ratio": noise_eve}
         for method in methods:
             rsma = method == "gpi-rsma"
             chunk = quadforms if rsma else quadforms.without_common()
@@ -112,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             rows += [{"axis": value, "method": method,
                       "config": se_config[i], "reference": se_ref[i], "best_start": se_best[i],
                       "iterations_config": int(it_config[i]), "iterations_reference": int(it_ref[i])}
-                     for i, value in enumerate(axis)]
+                     for i, (_, _, value, *_) in enumerate(heads)]
 
     for value in dict.fromkeys(r["axis"] for r in rows):
         for method in methods:

@@ -11,7 +11,8 @@ default), so a group's calls share the machine's drift.
 
 The chunk group, the layers run around the solver by ``_run_chunk`` and ``run_sweep``:
 
-  - ``draw``: ``_draw_chunk``, the seeds and the stacked draws;
+  - ``draw``: ``_draw_chunk``, the seeds, the stacked draws, the noise terms
+    and the row heads;
   - ``build``: the chunk's quad-form set (``_known``);
   - ``<method>_baseline``: each method's MRT start, or ``rzf_precoder`` for
     ``rzf-sdma``; ``<method>_objective``: ``smoothed_objective`` for
@@ -49,7 +50,6 @@ from rsmasec.baselines import mrt_init, rzf_precoder
 from rsmasec.harness import (
     CSV_COLUMNS,
     _draw_chunk,
-    _each_trial,
     _known,
     _method_rows,
     _result_line,
@@ -77,9 +77,9 @@ def _timed(calls: dict, repeats: int) -> dict:
             for name, v in ms.items()}
 
 
-def _chunk_calls(config, pieces, parts, truth, ridge, knowledge, quadforms, path: str) -> dict:
-    system = parts[0][0]
-    noise = {"noise_user_ratio": ridge, "noise_eve_ratio": _each_trial(parts, "noise_eve_ratio")}
+def _chunk_calls(config, pieces, drawn, knowledge, quadforms, path: str) -> dict:
+    system, truth, ridge, noise_eve, heads = drawn
+    noise = {"noise_user_ratio": ridge, "noise_eve_ratio": noise_eve}
     calls = {
         "draw": lambda: _draw_chunk(config, pieces),
         "build": lambda: _known(config.csit_mode, truth, system, ridge),
@@ -100,8 +100,6 @@ def _chunk_calls(config, pieces, parts, truth, ridge, knowledge, quadforms, path
             calls[f"{method}_objective"] = lambda scored=scored, f=f: smoothed_objective(scored, f, system)
 
     rows = _run_chunk(config, pieces)
-    heads = [(r.trial_index, r.seed, r.axis_value, r.snr_db, r.n_antennas, r.n_users, r.n_secret,
-              r.n_normal, r.n_eves, r.kappa, r.alpha) for r in rows[::len(config.methods)]]
     # each method's rows of the chunk, for their iterations, flags and objectives
     outcomes = {method: [[getattr(r, name) for r in rows[j::len(config.methods)]]
                          for name in ("iterations", "converged", "smoothed_objective")]
@@ -151,13 +149,13 @@ def main(argv: list[str] | None = None) -> int:
     config = parse_config(args.config)
 
     _, pieces = _sweep_chunks(config, 1)[0]
-    parts, truth, ridge = _draw_chunk(config, pieces)
-    knowledge, quadforms = _known(config.csit_mode, truth, parts[0][0], ridge)
+    drawn = _draw_chunk(config, pieces)
+    system, truth, ridge, _, _ = drawn
+    knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
     with tempfile.TemporaryDirectory() as tmp:
-        chunk = _timed(_chunk_calls(config, pieces, parts, truth, ridge, knowledge, quadforms,
+        chunk = _timed(_chunk_calls(config, pieces, drawn, knowledge, quadforms,
                                     os.path.join(tmp, "chunk.csv")), args.repeats)
-    point, alpha = mrt_init(knowledge), parts[0][0].smoothing
-    kernels = _timed(_kernel_calls(quadforms, point, alpha), args.repeats)
+    kernels = _timed(_kernel_calls(quadforms, mrt_init(knowledge), system.smoothing), args.repeats)
     print(json.dumps({"trials": len(ridge), "shape": list(quadforms.shape), "repeats": args.repeats,
                       **chunk, **kernels}))
     return 0

@@ -254,37 +254,31 @@ def run_trial(
 
 
 def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
-    """``(parts, truth, ridge)`` of a work item's ``(axis_value, axis_index,
-    trials)`` pieces.  ``parts`` holds per piece ``(system, layout, seeds,
-    at)``: its effective scenario, each trial's seed and the slice ``at`` of
-    the chunk's stack that holds its trials.  ``truth`` stacks every trial's
-    scenario, drawn from its own seed.  The pieces of a chunk share their
-    dimensions (``_pool_key``), so each run of consecutive pieces with equal
-    layouts is drawn in one ``draw_scenario`` call: one for an ``snr_db``
-    chunk, one per value for a ``kappa`` or ``angular_separation`` chunk.
-    ``ridge`` is each trial's sigma_u^2 / P.  The generators end here, so
+    """``(system, truth, noise_user, noise_eve, heads)`` of a work item's
+    ``(axis_value, axis_index, trials)`` pieces: the first piece's system (a
+    chunk's pieces share the set's shape and the solver's settings,
+    ``_pool_key``), the stacked draws, and per trial its sigma_u^2 / P and
+    sigma_e^2 / P, read from its own piece's system, and its ``TrialResult``
+    fields from ``trial_index`` to ``alpha``.  Each trial draws from its own
+    seed; each run of consecutive pieces with equal layouts is drawn in one
+    ``draw_scenario`` call: one for an ``snr_db`` chunk, one per value for a
+    ``kappa`` or ``angular_separation`` chunk.  The generators end here, so
     every method is a function of the drawn scenarios alone."""
-    parts, start = [], 0
+    runs, noise_user, noise_eve, heads = [], [], [], []
     for axis_value, axis_index, trials in pieces:
         system, layout = effective_scenario(config, axis_value)
         seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
-        parts.append((system, layout, seeds, slice(start, start + len(seeds))))
-        start += len(seeds)
-    draws = []
-    for layout, run in itertools.groupby(parts, key=lambda part: part[1]):
-        run = list(run)
-        rngs = [np.random.default_rng(seed) for _, _, seeds, _ in run for seed in seeds]
-        draws.append(draw_scenario(run[0][0], layout, rngs))
+        if not runs or runs[-1][1] != layout:
+            runs.append((system, layout, []))
+        runs[-1][2].extend(np.random.default_rng(seed) for seed in seeds)
+        noise_user += [system.noise_user_ratio] * len(seeds)
+        noise_eve += [system.noise_eve_ratio] * len(seeds)
+        heads += [(t, seed, axis_value, system.snr_db, system.n_antennas, system.n_users,
+                   system.n_secret, system.n_normal, system.n_eves, layout.kappa, system.smoothing)
+                  for t, seed in zip(trials, seeds)]
+    draws = [draw_scenario(*run) for run in runs]
     truth = draws[0] if len(draws) == 1 else ChannelRealization.stack(draws, join=np.concatenate)
-    return parts, truth, _each_trial(parts, "noise_user_ratio")
-
-
-def _each_trial(parts: list[tuple], name: str) -> np.ndarray:
-    """The ``name`` attribute of each piece's system, once per trial of the
-    piece: read from the piece's own system, so a trial's value has the bits
-    it has in a chunk of its own."""
-    return np.repeat([getattr(system, name) for system, *_ in parts],
-                     [len(seeds) for _, _, seeds, _ in parts])
+    return runs[0][0], truth, np.array(noise_user), np.array(noise_eve), heads
 
 
 def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig, ridge=None):
@@ -307,21 +301,13 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
     whole chunk in config order, each layer in one call: one
     ``gpi_solve_batch``, ``mrt_init`` or ``rzf_precoder`` call, one objective
     and one ``sum_secrecy_se`` call over all trials.  ``rzf_precoder`` and
-    ``sum_secrecy_se`` take each trial's sigma_u^2 / P and sigma_e^2 / P, read
-    from its piece's system.  A GPI row's objective is its trace's.  A
-    method's time is split evenly over the chunk's rows, whatever their axis
-    value.  A trial's rows do not depend on the chunk it is in.
+    ``sum_secrecy_se`` take each trial's noise terms.  A GPI row's objective
+    is its trace's.  A method's time is split evenly over the chunk's rows,
+    whatever their axis value.  A trial's rows do not depend on the chunk.
     """
-    parts, truth, ridge = _draw_chunk(config, pieces)
-    system = parts[0][0]   # every piece shares the set's shape and the solver's settings
+    system, truth, ridge, noise_eve, heads = _draw_chunk(config, pieces)
     knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-    noise_eve = _each_trial(parts, "noise_eve_ratio")
-    n = len(ridge)
-    # the fields of each trial's rows that no method changes, in TrialResult order
-    heads = [(t, seed, value, s.snr_db, s.n_antennas, s.n_users, s.n_secret, s.n_normal,
-              s.n_eves, layout.kappa, s.smoothing)
-             for (value, _, trials), (s, layout, seeds, _) in zip(pieces, parts)
-             for t, seed in zip(trials, seeds)]
+    n = len(heads)
     by_method = []
     for method in config.methods:
         t0 = time.perf_counter()
@@ -536,16 +522,14 @@ def run_convergence(
     _check_axis_values(config.sweep_axis, config.sweep_values, config.system)
     lines = []
     for _, pieces in _sweep_chunks(config, 1):
-        parts, truth, ridge = _draw_chunk(config, pieces)
-        system = parts[0][0]
+        system, truth, ridge, _, heads = _draw_chunk(config, pieces)
         knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
         _, trace = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
         if (trace.iterations_used == 0).any():
             raise NumericError("a solve of the chunk failed numerically")
-        for (snr, _, trials), (_, _, seeds, at) in zip(pieces, parts):
-            for trial, seed, rows in zip(trials, seeds, trace.rows[at]):
-                lines.extend(
-                    f"{_fmt(snr)},{trial},{seed},{it},{'' if math.isnan(step) else _fmt(step)},"
-                    f"{_fmt(obj)},{_fmt(lam)}" for it, step, obj, lam in rows)
+        for (trial, seed, snr, *_), rows in zip(heads, trace.rows):
+            lines.extend(
+                f"{_fmt(snr)},{trial},{seed},{it},{'' if math.isnan(step) else _fmt(step)},"
+                f"{_fmt(obj)},{_fmt(lam)}" for it, step, obj, lam in rows)
     _write_csv(out_path, CONVERGE_COLUMNS, lines)
     return out_path

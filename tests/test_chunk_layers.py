@@ -37,19 +37,28 @@ def test_a_chunk_draws_once_per_layout(monkeypatch, axis, values, calls):
         return rs.draw_scenario(*args)
 
     monkeypatch.setattr(harness, "draw_scenario", draw)
-    parts, truth, ridge = harness._draw_chunk(cfg, pieces)
+    system, truth, ridge, noise_eve, heads = harness._draw_chunk(cfg, pieces)
     assert len(counted) == calls and sum(counted) == 3 * len(values)
 
+    # each piece's own system, layout and seeds, as the piece alone would derive them
+    parts = [(*harness.effective_scenario(cfg, value), value,
+              [(t, harness.derive_seed(cfg.master_seed, axis_index, t)) for t in trials])
+             for value, axis_index, trials in pieces]
+    assert system == parts[0][0]
     # the stack of one draw per piece, as each piece alone would draw it
-    each = [rs.draw_scenario(system, layout, [np.random.default_rng(s) for s in seeds])
-            for system, layout, seeds, _ in parts]
+    each = [rs.draw_scenario(s, layout, [np.random.default_rng(seed) for _, seed in seeds])
+            for s, layout, _, seeds in parts]
     per_piece = rs.ChannelRealization.stack(each, join=np.concatenate)
     for field in dataclasses.fields(truth):
         got, want = getattr(truth, field.name), getattr(per_piece, field.name)
         assert (got is None) == (want is None), field.name
         if got is not None:
             assert got.shape == want.shape and np.array_equal(got, want), field.name
-    assert ridge.tolist() == [s.noise_user_ratio for s, _, seeds, _ in parts for _ in seeds]
+    assert ridge.tolist() == [s.noise_user_ratio for s, _, _, seeds in parts for _ in seeds]
+    assert noise_eve.tolist() == [s.noise_eve_ratio for s, _, _, seeds in parts for _ in seeds]
+    assert heads == [(t, seed, value, s.snr_db, s.n_antennas, s.n_users, s.n_secret, s.n_normal,
+                      s.n_eves, layout.kappa, s.smoothing)
+                     for s, layout, value, seeds in parts for t, seed in seeds]
 
 
 def stacked_trials(dims, snrs, seed):

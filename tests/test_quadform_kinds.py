@@ -99,8 +99,8 @@ def pooled_chunk(axis, values, csit="limited", n_antennas=4, methods="gpi-rsma, 
         f"n_antennas = {n_antennas}\ncsit_mode = {csit}\ntrials = 2\nsweep_axis = {axis}\n"
         f"sweep_values = {', '.join(map(str, values))}\nmethods = {methods}\n")
     (_, pieces), = harness._sweep_chunks(cfg, 1)
-    parts, truth, ridge = harness._draw_chunk(cfg, pieces)
-    return cfg, pieces, truth, ridge, harness._known(csit, truth, parts[0][0], ridge)[1]
+    system, truth, ridge, _, _ = harness._draw_chunk(cfg, pieces)
+    return cfg, pieces, truth, ridge, harness._known(csit, truth, system, ridge)[1]
 
 
 @pytest.mark.parametrize("n_antennas", [4, 9])
