@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, convergence traces, single trials, checks.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 one or more
-validation checks failed.  The master seed from the config file can be
+validation checks failed, 4 numeric error (a ``converge`` solve that
+failed, which writes no file).  The master seed from the config file can be
 overridden with the RSMASEC_MASTER_SEED environment variable, and
 ``sweep``/``converge`` write to the config's ``output_path`` (relative to
 the current directory) unless ``--out`` is given.
@@ -26,6 +27,7 @@ from .harness import (
     run_trial,
     _result_line,
 )
+from .solver import NumericError
 from .validate import run_validate
 
 
@@ -150,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -181,8 +181,6 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("sweep_values given without a sweep_axis")
     if axis != "none" and not values:
         raise ConfigError(f"sweep_axis = {axis} needs sweep_values")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"duplicate entry in sweep_values: {', '.join(map(_fmt, values))}")
     _check_axis_values(axis, values, system)
 
     if config.trials < 1:
@@ -193,6 +191,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _check_axis_values(axis: str, values: tuple[float, ...], system: SystemConfig) -> None:
+    """Reject repeated sweep values and values that ``axis`` cannot take."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate entry in sweep_values: {', '.join(map(_fmt, values))}")
     for v in values:
         if not math.isfinite(v):
             raise ConfigError(f"{axis} sweep values must be finite, got {v}")
@@ -449,8 +450,9 @@ def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[Tr
     """Every trial of the sweep, in (axis, trial, method) order.
 
     Chunks of trials are independent work items; with workers > 1 they are
-    dispatched to a process pool.  Neither the chunking nor the worker count
-    changes any row.
+    dispatched to a process pool of at most one process per item, since the
+    fork start method starts every worker up front.  Neither the chunking nor
+    the worker count changes any row.
     """
     if workers is None:
         # the CPUs this process may run on, which can be fewer than the machine has
@@ -460,7 +462,7 @@ def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[Tr
     if workers <= 1 or len(items) == 1:
         batches = [_run_chunk(*it) for it in items]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             batches = list(pool.map(_run_chunk, *zip(*items)))
     return [r for batch in batches for r in batch]
 

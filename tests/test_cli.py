@@ -1,8 +1,10 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
 import rsmasec.cli as cli
+from rsmasec import harness
 from rsmasec.harness import CSV_COLUMNS
 from rsmasec.validate import CheckResult
 
@@ -79,6 +81,29 @@ def test_nonfinite_snr_is_config_error(config_file, tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_duplicate_snr_is_config_error(config_file, tmp_path, capsys):
+    code = cli.main(["converge", "--config", config_file, "--snr", "10,10",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "duplicate" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_failed_converge_solve_is_numeric_error(config_file, tmp_path, monkeypatch, capsys):
+    solve = harness.gpi_solve_batch
+
+    def failing(*args, **kwargs):
+        solutions, trace = solve(*args, **kwargs)
+        return solutions, replace(trace, iterations_used=0 * trace.iterations_used)
+
+    monkeypatch.setattr(harness, "gpi_solve_batch", failing)
+    code = cli.main(["converge", "--config", config_file, "--snr", "0,20",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("numeric error: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -441,6 +441,14 @@ def test_convergence_rejects_empty_snr_list(tmp_path):
         rs.run_convergence(cfg, [], str(tmp_path / "x.csv"))
 
 
+def test_convergence_rejects_duplicate_snrs(tmp_path):
+    # two trial sets under the same (snr_db, trial, iteration) keys
+    cfg = rs.parse_config_text("trials = 1")
+    with pytest.raises(rs.ConfigError, match="duplicate entry"):
+        rs.run_convergence(cfg, [10.0, 0.0, 10.0], str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("csit_mode", ["limited", "perfect"])
 def test_convergence_traces_match_sweep_trials(tmp_path, csit_mode):
     cfg = rs.parse_config_text(
@@ -469,6 +477,32 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
         "methods = mrt\nsweep_axis = snr_db\nsweep_values = 0, 10\ntrials = 2")
     rows = harness._sweep_rows(cfg)
     assert [(r.axis_value, r.trial_index) for r in rows] == [(0, 0), (0, 1), (10, 0), (10, 1)]
+
+
+def test_the_pool_has_no_more_workers_than_work_items(monkeypatch):
+    # the fork start method starts every worker up front, so an idle one costs a fork
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = rs.parse_config_text(
+        "methods = mrt\nsweep_axis = snr_db\nsweep_values = 0, 10\ntrials = 3")
+    rows = harness._sweep_rows(cfg, workers=16)
+    assert started == [len(harness._sweep_chunks(cfg, 16))] == [6]
+    untimed = [replace(r, runtime_ms=0.0) for r in harness._sweep_rows(cfg, workers=1)]
+    assert [replace(r, runtime_ms=0.0) for r in rows] == untimed
 
 
 @settings(max_examples=100, deadline=None)
