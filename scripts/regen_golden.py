@@ -32,10 +32,11 @@ def main(argv: list[str] | None = None) -> int:
     golden.GOLDEN_DIR.mkdir(exist_ok=True)
     for name in args.cases or golden.CASES:
         path = golden.GOLDEN_DIR / f"{name}.csv"
-        text = "\n".join(golden.reference_lines(name)) + "\n"
+        lines = golden.reference_lines(name)
+        text = "\n".join(lines) + "\n"
         changed = not path.exists() or path.read_text(encoding="utf-8") != text
         path.write_text(text, encoding="utf-8")
-        print(f"{name}: {text.count(chr(10)) - 1} rows, {'rewritten' if changed else 'unchanged'}")
+        print(f"{name}: {len(lines) - 1} rows, {'rewritten' if changed else 'unchanged'}")
     return 0
 
 
