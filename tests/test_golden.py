@@ -9,6 +9,7 @@ last-digit moves (3.4e-9 is the largest a reordered sum has made) and fails
 any move of 1e-6, while leaving room for other BLAS builds, which bit
 equality would not.  ``scripts/regen_golden.py`` rewrites the references.
 """
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -99,3 +100,14 @@ def test_the_gate_passes_last_digit_moves_and_fails_the_rest():
                  "gpi-sdma,0,20,7,true,1.25,nan,-0.5"):
         assert len(moved_rows([want[0], line], want)) == 1, line
     assert moved_rows(want[:1], want)
+
+
+def test_regen_golden_writes_the_references_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("regen_golden", ROOT / "scripts" / "regen_golden.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    monkeypatch.setattr(regen.golden, "GOLDEN_DIR", tmp_path)
+    assert regen.main(["smoke", "large-limited"]) == 0
+    for name in ("smoke", "large-limited"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert capsys.readouterr().out == "smoke: 20 rows, rewritten\nlarge-limited: 9 rows, rewritten\n"
