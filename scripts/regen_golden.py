@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Rewrite the golden row references that ``tests/test_golden.py`` checks.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/regen_golden.py [CASE ...]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/regen_golden.py
 
-Sweeps each case (default: all) in-process, as the test does, and writes
+Sweeps every case in-process, as the test does, and writes
 ``tests/golden/<case>.csv``.  A change that runs this moves rows on purpose;
-``git diff tests/golden`` then shows which.  Prints one line per case: its
-row count and whether its file changed.
+``git diff tests/golden`` then shows which.  Prints each case's row count.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import pathlib
 import sys
@@ -21,22 +19,12 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("cases", nargs="*", metavar="CASE",
-                        help=f"cases to rewrite (default: all of {', '.join(golden.CASES)})")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.cases) - set(golden.CASES))
-    if unknown:
-        parser.error(f"unknown case: {', '.join(unknown)}")
+def main() -> int:
     golden.GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in args.cases or golden.CASES:
-        path = golden.GOLDEN_DIR / f"{name}.csv"
+    for name in golden.CASES:
         lines = golden.reference_lines(name)
-        text = "\n".join(lines) + "\n"
-        changed = not path.exists() or path.read_text(encoding="utf-8") != text
-        path.write_text(text, encoding="utf-8")
-        print(f"{name}: {len(lines) - 1} rows, {'rewritten' if changed else 'unchanged'}")
+        (golden.GOLDEN_DIR / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"{name}: {len(lines) - 1} rows")
     return 0
 
 

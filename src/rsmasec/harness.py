@@ -193,7 +193,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
 def _check_axis_values(axis: str, values: tuple[float, ...], system: SystemConfig) -> None:
     """Reject repeated sweep values and values that ``axis`` cannot take."""
     if len(set(values)) != len(values):
-        raise ConfigError(f"duplicate entry in sweep_values: {', '.join(map(_fmt, values))}")
+        raise ConfigError(f"duplicate {axis} value: {', '.join(map(_fmt, values))}")
     for v in values:
         if not math.isfinite(v):
             raise ConfigError(f"{axis} sweep values must be finite, got {v}")

@@ -74,7 +74,7 @@ def test_parse_k_consistency_check():
         ("sweep_axis = humidity\nsweep_values = 1", "sweep_axis"),
         ("sweep_values = 1, 2", "without a sweep_axis"),
         ("sweep_axis = kappa", "needs sweep_values"),
-        ("sweep_axis = snr_db\nsweep_values = 10, 10", "duplicate entry in sweep_values"),
+        ("sweep_axis = snr_db\nsweep_values = 10, 10", "duplicate snr_db value"),
         ("sweep_axis = kappa\nsweep_values = 1.5", "kappa"),
         ("sweep_axis = n_eves\nsweep_values = 1.5", "integers"),
         ("sweep_axis = n_secret\nsweep_values = 9", "exceeds"),
@@ -444,7 +444,7 @@ def test_convergence_rejects_empty_snr_list(tmp_path):
 def test_convergence_rejects_duplicate_snrs(tmp_path):
     # two trial sets under the same (snr_db, trial, iteration) keys
     cfg = rs.parse_config_text("trials = 1")
-    with pytest.raises(rs.ConfigError, match="duplicate entry"):
+    with pytest.raises(rs.ConfigError, match="duplicate snr_db value"):
         rs.run_convergence(cfg, [10.0, 0.0, 10.0], str(tmp_path / "x.csv"))
     assert not (tmp_path / "x.csv").exists()
 
