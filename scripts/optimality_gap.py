@@ -33,8 +33,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from rsmasec.baselines import mrt_init
-from rsmasec.harness import _draw_chunk, _known, _sweep_chunks, parse_config
+from rsmasec.harness import (GPI_METHODS, _draw_chunk, _known, _method_start, _sweep_chunks,
+                             parse_config)
 from rsmasec.rates import sum_secrecy_se
 from rsmasec.solver import gpi_solve_batch
 
@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("config")
     args = parser.parse_args(argv)
     config = parse_config(args.config)
-    methods = [m for m in config.methods if m in ("gpi-rsma", "gpi-sdma")]
+    methods = [m for m in config.methods if m in GPI_METHODS]
     if not methods:
         parser.error("the config runs no GPI method")
     rng = np.random.default_rng(config.master_seed)
@@ -93,15 +93,13 @@ def main(argv: list[str] | None = None) -> int:
         knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
         noise = {"noise_user_ratio": ridge, "noise_eve_ratio": noise_eve}
         for method in methods:
-            rsma = method == "gpi-rsma"
-            chunk = quadforms if rsma else quadforms.without_common()
-            mrt = mrt_init(knowledge, common_stream=rsma)
+            chunk, mrt = _method_start(method, knowledge, quadforms, system, ridge)
             _, se_config, it_config = _solve(chunk, mrt, system, truth, noise)
             best_obj, se_ref, it_ref = _solve(chunk, mrt, reference, truth, noise)
             se_best = se_ref.copy()
             for _ in range(STARTS):
                 starts = rng.standard_normal((len(ridge), *chunk.shape, 2)) @ [1.0, 1j]
-                if not rsma:
+                if not chunk.has_common:
                     starts[:, 0] = 0.0
                 obj, se, _ = _solve(chunk, starts, reference, truth, noise)
                 better = obj > np.where(np.isnan(best_obj), -np.inf, best_obj)

@@ -14,9 +14,11 @@ The chunk group, the layers run around the solver by ``_run_chunk`` and ``run_sw
   - ``draw``: ``_draw_chunk``, the seeds, the stacked draws, the noise terms
     and the row heads;
   - ``build``: the chunk's quad-form set (``_known``);
-  - ``<method>_baseline``: each method's MRT start, or ``rzf_precoder`` for
-    ``rzf-sdma``; ``<method>_objective``: ``smoothed_objective`` for
-    ``rzf-sdma`` and ``mrt`` (a GPI method reads its trace's);
+  - ``<method>_baseline``: each method's set and start as the sweep makes
+    them (``_method_start``: its MRT start, or ``rzf_precoder`` for
+    ``rzf-sdma``, and the ``without_common()`` view for the SDMA methods);
+    ``<method>_objective``: ``smoothed_objective`` for ``rzf-sdma`` and
+    ``mrt`` (a GPI method reads its trace's);
   - ``scoring``: one ``sum_secrecy_se`` call per method, summed (a GPI
     method scores the precoders of one batched solve);
   - ``rows``: one ``_method_rows`` call per method, summed;
@@ -46,12 +48,14 @@ import time
 
 import numpy as np
 
-from rsmasec.baselines import mrt_init, rzf_precoder
+from rsmasec.baselines import mrt_init
 from rsmasec.harness import (
     CSV_COLUMNS,
+    GPI_METHODS,
     _draw_chunk,
     _known,
     _method_rows,
+    _method_start,
     _result_line,
     _run_chunk,
     _sweep_chunks,
@@ -86,18 +90,13 @@ def _chunk_calls(config, pieces, drawn, knowledge, quadforms, path: str) -> dict
     }
     precoders = {}
     for method in config.methods:
-        rsma = method == "gpi-rsma"
-        if method == "rzf-sdma":
-            calls[f"{method}_baseline"] = lambda: rzf_precoder(knowledge, system, noise_user_ratio=ridge)
+        calls[f"{method}_baseline"] = lambda m=method: _method_start(m, knowledge, quadforms, system, ridge)
+        forms, f = calls[f"{method}_baseline"]()
+        if method in GPI_METHODS:
+            f = gpi_solve_batch(forms, f, system)[0]
         else:
-            calls[f"{method}_baseline"] = lambda rsma=rsma: mrt_init(knowledge, common_stream=rsma)
-        f = precoders[method] = calls[f"{method}_baseline"]()
-        if method in ("gpi-rsma", "gpi-sdma"):
-            solved = quadforms if rsma else quadforms.without_common()
-            precoders[method] = gpi_solve_batch(solved, f, system)[0]
-        else:
-            scored = quadforms.without_common() if method == "rzf-sdma" else quadforms
-            calls[f"{method}_objective"] = lambda scored=scored, f=f: smoothed_objective(scored, f, system)
+            calls[f"{method}_objective"] = lambda forms=forms, f=f: smoothed_objective(forms, f, system)
+        precoders[method] = f
 
     rows = _run_chunk(config, pieces)
     # each method's rows of the chunk, for their iterations, flags and objectives

@@ -41,6 +41,7 @@ from .solver import NumericError, gpi_solve_batch
 log = logging.getLogger(__name__)
 
 METHODS = ("gpi-rsma", "gpi-sdma", "rzf-sdma", "mrt")
+GPI_METHODS = ("gpi-rsma", "gpi-sdma")   # solved from their start; the rest are scored as made
 SWEEP_AXES = ("none", "snr_db", "n_secret", "n_eves", "angular_separation", "kappa")
 CSIT_MODES = ("perfect", "limited")
 
@@ -60,6 +61,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; every construction and ``replace`` checks its fields."""
+
     system: SystemConfig
     layout: ScenarioLayout
     csit_mode: str = "limited"
@@ -69,6 +72,47 @@ class ExperimentConfig:
     trials: int = 100
     master_seed: int = 12345
     output_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.csit_mode not in CSIT_MODES:
+            raise ConfigError(f"csit_mode must be one of {CSIT_MODES}, got {self.csit_mode!r}")
+        if not self.methods:
+            raise ConfigError("methods list is empty")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"duplicate entry in methods: {', '.join(self.methods)}")
+        axis, values, system = self.sweep_axis, self.sweep_values, self.system
+        if axis not in SWEEP_AXES:
+            raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {axis!r}")
+        if axis == "none" and values:
+            raise ConfigError("sweep_values given without a sweep_axis")
+        if axis != "none" and not values:
+            raise ConfigError(f"sweep_axis = {axis} needs sweep_values")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"duplicate {axis} value: {', '.join(map(_fmt, values))}")
+        for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"{axis} sweep values must be finite, got {v}")
+            if axis in ("n_secret", "n_eves"):
+                if v != int(v) or v < 0:
+                    raise ConfigError(f"{axis} sweep values must be nonnegative integers, got {v}")
+                if axis == "n_secret" and int(v) > system.n_users:
+                    raise ConfigError(f"n_secret sweep value {int(v)} exceeds K = {system.n_users}")
+            elif axis == "kappa" and not 0.0 <= v <= 1.0:
+                raise ConfigError(f"kappa sweep values must lie in [0, 1], got {v}")
+            elif axis == "angular_separation" and v <= 0:
+                raise ConfigError(f"angular separation must be positive, got {v}")
+            elif axis == "snr_db":
+                try:
+                    system.with_snr_db(v)
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"snr_db sweep value {v}: {exc}") from exc
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,6 +155,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     raw: dict[str, object] = {}
+    set_on: dict[str, int] = {}   # the line that set each key
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -121,6 +166,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key: {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             if key in _INT_KEYS:
                 raw[key] = int(value)
@@ -155,64 +203,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         layout = ScenarioLayout(**_fields_set(raw, ScenarioLayout))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    config = ExperimentConfig(system=system, layout=layout, **_fields_set(raw, ExperimentConfig))
-
     if "k" in raw and raw["k"] != system.n_users:
-        raise ConfigError(
-            f"k = {raw['k']} contradicts n_secret + n_normal = {system.n_users}"
-        )
-
-    if config.csit_mode not in CSIT_MODES:
-        raise ConfigError(f"csit_mode must be one of {CSIT_MODES}, got {config.csit_mode!r}")
-
-    methods = config.methods
-    if not methods:
-        raise ConfigError("methods list is empty")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
-    if len(set(methods)) != len(methods):
-        raise ConfigError(f"duplicate entry in methods: {', '.join(methods)}")
-
-    axis, values = config.sweep_axis, config.sweep_values
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if axis == "none" and values:
-        raise ConfigError("sweep_values given without a sweep_axis")
-    if axis != "none" and not values:
-        raise ConfigError(f"sweep_axis = {axis} needs sweep_values")
-    _check_axis_values(axis, values, system)
-
-    if config.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed must be >= 0")
-    return config
-
-
-def _check_axis_values(axis: str, values: tuple[float, ...], system: SystemConfig) -> None:
-    """Reject repeated sweep values and values that ``axis`` cannot take."""
-    if len(set(values)) != len(values):
-        raise ConfigError(f"duplicate {axis} value: {', '.join(map(_fmt, values))}")
-    for v in values:
-        if not math.isfinite(v):
-            raise ConfigError(f"{axis} sweep values must be finite, got {v}")
-        if axis in ("n_secret", "n_eves"):
-            if v != int(v) or v < 0:
-                raise ConfigError(f"{axis} sweep values must be nonnegative integers, got {v}")
-            if axis == "n_secret" and int(v) > system.n_users:
-                raise ConfigError(
-                    f"n_secret sweep value {int(v)} exceeds K = {system.n_users}"
-                )
-        elif axis == "kappa" and not 0.0 <= v <= 1.0:
-            raise ConfigError(f"kappa sweep values must lie in [0, 1], got {v}")
-        elif axis == "angular_separation" and v <= 0:
-            raise ConfigError(f"angular separation must be positive, got {v}")
-        elif axis == "snr_db":
-            try:
-                system.with_snr_db(v)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"snr_db sweep value {v}: {exc}") from exc
+        raise ConfigError(f"k = {raw['k']} contradicts n_secret + n_normal = {system.n_users}")
+    return ExperimentConfig(system=system, layout=layout, **_fields_set(raw, ExperimentConfig))
 
 
 def effective_scenario(
@@ -232,9 +225,7 @@ def effective_scenario(
         return replace(system, n_eves=int(axis_value)), layout
     if axis == "angular_separation":
         return system, replace(layout, user_mode="spacing", user_spacing=axis_value)
-    if axis == "kappa":
-        return system, replace(layout, kappa=axis_value)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    return system, replace(layout, kappa=axis_value)   # the last of SWEEP_AXES
 
 
 def derive_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
@@ -292,6 +283,20 @@ def _known(csit_mode: str, truth: ChannelRealization, system: SystemConfig, ridg
     return truth.user_channels, build_quadforms_perfect(truth, system, ridge=ridge)
 
 
+def _method_start(method: str, knowledge: np.ndarray, quadforms, system: SystemConfig, ridge):
+    """``(quadforms, precoders)`` of ``method`` on a chunk before any solve:
+    the set it is solved or scored on and its precoders, each trial's start
+    for a GPI method.  The private-only (SDMA) methods run on
+    ``quadforms.without_common()`` with a zero common block; ``ridge`` is
+    each trial's sigma_u^2 / P, RZF's regularizer."""
+    if method in ("gpi-rsma", "mrt"):
+        return quadforms, mrt_init(knowledge)
+    private = quadforms.without_common()
+    if method == "gpi-sdma":
+        return private, mrt_init(knowledge, common_stream=False)
+    return private, rzf_precoder(knowledge, system, noise_user_ratio=ridge)
+
+
 def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResult]:
     """The trials of a work item's ``(axis_value, axis_index, trials)``
     pieces, in (piece, trial, method) order.
@@ -299,11 +304,11 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
     Each trial draws its scenario as ``run_trial`` would (``_draw_chunk``);
     the draws are stacked and one quad-form set is built for the chunk, with
     each trial's noise ridge in its bases.  Then every method runs over the
-    whole chunk in config order, each layer in one call: one
-    ``gpi_solve_batch``, ``mrt_init`` or ``rzf_precoder`` call, one objective
-    and one ``sum_secrecy_se`` call over all trials.  ``rzf_precoder`` and
-    ``sum_secrecy_se`` take each trial's noise terms.  A GPI row's objective
-    is its trace's.  A method's time is split evenly over the chunk's rows,
+    whole chunk in config order, each layer in one call: its set and
+    precoders (``_method_start``), one ``gpi_solve_batch`` call for a GPI
+    method or else one objective, and one ``sum_secrecy_se`` call over all
+    trials.  ``rzf_precoder`` and ``sum_secrecy_se`` take each trial's noise
+    terms.  A GPI row's objective is its trace's.  A method's time is split evenly over the chunk's rows,
     whatever their axis value.  A trial's rows do not depend on the chunk.
     """
     system, truth, ridge, noise_eve, heads = _draw_chunk(config, pieces)
@@ -312,25 +317,17 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
     by_method = []
     for method in config.methods:
         t0 = time.perf_counter()
-        iterations, converged = [0] * n, [True] * n
-        if method in ("gpi-rsma", "gpi-sdma"):
-            rsma = method == "gpi-rsma"
+        forms, precoders = _method_start(method, knowledge, quadforms, system, ridge)
+        if method in GPI_METHODS:
             # a failed trial scores its NaN precoder, so only its own row is NaN
-            precoders, trace = gpi_solve_batch(quadforms if rsma else quadforms.without_common(),
-                                               mrt_init(knowledge, common_stream=rsma), system)
+            precoders, trace = gpi_solve_batch(forms, precoders, system)
             for i in np.flatnonzero(trace.iterations_used == 0):
                 log.warning("trial %d method %s failed numerically", heads[i][0], method)
             iterations, converged = trace.iterations_used.tolist(), trace.converged.tolist()
             objective = trace.objective.tolist()
-        elif method == "rzf-sdma":
-            # private-only: no common family to score
-            precoders = rzf_precoder(knowledge, system, noise_user_ratio=ridge)
-            objective = smoothed_objective(quadforms.without_common(), precoders, system).tolist()
-        elif method == "mrt":
-            precoders = mrt_init(knowledge)
-            objective = smoothed_objective(quadforms, precoders, system).tolist()
         else:
-            raise ConfigError(f"unknown method {method!r}")
+            iterations, converged = [0] * n, [True] * n
+            objective = smoothed_objective(forms, precoders, system).tolist()
         report = sum_secrecy_se(truth, precoders, system,
                                 noise_user_ratio=ridge, noise_eve_ratio=noise_eve)
         runtime_ms = 1e3 * (time.perf_counter() - t0) / n
@@ -521,12 +518,12 @@ def run_convergence(
     if not snr_list:
         raise ConfigError("converge needs at least one SNR value")
     config = replace(config, sweep_axis="snr_db", sweep_values=tuple(snr_list))
-    _check_axis_values(config.sweep_axis, config.sweep_values, config.system)
     lines = []
     for _, pieces in _sweep_chunks(config, 1):
         system, truth, ridge, _, heads = _draw_chunk(config, pieces)
         knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-        _, trace = gpi_solve_batch(quadforms, mrt_init(knowledge), system, keep_iterates=True)
+        _, trace = gpi_solve_batch(*_method_start("gpi-rsma", knowledge, quadforms, system, ridge),
+                                   system, keep_iterates=True)
         if (trace.iterations_used == 0).any():
             raise NumericError("a solve of the chunk failed numerically")
         for (trial, seed, snr, *_), rows in zip(heads, trace.rows):

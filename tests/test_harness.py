@@ -93,11 +93,45 @@ def test_parse_k_consistency_check():
         ("sweep_axis = snr_db\nsweep_values = 10, nan", "finite"),
         ("sweep_axis = snr_db\nsweep_values = 10, 5000", "snr_db sweep value 5000"),
         ("sweep_axis = angular_separation\nsweep_values = nan", "finite"),
+        ("methods =", "methods list is empty"),
+        ("master_seed = -1", "master_seed"),
+        ("trials = 5\n\ntrials = 6", "line 3: 'trials' is already set on line 1"),
     ],
 )
 def test_parse_errors(text, needle):
     with pytest.raises(rs.ConfigError, match=needle):
         rs.parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "changes,needle",
+    [
+        (dict(csit_mode="psychic"), "csit_mode"),
+        (dict(methods=()), "methods list is empty"),
+        (dict(methods=("warp-drive",)), "unknown method"),
+        (dict(methods=("mrt", "mrt")), "duplicate entry in methods"),
+        (dict(sweep_axis="humidity", sweep_values=(1.0,)), "sweep_axis"),
+        (dict(sweep_values=(1.0, 2.0)), "without a sweep_axis"),
+        (dict(sweep_axis="kappa"), "needs sweep_values"),
+        (dict(sweep_axis="snr_db", sweep_values=(10.0, 10.0)), "duplicate snr_db value"),
+        (dict(sweep_axis="kappa", sweep_values=(1.5,)), "kappa"),
+        (dict(sweep_axis="n_eves", sweep_values=(1.5,)), "integers"),
+        (dict(sweep_axis="n_secret", sweep_values=(9.0,)), "exceeds"),
+        (dict(sweep_axis="angular_separation", sweep_values=(-1.0,)), "positive"),
+        (dict(sweep_axis="n_eves", sweep_values=(math.nan,)), "finite"),
+        (dict(sweep_axis="snr_db", sweep_values=(10.0, math.nan)), "finite"),
+        (dict(sweep_axis="snr_db", sweep_values=(10.0, 5000.0)), "snr_db sweep value 5000"),
+        (dict(sweep_axis="angular_separation", sweep_values=(math.nan,)), "finite"),
+        (dict(trials=0), "trials"),
+        (dict(master_seed=-1), "master_seed"),
+    ],
+)
+def test_a_config_built_in_code_obeys_the_files_rules(tmp_path, changes, needle):
+    # test_parse_errors' cases on ExperimentConfig's own fields, set by replace
+    config = rs.parse_config_text("trials = 2\nmethods = mrt")
+    with pytest.raises(rs.ConfigError, match=needle):
+        rs.run_sweep(replace(config, **changes), str(tmp_path / "out.csv"), workers=1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_messages_carry_line_numbers():
