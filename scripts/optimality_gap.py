@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             rows += [{"axis": value, "method": method,
                       "config": se_config[i], "reference": se_ref[i], "best_start": se_best[i],
                       "iterations_config": int(it_config[i]), "iterations_reference": int(it_ref[i])}
-                     for i, (_, _, value, *_) in enumerate(heads)]
+                     for i, value in enumerate(heads["axis_value"])]
 
     for value in dict.fromkeys(r["axis"] for r in rows):
         for method in methods:

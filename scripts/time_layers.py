@@ -5,14 +5,14 @@
 
 Takes the first chunk of the config's sweep as a sweep takes it
 (``harness._sweep_chunks``, ``_draw_chunk`` and ``_known``) and runs it once
-through ``harness._run_chunk`` for its rows.  Then it times two groups of
+through ``harness._run_chunk`` for its columns.  Then it times two groups of
 calls, one after the other, each in R interleaved rounds (R = 100 by
 default), so a group's calls share the machine's drift.
 
 The chunk group, the layers run around the solver by ``_run_chunk`` and ``run_sweep``:
 
   - ``draw``: ``_draw_chunk``, the seeds, the stacked draws, the noise terms
-    and the row heads;
+    and the head columns;
   - ``build``: the chunk's quad-form set (``_known``);
   - ``<method>_baseline``: each method's set and start as the sweep makes
     them (``_method_start``: its MRT start, or ``rzf_precoder`` for
@@ -21,9 +21,9 @@ The chunk group, the layers run around the solver by ``_run_chunk`` and ``run_sw
     ``mrt`` (a GPI method reads its trace's);
   - ``scoring``: one ``sum_secrecy_se`` call per method, summed (a GPI
     method scores the precoders of one batched solve);
-  - ``rows``: one ``_method_rows`` call per method, summed;
-  - ``csv_write``: the chunk's rows written as ``run_sweep`` writes them;
-  - ``aggregate``: ``harness.aggregate`` over the chunk's rows.
+  - ``csv_write``: the chunk's lines formatted from its columns and written
+    as ``run_sweep`` writes them (``_rows`` and ``_write_csv``);
+  - ``aggregate``: ``harness.aggregate`` over the chunk's columns.
 
 The kernel group, the parts of one GPI iteration at each trial's MRT start
 on the full set (with the common forms): ``evaluate``, ``smoothed`` on its
@@ -54,9 +54,8 @@ from rsmasec.harness import (
     GPI_METHODS,
     _draw_chunk,
     _known,
-    _method_rows,
     _method_start,
-    _result_line,
+    _rows,
     _run_chunk,
     _sweep_chunks,
     _write_csv,
@@ -82,7 +81,7 @@ def _timed(calls: dict, repeats: int) -> dict:
 
 
 def _chunk_calls(config, pieces, drawn, knowledge, quadforms, path: str) -> dict:
-    system, truth, ridge, noise_eve, heads = drawn
+    system, truth, ridge, noise_eve, _ = drawn
     noise = {"noise_user_ratio": ridge, "noise_eve_ratio": noise_eve}
     calls = {
         "draw": lambda: _draw_chunk(config, pieces),
@@ -98,18 +97,11 @@ def _chunk_calls(config, pieces, drawn, knowledge, quadforms, path: str) -> dict
             calls[f"{method}_objective"] = lambda forms=forms, f=f: smoothed_objective(forms, f, system)
         precoders[method] = f
 
-    rows = _run_chunk(config, pieces)
-    # each method's rows of the chunk, for their iterations, flags and objectives
-    outcomes = {method: [[getattr(r, name) for r in rows[j::len(config.methods)]]
-                         for name in ("iterations", "converged", "smoothed_objective")]
-                for j, method in enumerate(config.methods)}
-    reports = {method: sum_secrecy_se(truth, f, system, **noise) for method, f in precoders.items()}
+    chunk = _run_chunk(config, pieces)
     calls.update({
         "scoring": lambda: [sum_secrecy_se(truth, f, system, **noise) for f in precoders.values()],
-        "rows": lambda: [_method_rows(method, heads, *outcomes[method], reports[method], 0.0)
-                         for method in config.methods],
-        "csv_write": lambda: _write_csv(path, CSV_COLUMNS, map(_result_line, rows)),
-        "aggregate": lambda: aggregate(rows),
+        "csv_write": lambda: _write_csv(path, CSV_COLUMNS, _rows(chunk, text=True)),
+        "aggregate": lambda: aggregate([chunk]),
     })
     return calls
 

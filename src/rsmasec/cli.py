@@ -24,8 +24,8 @@ from .harness import (
     parse_config,
     run_convergence,
     run_sweep,
-    run_trial,
-    _result_line,
+    _rows,
+    _run_chunk,
 )
 from .solver import NumericError
 from .validate import run_validate
@@ -122,10 +122,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "single":
         config = _load_config(args.config)
         config = _with_seed(config, args.seed, "--seed")
-        rows = run_trial(config, None, 0)
-        print(",".join(CSV_COLUMNS))
-        for row in rows:
-            print(_result_line(row))
+        chunk = _run_chunk(config, [(None, 0, range(1))])
+        print("\n".join([",".join(CSV_COLUMNS), *_rows(chunk, text=True)]))
         return 0
 
     if args.command == "validate":

@@ -12,8 +12,9 @@ each trial's noise ridge, then handles each method in one pass over all of
 its trials: one batched GPI solve, MRT start or RZF precoder, one objective
 (read from the solver's trace for the GPI methods) and one
 ``sum_secrecy_se`` call over the chunk, the last two given each trial's
-noise terms.  A trial's rows do not depend on its chunk.  The sweep CSV is
-written in one pass, one formatted line per row.
+noise terms.  A trial's rows do not depend on its chunk.  A chunk's results
+stay columns, one per field of ``ROW_SPEC``, from the draw to the sweep CSV,
+which is written in one pass, and to the aggregates.
 """
 from __future__ import annotations
 
@@ -23,18 +24,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
 from .baselines import mrt_init, rzf_precoder
 from .channel import ChannelRealization, ScenarioLayout, draw_scenario
 from .config import SystemConfig
-from .quadforms import (
-    build_quadforms_limited,
-    build_quadforms_perfect,
-    smoothed_objective,
-)
+from .quadforms import build_quadforms_limited, build_quadforms_perfect, smoothed_objective
 from .rates import sum_secrecy_se
 from .solver import NumericError, gpi_solve_batch
 
@@ -45,11 +42,6 @@ GPI_METHODS = ("gpi-rsma", "gpi-sdma")   # solved from their start; the rest are
 SWEEP_AXES = ("none", "snr_db", "n_secret", "n_eves", "angular_separation", "kappa")
 CSIT_MODES = ("perfect", "limited")
 
-CSV_COLUMNS = [
-    "method", "trial", "seed", "axis", "snr_db", "n", "k", "s", "m", "e",
-    "kappa", "alpha", "iterations", "converged", "objective",
-    "sum_secrecy_se", "common_min", "runtime_ms",
-]
 AGG_COLUMNS = ["axis", "method", "mean_secrecy_se", "stderr", "n_trials"]
 
 SEED_ENV_VAR = "RSMASEC_MASTER_SEED"
@@ -74,6 +66,16 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name, least in (("trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:   # not a float, and not a bool either
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        for name, kinds, what in (("methods", str, "names"), ("sweep_values", (int, float), "numbers")):
+            items = getattr(self, name)
+            if type(items) is not tuple or any(type(v) is bool or not isinstance(v, kinds) for v in items):
+                raise ConfigError(f"{name} must be a tuple of {what}, got {items!r}")
         if self.csit_mode not in CSIT_MODES:
             raise ConfigError(f"csit_mode must be one of {CSIT_MODES}, got {self.csit_mode!r}")
         if not self.methods:
@@ -109,32 +111,51 @@ class ExperimentConfig:
                     system.with_snr_db(v)
                 except (ValueError, OverflowError) as exc:
                     raise ConfigError(f"snr_db sweep value {v}: {exc}") from exc
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    method: str
-    trial_index: int
-    seed: int
-    axis_value: float | None
-    snr_db: float
-    n_antennas: int
-    n_users: int
-    n_secret: int
-    n_normal: int
-    n_eves: int
-    kappa: float
-    alpha: float
-    iterations: int
-    converged: bool
-    smoothed_objective: float
-    sum_secrecy_se: float
-    common_min: float
-    runtime_ms: float
+def _fmt(x: float) -> str:
+    return "%.12g" % x
+
+
+def _axis_cell(value: float | None) -> str:
+    """The ``axis`` cell: empty when the sweep has no axis."""
+    return "" if value is None else _fmt(value)
+
+
+# The result row: (CSV name, TrialResult field, type, cell) per column, in CSV
+# order: the method, then each trial's head columns from ``_draw_chunk``, then
+# each method's result columns from ``_run_chunk``.  A cell is a %-format or
+# the function that gives its text; a float is "%.12g" (nan and inf as such).
+# No cell needs quoting: method names come from METHODS, every other cell is
+# a number, a flag or empty.  A new column is one entry plus its values.
+_HEAD_SPEC = (
+    ("trial", "trial_index", "int", "%s"),
+    ("seed", "seed", "int", "%s"),
+    ("axis", "axis_value", "float | None", _axis_cell),
+    ("snr_db", "snr_db", "float", "%.12g"),
+    ("n", "n_antennas", "int", "%s"),
+    ("k", "n_users", "int", "%s"),
+    ("s", "n_secret", "int", "%s"),
+    ("m", "n_normal", "int", "%s"),
+    ("e", "n_eves", "int", "%s"),
+    ("kappa", "kappa", "float", "%.12g"),
+    ("alpha", "alpha", "float", "%.12g"),
+)
+_RESULT_SPEC = (
+    ("iterations", "iterations", "int", "%s"),
+    ("converged", "converged", "bool", lambda ok: "true" if ok else "false"),
+    ("objective", "smoothed_objective", "float", "%.12g"),
+    ("sum_secrecy_se", "sum_secrecy_se", "float", "%.12g"),
+    ("common_min", "common_min", "float", "%.12g"),
+    ("runtime_ms", "runtime_ms", "float", "%.12g"),
+)
+ROW_SPEC = (("method", "method", "str", "%s"), *_HEAD_SPEC, *_RESULT_SPEC)
+CSV_COLUMNS = [name for name, *_ in ROW_SPEC]
+_HEAD_LINE, _RESULT_LINE = (",".join(cell if isinstance(cell, str) else "%s" for *_, cell in spec)
+                            for spec in (_HEAD_SPEC, _RESULT_SPEC))
+TrialResult = make_dataclass(
+    "TrialResult", [(field, kind) for _, field, kind, _ in ROW_SPEC], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "One method's row of one trial, by ROW_SPEC."})
 
 
 _INT_KEYS = {"n_antennas", "n_secret", "n_normal", "n_eves", "k", "t_max",
@@ -175,7 +196,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             elif key in _FLOAT_KEYS:
                 raw[key] = float(value)
             elif key in _LIST_KEYS:
-                items = [v.strip() for v in value.split(",") if v.strip()]
+                items = [v.strip() for v in value.split(",")] if value else []
+                if "" in items:
+                    raise ConfigError(f"line {lineno}: empty item in {key!r}: {value!r}")
                 raw[key] = tuple(items) if key == "methods" else tuple(float(v) for v in items)
             else:
                 raw[key] = value
@@ -234,29 +257,24 @@ def derive_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_trial(
-    config: ExperimentConfig,
-    axis_value: float | None,
-    trial_index: int,
-    axis_index: int = 0,
-) -> list[TrialResult]:
+def run_trial(config: ExperimentConfig, axis_value: float | None, trial_index: int,
+              axis_index: int = 0) -> list[TrialResult]:
     """One scenario draw, every configured method solved and scored on it:
     a chunk of one trial, so its rows equal the sweep's rows."""
-    return _run_chunk(config, [(axis_value, axis_index, range(trial_index, trial_index + 1))])
+    return _rows(_run_chunk(config, [(axis_value, axis_index, range(trial_index, trial_index + 1))]))
 
 
 def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
     """``(system, truth, noise_user, noise_eve, heads)`` of a work item's
     ``(axis_value, axis_index, trials)`` pieces: the first piece's system (a
     chunk's pieces share the set's shape and the solver's settings,
-    ``_pool_key``), the stacked draws, and per trial its sigma_u^2 / P and
-    sigma_e^2 / P, read from its own piece's system, and its ``TrialResult``
-    fields from ``trial_index`` to ``alpha``.  Each trial draws from its own
-    seed; each run of consecutive pieces with equal layouts is drawn in one
-    ``draw_scenario`` call: one for an ``snr_db`` chunk, one per value for a
-    ``kappa`` or ``angular_separation`` chunk.  The generators end here, so
-    every method is a function of the drawn scenarios alone."""
-    runs, noise_user, noise_eve, heads = [], [], [], []
+    ``_pool_key``), the stacked draws, each trial's sigma_u^2 / P and
+    sigma_e^2 / P from its own piece's system, and the head columns, a list
+    per row field from ``trial_index`` to ``alpha``.  Each trial draws from
+    its own seed; each run of consecutive pieces with equal layouts (all of
+    an ``snr_db`` chunk) is drawn in one ``draw_scenario`` call.  The
+    generators end here, so every method is a function of the draws alone."""
+    runs, noise_user, noise_eve, heads = [], [], [], {}
     for axis_value, axis_index, trials in pieces:
         system, layout = effective_scenario(config, axis_value)
         seeds = [derive_seed(config.master_seed, axis_index, t) for t in trials]
@@ -265,9 +283,12 @@ def _draw_chunk(config: ExperimentConfig, pieces: list[tuple]):
         runs[-1][2].extend(np.random.default_rng(seed) for seed in seeds)
         noise_user += [system.noise_user_ratio] * len(seeds)
         noise_eve += [system.noise_eve_ratio] * len(seeds)
-        heads += [(t, seed, axis_value, system.snr_db, system.n_antennas, system.n_users,
-                   system.n_secret, system.n_normal, system.n_eves, layout.kappa, system.smoothing)
-                  for t, seed in zip(trials, seeds)]
+        shared = {"axis_value": axis_value, "kappa": layout.kappa, "alpha": system.smoothing,
+                  **{name: getattr(system, name) for name in
+                     ("snr_db", "n_antennas", "n_users", "n_secret", "n_normal", "n_eves")}}
+        for name, column in [("trial_index", trials), ("seed", seeds),
+                             *((name, [value] * len(seeds)) for name, value in shared.items())]:
+            heads.setdefault(name, []).extend(column)
     draws = [draw_scenario(*run) for run in runs]
     truth = draws[0] if len(draws) == 1 else ChannelRealization.stack(draws, join=np.concatenate)
     return runs[0][0], truth, np.array(noise_user), np.array(noise_eve), heads
@@ -297,24 +318,20 @@ def _method_start(method: str, knowledge: np.ndarray, quadforms, system: SystemC
     return private, rzf_precoder(knowledge, system, noise_user_ratio=ridge)
 
 
-def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResult]:
-    """The trials of a work item's ``(axis_value, axis_index, trials)``
-    pieces, in (piece, trial, method) order.
-
-    Each trial draws its scenario as ``run_trial`` would (``_draw_chunk``);
-    the draws are stacked and one quad-form set is built for the chunk, with
-    each trial's noise ridge in its bases.  Then every method runs over the
-    whole chunk in config order, each layer in one call: its set and
-    precoders (``_method_start``), one ``gpi_solve_batch`` call for a GPI
-    method or else one objective, and one ``sum_secrecy_se`` call over all
-    trials.  ``rzf_precoder`` and ``sum_secrecy_se`` take each trial's noise
-    terms.  A GPI row's objective is its trace's.  A method's time is split evenly over the chunk's rows,
-    whatever their axis value.  A trial's rows do not depend on the chunk.
-    """
+def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> tuple[dict, dict]:
+    """``(heads, results)`` of a work item's ``(axis_value, axis_index,
+    trials)`` pieces: ``_draw_chunk``'s head columns, and per method, in
+    config order, its result columns, (T,) arrays keyed by ``TrialResult``
+    field.  Each layer runs once over the chunk, as the module docstring
+    says: a method's set and precoders (``_method_start``), one
+    ``gpi_solve_batch`` call or else one objective, and one
+    ``sum_secrecy_se`` call.  A GPI row's objective is its trace's; a
+    method's time is split evenly over the chunk's rows.  A trial's rows do
+    not depend on the chunk."""
     system, truth, ridge, noise_eve, heads = _draw_chunk(config, pieces)
     knowledge, quadforms = _known(config.csit_mode, truth, system, ridge)
-    n = len(heads)
-    by_method = []
+    n = len(ridge)
+    results = {}
     for method in config.methods:
         t0 = time.perf_counter()
         forms, precoders = _method_start(method, knowledge, quadforms, system, ridge)
@@ -322,55 +339,40 @@ def _run_chunk(config: ExperimentConfig, pieces: list[tuple]) -> list[TrialResul
             # a failed trial scores its NaN precoder, so only its own row is NaN
             precoders, trace = gpi_solve_batch(forms, precoders, system)
             for i in np.flatnonzero(trace.iterations_used == 0):
-                log.warning("trial %d method %s failed numerically", heads[i][0], method)
-            iterations, converged = trace.iterations_used.tolist(), trace.converged.tolist()
-            objective = trace.objective.tolist()
+                log.warning("trial %d method %s failed numerically", heads["trial_index"][i], method)
+            iterations, converged, objective = trace.iterations_used, trace.converged, trace.objective
         else:
-            iterations, converged = [0] * n, [True] * n
-            objective = smoothed_objective(forms, precoders, system).tolist()
+            iterations, converged = np.zeros(n, int), np.ones(n, bool)
+            objective = smoothed_objective(forms, precoders, system)
         report = sum_secrecy_se(truth, precoders, system,
                                 noise_user_ratio=ridge, noise_eve_ratio=noise_eve)
         runtime_ms = 1e3 * (time.perf_counter() - t0) / n
-        by_method.append(_method_rows(method, heads, iterations, converged, objective,
-                                      report, runtime_ms))
-    return [r for trial_rows in zip(*by_method) for r in trial_rows]
+        results[method] = {"iterations": iterations, "converged": converged,
+                           "smoothed_objective": objective, "sum_secrecy_se": report.sum_secrecy_se,
+                           "common_min": report.common_min, "runtime_ms": np.full(n, runtime_ms)}
+    return heads, results
 
 
-def _method_rows(method: str, heads: list[tuple], iterations: list, converged: list,
-                 objective: list, report, runtime_ms: float) -> list[TrialResult]:
-    """One method's row per trial of a chunk: ``heads`` holds each trial's
-    fields from ``trial_index`` to ``alpha``, the lists and ``report`` (a
-    stacked ``RateReport``) its results."""
-    secrecy_se, common_min = report.sum_secrecy_se.tolist(), report.common_min.tolist()
-    return [TrialResult(method, *head, it, ok, obj, se, cmin, runtime_ms)
-            for head, it, ok, obj, se, cmin
-            in zip(heads, iterations, converged, objective, secrecy_se, common_min)]
+def _rows(chunk: tuple[dict, dict], text: bool = False) -> list:
+    """The rows of a ``_run_chunk`` result, in (piece, trial, method) order:
+    ``TrialResult``s, or with ``text`` their CSV lines without line ends, the
+    cells by ``ROW_SPEC`` and each trial's head cells formatted once."""
+    heads, results = chunk
 
+    def cells(spec, columns):
+        return [columns[field] if not text or isinstance(cell, str) else map(cell, columns[field])
+                for _, field, _, cell in spec]
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
-def _axis_cell(value: float | None) -> str:
-    """The ``axis`` cell: empty when the sweep has no axis."""
-    return "" if value is None else _fmt(value)
-
-
-_ROW_FORMAT = "%s,%s,%s,%s,%.12g,%s,%s,%s,%s,%s,%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g"
-
-
-def _result_line(r: TrialResult) -> str:
-    """``r``'s CSV line, without its line end: the one definition of each
-    cell's text, in CSV_COLUMNS order (TrialResult's field order).  A float
-    is "%.12g" (nan and inf as such), an int its digits, ``converged``
-    true/false and ``axis`` empty when the sweep has no axis.  No cell needs
-    quoting: method names come from METHODS and every other cell is a
-    number or empty, so none holds a comma, a quote or a line end."""
-    return _ROW_FORMAT % (
-        r.method, r.trial_index, r.seed, _axis_cell(r.axis_value), r.snr_db, r.n_antennas,
-        r.n_users, r.n_secret, r.n_normal, r.n_eves, r.kappa, r.alpha, r.iterations,
-        "true" if r.converged else "false", r.smoothed_objective, r.sum_secrecy_se,
-        r.common_min, r.runtime_ms)
+    head = list(zip(*cells(_HEAD_SPEC, heads)))
+    if text:
+        head = [_HEAD_LINE % values for values in head]
+    by_method = []
+    for method, columns in results.items():
+        each = zip(head, *cells(_RESULT_SPEC, {f: column.tolist() for f, column in columns.items()}))
+        line = f"{method},%s,{_RESULT_LINE}"
+        by_method.append([line % row for row in each] if text
+                         else [TrialResult(method, *h, *values) for h, *values in each])
+    return [row for rows in zip(*by_method) for row in rows]
 
 
 def _write_csv(path: str, header: list[str], lines) -> None:
@@ -382,9 +384,7 @@ def _write_csv(path: str, header: list[str], lines) -> None:
 
 
 def aggregate_path(out_path: str) -> str:
-    if out_path.endswith(".csv"):
-        return out_path[: -len(".csv")] + ".agg.csv"
-    return out_path + ".agg.csv"
+    return out_path.removesuffix(".csv") + ".agg.csv"
 
 
 # Bytes of solver arrays one chunk may hold; see ``_trial_bytes``.
@@ -443,8 +443,8 @@ def _sweep_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
     return items
 
 
-def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[TrialResult]:
-    """Every trial of the sweep, in (axis, trial, method) order.
+def _sweep_columns(config: ExperimentConfig, workers: int | None = None) -> list[tuple]:
+    """Every chunk's ``_run_chunk`` result, in sweep order.
 
     Chunks of trials are independent work items; with workers > 1 they are
     dispatched to a process pool of at most one process per item, since the
@@ -457,55 +457,56 @@ def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[Tr
         workers = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
     items = _sweep_chunks(config, max(workers, 1))
     if workers <= 1 or len(items) == 1:
-        batches = [_run_chunk(*it) for it in items]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            batches = list(pool.map(_run_chunk, *zip(*items)))
-    return [r for batch in batches for r in batch]
+        return [_run_chunk(*it) for it in items]
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(_run_chunk, *zip(*items)))
 
 
-def aggregate(rows: list[TrialResult]) -> dict[tuple[float | None, str], tuple[float, float, int]]:
+def _sweep_rows(config: ExperimentConfig, workers: int | None = None) -> list[TrialResult]:
+    """Every row of the sweep, in (axis, trial, method) order."""
+    return [r for chunk in _sweep_columns(config, workers) for r in _rows(chunk)]
+
+
+def aggregate(chunks: list[tuple]) -> dict[tuple[float | None, str], tuple[float, float, int]]:
     """Mean, standard error and count of the finite sum secrecy SEs per (axis
-    value, method), keys in order of first appearance; a group whose every
+    value, method) of a sweep's ``_run_chunk`` results, reduced as one array
+    in row order, keys in order of first appearance; a group whose every
     solve failed reads (NaN, NaN, 0).  The standard error is the sample
     standard deviation over sqrt(count), and 0 for a single trial."""
-    groups: dict[tuple[float | None, str], list[float]] = {}
-    for r in rows:
-        groups.setdefault((r.axis_value, r.method), []).append(r.sum_secrecy_se)
+    groups: dict[tuple[float | None, str], list[np.ndarray]] = {}
+    for heads, results in chunks:
+        start = 0
+        for value, run in itertools.groupby(heads["axis_value"]):   # a piece's trials
+            stop = start + len(list(run))
+            for method, columns in results.items():
+                groups.setdefault((value, method), []).append(columns["sum_secrecy_se"][start:stop])
+            start = stop
     out = {}
-    for key, xs in groups.items():
-        vals = np.asarray(xs)
+    for key, parts in groups.items():
+        vals = np.concatenate(parts)
         vals = vals[np.isfinite(vals)]   # a failed solve's row has a NaN SE
         stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
         out[key] = (float(vals.mean()), stderr, vals.size) if vals.size else (math.nan, math.nan, 0)
     return out
 
 
-def run_sweep(
-    config: ExperimentConfig,
-    out_path: str,
-    workers: int | None = None,
-) -> tuple[str, str]:
+def run_sweep(config: ExperimentConfig, out_path: str, workers: int | None = None) -> tuple[str, str]:
     """Run the configured sweep and write per-trial plus aggregate CSVs,
-    each in one pass: one line per row (``_result_line``, whose docstring
+    each in one pass from the chunks' columns (``_rows``, whose ``ROW_SPEC``
     says why no cell needs quoting) and one write."""
-    rows = _sweep_rows(config, workers)
-    _write_csv(out_path, CSV_COLUMNS, map(_result_line, rows))
+    chunks = _sweep_columns(config, workers)
+    _write_csv(out_path, CSV_COLUMNS, [line for chunk in chunks for line in _rows(chunk, text=True)])
     agg = aggregate_path(out_path)
     _write_csv(agg, AGG_COLUMNS, [
         f"{_axis_cell(value)},{method},{_fmt(mean)},{_fmt(stderr)},{n}"
-        for (value, method), (mean, stderr, n) in aggregate(rows).items()])
+        for (value, method), (mean, stderr, n) in aggregate(chunks).items()])
     return out_path, agg
 
 
 CONVERGE_COLUMNS = ["snr_db", "trial", "seed", "iteration", "step_norm", "objective", "lam"]
 
 
-def run_convergence(
-    config: ExperimentConfig,
-    snr_list: list[float],
-    out_path: str,
-) -> str:
+def run_convergence(config: ExperimentConfig, snr_list: list[float], out_path: str) -> str:
     """Per-iteration solve traces of the rate-splitting solver across SNRs.
 
     The SNR list is run as an ``snr_db`` sweep, so each (snr index, trial)
@@ -526,7 +527,8 @@ def run_convergence(
                                    system, keep_iterates=True)
         if (trace.iterations_used == 0).any():
             raise NumericError("a solve of the chunk failed numerically")
-        for (trial, seed, snr, *_), rows in zip(heads, trace.rows):
+        for trial, seed, snr, rows in zip(heads["trial_index"], heads["seed"], heads["snr_db"],
+                                          trace.rows):
             lines.extend(
                 f"{_fmt(snr)},{trial},{seed},{it},{'' if math.isnan(step) else _fmt(step)},"
                 f"{_fmt(obj)},{_fmt(lam)}" for it, step, obj, lam in rows)

@@ -36,7 +36,7 @@ from .config import SystemConfig
 from .harness import (
     ExperimentConfig,
     _known,
-    _sweep_rows,
+    _sweep_columns,
     aggregate,
     parse_config_text,
     run_sweep,
@@ -272,8 +272,7 @@ def _check_block_solve() -> tuple[bool, str]:
 
 def _check_convergence_speed() -> tuple[bool, str]:
     """Iteration counts at the default tolerance across SNR."""
-    iters: list[int] = []
-    converged = 0
+    solved = []   # each chunk's gpi-rsma columns
     for snr in (0.0, 10.0, 20.0, 30.0):
         config = ExperimentConfig(
             system=_fig_shape_config().with_snr_db(snr),
@@ -283,11 +282,9 @@ def _check_convergence_speed() -> tuple[bool, str]:
             trials=100,
             master_seed=61_000,
         )
-        for row in _sweep_rows(config, workers=1):
-            iters.append(row.iterations)
-            converged += row.converged
-    median = float(np.median(iters))
-    frac = converged / len(iters)
+        solved += [results["gpi-rsma"] for _, results in _sweep_columns(config, workers=1)]
+    median = float(np.median(np.concatenate([r["iterations"] for r in solved])))
+    frac = float(np.concatenate([r["converged"] for r in solved]).mean())
     ok = median <= 20.0 and frac >= 0.95
     return ok, f"median iterations = {median:.1f} (limit 20); converged {frac:.1%} (need 95%)"
 
@@ -295,7 +292,7 @@ def _check_convergence_speed() -> tuple[bool, str]:
 def _monotone(config: ExperimentConfig, direction: str) -> tuple[bool, str]:
     """Adjacent axis means of the one method ordered as required, within one
     pooled standard error."""
-    means = list(aggregate(_sweep_rows(config, workers=1)).values())
+    means = list(aggregate(_sweep_columns(config, workers=1)).values())
     ok = True
     for (m0, s0, _), (m1, s1, _) in zip(means, means[1:]):
         pooled = math.hypot(s0, s1)
@@ -317,7 +314,7 @@ def _check_ordering_rsma_sdma() -> tuple[bool, str]:
         trials=100,
         master_seed=71_000,
     )
-    means = aggregate(_sweep_rows(config, workers=1))
+    means = aggregate(_sweep_columns(config, workers=1))
     rsma, sdma = means[None, "gpi-rsma"][0], means[None, "gpi-sdma"][0]
     return rsma >= sdma, f"mean secrecy SE: rate-splitting {rsma:.3f} vs private-only {sdma:.3f}"
 

@@ -13,7 +13,7 @@ import pytest
 import rsmasec as rs
 from rsmasec import cli, harness
 from rsmasec.rates import RateReport
-from test_harness import poison_trial
+from test_harness import parent_cell, poison_trial
 
 
 def chunk_config(axis, values, csit="limited", trials=2, extra=""):
@@ -56,9 +56,12 @@ def test_a_chunk_draws_once_per_layout(monkeypatch, axis, values, calls):
             assert got.shape == want.shape and np.array_equal(got, want), field.name
     assert ridge.tolist() == [s.noise_user_ratio for s, _, _, seeds in parts for _ in seeds]
     assert noise_eve.tolist() == [s.noise_eve_ratio for s, _, _, seeds in parts for _ in seeds]
-    assert heads == [(t, seed, value, s.snr_db, s.n_antennas, s.n_users, s.n_secret, s.n_normal,
-                      s.n_eves, layout.kappa, s.smoothing)
-                     for s, layout, value, seeds in parts for t, seed in seeds]
+    want = [(t, seed, value, s.snr_db, s.n_antennas, s.n_users, s.n_secret, s.n_normal,
+             s.n_eves, layout.kappa, s.smoothing)
+            for s, layout, value, seeds in parts for t, seed in seeds]
+    names = ["trial_index", "seed", "axis_value", "snr_db", "n_antennas", "n_users", "n_secret",
+             "n_normal", "n_eves", "kappa", "alpha"]
+    assert heads == dict(zip(names, map(list, zip(*want))))
 
 
 def stacked_trials(dims, snrs, seed):
@@ -122,17 +125,6 @@ def test_a_noise_array_of_the_wrong_shape_raises(bad):
         rs.rzf_precoder(truth.user_estimates[0], base, noise_user_ratio=np.ones(2))
 
 
-def parent_cell(value) -> str:
-    """A cell as the sweep CSV wrote it through ``csv.writer``, cell by cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
-
-
 def csv_text(header, rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
@@ -146,22 +138,23 @@ def sweep_texts(monkeypatch, tmp_path, cfg):
     written by ``csv.writer`` over the cell rules above."""
     written = []
 
-    def sweep_rows(*args):
-        written.extend(rows := run(*args))
-        return rows
+    def sweep_columns(*args):
+        written.extend(chunks := run(*args))
+        return chunks
 
-    run = harness._sweep_rows
-    monkeypatch.setattr(harness, "_sweep_rows", sweep_rows)
+    run = harness._sweep_columns
+    monkeypatch.setattr(harness, "_sweep_columns", sweep_columns)
     rows_path, agg_path = rs.run_sweep(cfg, str(tmp_path / "sweep.csv"), workers=1)
+    rows = [r for chunk in written for r in harness._rows(chunk)]
     names = [f.name for f in dataclasses.fields(harness.TrialResult)]
     want_rows = csv_text(harness.CSV_COLUMNS,
-                         [[parent_cell(getattr(r, name)) for name in names] for r in written])
+                         [[parent_cell(getattr(r, name)) for name in names] for r in rows])
     want_agg = csv_text(harness.AGG_COLUMNS, [
         [parent_cell(value), method, "%.12g" % mean, "%.12g" % stderr, str(n)]
         for (value, method), (mean, stderr, n) in harness.aggregate(written).items()])
     with open(rows_path, "rb") as rows_fh, open(agg_path, "rb") as agg_fh:
         got = rows_fh.read().decode(), agg_fh.read().decode()
-    return got, (want_rows, want_agg), written
+    return got, (want_rows, want_agg), rows
 
 
 @pytest.mark.parametrize("csit", ["limited", "perfect"])
@@ -193,18 +186,20 @@ def test_single_prints_the_parent_cells(monkeypatch, capsys, tmp_path):
     config = tmp_path / "one.cfg"
     config.write_text("methods = gpi-rsma, gpi-sdma, rzf-sdma, mrt\nsweep_axis = snr_db\n"
                       "sweep_values = 0, 10\n")
-    printed = []
+    chunks = []
 
-    def run_trial(*args):
-        printed.extend(rows := harness.run_trial(*args))
-        return rows
+    def run_chunk(*args):
+        chunks.append(chunk := harness._run_chunk(*args))
+        return chunk
 
-    monkeypatch.setattr(cli, "run_trial", run_trial)
+    monkeypatch.setattr(cli, "_run_chunk", run_chunk)
     assert cli.main(["single", "--config", str(config), "--seed", "9"]) == 0
+    (chunk,) = chunks
+    printed = harness._rows(chunk)
     names = [f.name for f in dataclasses.fields(harness.TrialResult)]
     assert capsys.readouterr().out == "".join(
         ",".join(cells) + "\n"
         for cells in [harness.CSV_COLUMNS,
                       *([parent_cell(getattr(r, name)) for name in names] for r in printed)])
-    assert [harness._result_line(r).split(",") for r in printed] == [
+    assert [line.split(",") for line in harness._rows(chunk, text=True)] == [
         [parent_cell(getattr(r, name)) for name in names] for r in printed]

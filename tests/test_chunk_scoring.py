@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rsmasec as rs
 from rsmasec import harness
+from test_harness import cells
 
 
 def draws(cfg, n_trials, seed):
@@ -114,5 +115,4 @@ def test_a_chunk_without_secret_users_matches_its_single_trials():
         "n_secret = 0\nn_normal = 3\nmethods = gpi-rsma, gpi-sdma, rzf-sdma, mrt\ntrials = 3")
     chunk = harness._sweep_rows(cfg, workers=1)
     alone = [r for t in range(3) for r in rs.run_trial(cfg, None, t)]
-    assert [harness._result_line(r).split(",")[:-1] for r in chunk] == [
-        harness._result_line(r).split(",")[:-1] for r in alone]
+    assert [cells(r) for r in chunk] == [cells(r) for r in alone]

@@ -3,7 +3,7 @@ import io
 import math
 import os
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +94,9 @@ def test_parse_k_consistency_check():
         ("sweep_axis = snr_db\nsweep_values = 10, 5000", "snr_db sweep value 5000"),
         ("sweep_axis = angular_separation\nsweep_values = nan", "finite"),
         ("methods =", "methods list is empty"),
+        ("methods = mrt,, gpi-rsma", "line 1: empty item in 'methods'"),
+        ("methods = mrt,", "line 1: empty item in 'methods'"),
+        ("sweep_axis = snr_db\nsweep_values = 0,,10", "line 2: empty item in 'sweep_values'"),
         ("master_seed = -1", "master_seed"),
         ("trials = 5\n\ntrials = 6", "line 3: 'trials' is already set on line 1"),
     ],
@@ -124,6 +127,16 @@ def test_parse_errors(text, needle):
         (dict(sweep_axis="angular_separation", sweep_values=(math.nan,)), "finite"),
         (dict(trials=0), "trials"),
         (dict(master_seed=-1), "master_seed"),
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(master_seed=1.5), "master_seed must be an integer"),
+        (dict(master_seed=False), "master_seed must be an integer"),
+        (dict(methods="mrt"), "methods must be a tuple of names"),
+        (dict(methods=["mrt"]), "methods must be a tuple of names"),
+        (dict(methods=("mrt", 1)), "methods must be a tuple of names"),
+        (dict(sweep_axis="snr_db", sweep_values=[0.0, 10.0]), "sweep_values must be a tuple of numbers"),
+        (dict(sweep_axis="snr_db", sweep_values=("0", "10")), "sweep_values must be a tuple of numbers"),
+        (dict(sweep_axis="n_eves", sweep_values=(True,)), "sweep_values must be a tuple of numbers"),
     ],
 )
 def test_a_config_built_in_code_obeys_the_files_rules(tmp_path, changes, needle):
@@ -290,14 +303,25 @@ def test_chunks_pool_the_values_that_share_a_set_shape(axis, values, pooled):
     each = [(v, ai, range(4)) for ai, v in enumerate(cfg.sweep_values)]
     assert chunks == ([each] if pooled else [[piece] for piece in each])
     # the chunk's trials follow the sweep order, so its rows do too
-    rows = harness._run_chunk(cfg, chunks[0])
-    assert [(r.axis_value, r.trial_index) for r in rows] == [
+    heads, _ = harness._run_chunk(cfg, chunks[0])
+    assert list(zip(heads["axis_value"], heads["trial_index"])) == [
         (v, t) for v, _, trials in chunks[0] for t in trials]
+
+
+def parent_cell(value) -> str:
+    """A cell as the sweep CSV wrote it through ``csv.writer``, cell by cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.12g" % value
+    return str(value)
 
 
 def cells(row):
     """A row's CSV cells without runtime_ms."""
-    return harness._result_line(row).split(",")[:-1]
+    return [parent_cell(getattr(row, field.name)) for field in fields(harness.TrialResult)][:-1]
 
 
 def test_chunk_size_follows_the_byte_budget():
@@ -351,7 +375,7 @@ def test_failed_row_is_left_out_of_its_aggregate(monkeypatch):
     cfg = rs.parse_config_text("methods = gpi-rsma, gpi-sdma, mrt\ntrials = 3")
     clean = [rs.run_trial(cfg, None, t) for t in range(3)]
     poison_trial(monkeypatch, cfg, clean[1][0].seed)
-    agg = harness.aggregate(harness._sweep_rows(cfg, workers=1))
+    agg = harness.aggregate(harness._sweep_columns(cfg, workers=1))
     for j, method in enumerate(("gpi-rsma", "gpi-sdma")):
         mean, stderr, n = agg[None, method]
         kept = np.array([clean[0][j].sum_secrecy_se, clean[2][j].sum_secrecy_se])
@@ -379,11 +403,16 @@ def test_convergence_raises_on_a_failed_solve(monkeypatch, tmp_path):
 
 
 def test_aggregate_of_only_failed_rows_is_nan_with_count_zero():
-    row = rs.run_trial(rs.parse_config_text("methods = mrt"), None, 0)[0]
-    failed = replace(row, sum_secrecy_se=math.nan)
-    mean, stderr, n = harness.aggregate([failed, failed])[None, "mrt"]
+    cfg = rs.parse_config_text("methods = mrt\ntrials = 2")
+    (heads, results), = harness._sweep_columns(cfg, workers=1)
+    se = results["mrt"]["sum_secrecy_se"].copy()
+
+    def chunk(values):
+        return heads, {"mrt": {**results["mrt"], "sum_secrecy_se": np.array(values)}}
+
+    mean, stderr, n = harness.aggregate([chunk([math.nan, math.nan])])[None, "mrt"]
     assert math.isnan(mean) and math.isnan(stderr) and n == 0
-    assert harness.aggregate([failed, row])[None, "mrt"] == (row.sum_secrecy_se, 0.0, 1)
+    assert harness.aggregate([chunk([math.nan, se[1]])])[None, "mrt"] == (se[1], 0.0, 1)
 
 
 @pytest.mark.parametrize("csit_mode", ["limited", "perfect"])
@@ -407,12 +436,30 @@ def test_each_method_depends_on_the_scenario_alone(csit_mode):
 
 def test_float_formatting_round_trips():
     cfg = rs.parse_config_text("methods = mrt\ntrials = 1")
-    row = rs.run_trial(cfg, None, 0)[0]
-    text = harness._result_line(row).split(",")
+    chunk = harness._run_chunk(cfg, [(None, 0, range(1))])
+    (row,), (line,) = harness._rows(chunk), harness._rows(chunk, text=True)
+    text = line.split(",")
     assert float(text[15]) == pytest.approx(row.sum_secrecy_se, rel=1e-11)
     assert text[1] == "0"
     assert text[2] == str(row.seed)
     assert text[13] == "true"
+
+
+def test_the_header_row_type_and_line_cells_come_from_one_spec():
+    names, field_names = [e[0] for e in harness.ROW_SPEC], [e[1] for e in harness.ROW_SPEC]
+    assert CSV_COLUMNS == names and len(set(names)) == len(names)
+    assert [f.name for f in fields(harness.TrialResult)] == field_names
+    cfg = rs.parse_config_text("methods = gpi-rsma, mrt\nsweep_axis = kappa\n"
+                               "sweep_values = 0.1, 0.5\ntrials = 2")
+    chunks = harness._sweep_columns(cfg, workers=1)
+    lines = [line for chunk in chunks for line in harness._rows(chunk, text=True)]
+    rows = harness._sweep_rows(cfg, workers=1)
+    assert len(lines) == len(rows) == 2 * 2 * 2
+    assert all(len(line.split(",")) == len(harness.ROW_SPEC) for line in lines)
+    # the rows and the lines are one reading of the same columns
+    assert [line.split(",")[:-1] for line in lines] == [cells(r) for r in rows]
+    for heads, results in chunks:
+        assert set(heads) | set(next(iter(results.values()))) | {"method"} == set(field_names)
 
 
 def test_convergence_trace_file(tmp_path):

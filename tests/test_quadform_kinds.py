@@ -16,6 +16,11 @@ from rsmasec.solver import assemble_kkt
 BUILDS = {"perfect": rs.build_quadforms_perfect, "limited": rs.build_quadforms_limited}
 
 
+def chunk_cells(chunk):
+    """A ``_run_chunk`` result's CSV lines, each as cells without runtime_ms."""
+    return [line.split(",")[:-1] for line in harness._rows(chunk, text=True)]
+
+
 def outer(rows):
     return rows[..., :, None] * rows.conj()[..., None, :]
 
@@ -140,13 +145,13 @@ def test_a_trials_numbers_do_not_depend_on_its_chunk(csit):
 def test_a_trials_rows_do_not_depend_on_its_chunk(axis, values):
     cfg, pieces, _, _, _ = pooled_chunk(axis, values, methods=", ".join(harness.METHODS))
     trials = [(v, ai, t) for v, ai, run in pieces for t in run]
-    rows = [harness._result_line(r).split(",")[:-1] for r in harness._run_chunk(cfg, pieces)]
+    rows = chunk_cells(harness._run_chunk(cfg, pieces))
     per_trial = len(cfg.methods)
     for j, (v, ai, t) in enumerate(trials):
         alone = harness._run_chunk(cfg, [(v, ai, range(t, t + 1))])
-        assert [harness._result_line(r).split(",")[:-1] for r in alone] == rows[j * per_trial:(j + 1) * per_trial]
+        assert chunk_cells(alone) == rows[j * per_trial:(j + 1) * per_trial]
     pair = harness._run_chunk(cfg, [(v, ai, range(t, t + 1)) for v, ai, t in trials[1:3]])
-    assert [harness._result_line(r).split(",")[:-1] for r in pair] == rows[per_trial:3 * per_trial]
+    assert chunk_cells(pair) == rows[per_trial:3 * per_trial]
 
 
 def test_the_user_covariances_are_never_copied_per_trial():

@@ -26,7 +26,7 @@ def test_times_every_layer_on_the_first_chunk(tmp_path, capsys, text, methods, s
     assert (report["trials"], report["shape"], report["repeats"]) == (6, shape, 3)
     layers = ["draw", "build", *[f"{m}_baseline" for m in methods],
               *[f"{m}_objective" for m in methods if m in ("rzf-sdma", "mrt")],
-              "scoring", "rows", "csv_write", "aggregate", *KERNELS]
+              "scoring", "csv_write", "aggregate", *KERNELS]
     assert sorted(report) == sorted([f"{name}_ms" for name in layers] + ["trials", "shape", "repeats"])
     for name in layers:
         times = report[f"{name}_ms"]
